@@ -63,7 +63,16 @@ def _out_dir(args) -> Path:
 def _load_config(args) -> PipelineConfig:
     values = {}
     if getattr(args, "config", None):
-        values.update(json.loads(Path(args.config).read_text()))
+        try:
+            values = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{args.config}: not valid JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ValidationError(f"{args.config}: expected a JSON object")
+        unknown = sorted(set(values) - set(PipelineConfig.__dataclass_fields__))
+        if unknown:
+            raise ValidationError(
+                f"{args.config}: unknown config key(s) {', '.join(unknown)}")
     for key in PipelineConfig.__dataclass_fields__:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -160,7 +169,7 @@ def _cmd_segment_ar(args) -> int:
     serialize.save_model(out_dir / "swar.json", result.model,
                          asdict(config), config.seed)
     rows = np.column_stack([series.times, result.states.indicators])
-    serialize._write_table(out_dir / "states.csv", "t,z", rows, _meta(config))
+    serialize.write_table(out_dir / "states.csv", "t,z", rows, _meta(config))
     if result.states.posteriors is not None:
         np.savetxt(out_dir / "posteriors.csv", result.states.posteriors,
                    delimiter=",", fmt="%.12g")
@@ -182,6 +191,8 @@ def _cmd_train_nb(args) -> int:
 def _cmd_classify(args) -> int:
     config = _load_config(args)
     model = serialize.load_model(Path(args.model))
+    if not isinstance(model, context.NaiveBayesModel):
+        raise ValidationError(f"{args.model}: not a naive-Bayes model artifact")
     counts = np.loadtxt(args.counts, delimiter=",", ndmin=2)
     predictions, confidence = context.nb_predict(model, counts)
     labels = AdherenceLabels(rate=args.rate, labels=predictions)
@@ -230,7 +241,7 @@ def _cmd_synth(args) -> int:
     if args.scenario == "gravity-drift":
         raw, trend_truth, dynamic_truth = synth.gen_gravity_drift(spec)
         rows = np.column_stack([raw.timestamps, raw.samples])
-        serialize._write_table(out_dir / "raw.csv", "t,x,y,z", rows, meta)
+        serialize.write_table(out_dir / "raw.csv", "t,x,y,z", rows, meta)
         serialize.write_decomposition_csv(out_dir / "truth.csv", raw.timestamps,
                                           trend_truth, dynamic_truth, meta)
     elif args.scenario == "two-cluster" or args.scenario == "voice-like":
@@ -241,7 +252,7 @@ def _cmd_synth(args) -> int:
         series, states = synth.gen_switching_ar(spec)
         serialize.write_scalar_csv(out_dir / "feature.csv", series, meta)
         rows = np.column_stack([series.times, states.indicators])
-        serialize._write_table(out_dir / "truth.csv", "t,z", rows, meta)
+        serialize.write_table(out_dir / "truth.csv", "t,z", rows, meta)
     print(f"wrote synthetic {args.scenario} data to {out_dir}")
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ClinQcError,
     DegenerateComponent,
     EqualMeans,
     EvenWindow,
@@ -94,6 +95,8 @@ def fit_gmm_em(data: ScalarSeries, n_components: int = 2, seed: int = 0,
     k = n_components
     if k < 1:
         raise ValidationError("need at least one component")
+    if n_restarts < 1:
+        raise ValidationError("need at least one restart")
     if len(x) < 10 * k:
         raise TooFewPoints(f"need at least {10 * k} points for K={k}")
     data_var = float(np.var(x))
@@ -114,7 +117,7 @@ def fit_gmm_em(data: ScalarSeries, n_components: int = 2, seed: int = 0,
             m = lr.max(axis=1)
             ll = float(np.sum(m + np.log(np.sum(np.exp(lr - m[:, None]), axis=1))))
             if ll < prev_ll - 1e-9 * max(abs(prev_ll), 1.0):
-                raise AssertionError("E-M log-likelihood decreased")
+                raise ClinQcError("E-M log-likelihood decreased")
             resp = np.exp(lr - lr.max(axis=1)[:, None])
             resp /= resp.sum(axis=1)[:, None]
 
@@ -131,7 +134,6 @@ def fit_gmm_em(data: ScalarSeries, n_components: int = 2, seed: int = 0,
             prev_ll = ll
         if best is None or prev_ll > best[0]:
             best = (prev_ll, params, resp)
-    assert best is not None
     return best[1], best[2]
 
 

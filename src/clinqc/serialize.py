@@ -1,13 +1,24 @@
 """File formats: sensor CSV, feature/label/spectrum CSV, model artifacts.
 
-CSV files may carry leading ``#`` comment lines recording the config hash
-and seed; readers skip them. Model artifacts are versioned JSON documents
-that round-trip field-for-field.
+Every CSV reader accepts the same input:
+
+- blank lines and ``#`` comments (whole lines or line ends) are skipped;
+  writers put the config hash and seed there;
+- the first remaining line is a header and is skipped if any of its fields
+  is not a number; at most one such line is skipped;
+- every other line is a row of comma-separated numbers, as many as the
+  table has columns.
+
+Anything else, such as a corrupt value, a short row or a table without
+rows, raises ``ValidationError`` (CLI exit code 2): no row is dropped
+silently. Model artifacts are versioned JSON documents that round-trip
+field-for-field.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,28 +49,46 @@ def _header_lines(meta: dict | None) -> list[str]:
     return [f"# {key}={value}" for key, value in sorted(meta.items())]
 
 
-def _write_table(path: Path, header: str, rows: np.ndarray,
-                 meta: dict | None = None) -> None:
-    lines = _header_lines(meta)
-    lines.append(header)
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(_FLOAT_FMT % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_table(path: Path, header: str, rows: np.ndarray,
+                meta: dict | None = None) -> None:
+    """Write ``meta`` comments, one header line and ``%.12g`` CSV rows."""
+    rows = np.atleast_2d(rows)
+    row_fmt = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
+    head = "".join(line + "\n" for line in _header_lines(meta) + [header])
+    body = (row_fmt * len(rows)) % tuple(rows.ravel().tolist())
+    Path(path).write_text(head + body)
+
+
+def _rows_to_skip(path: Path) -> int:
+    """Lines ``np.loadtxt`` must skip: through the header, if there is one."""
+    with open(path) as fh:
+        for index, line in enumerate(fh):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                [float(field) for field in line.split(",")]
+            except ValueError:
+                return index + 1
+            return 0
+    return 0
 
 
 def _read_table(path: Path, expected_columns: int) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
+    """Parse a numeric CSV table strictly; see the module docstring."""
+    skip = _rows_to_skip(path)
+    with warnings.catch_warnings():
+        # an empty table is reported below as a ValidationError
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
         try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            continue  # header line
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != expected_columns:
+            data = np.loadtxt(path, delimiter=",", comments="#",
+                              skiprows=skip, ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    if len(data) == 0:
+        raise ValidationError(f"{path}: no data rows")
+    if data.shape[1] != expected_columns:
         raise ValidationError(
             f"{path}: expected {expected_columns} columns, got shape {data.shape}")
     return data
@@ -82,7 +111,7 @@ def read_audio_csv(path: Path, rate: float = 44_100.0) -> ScalarSeries:
 def write_scalar_csv(path: Path, series: ScalarSeries,
                      meta: dict | None = None) -> None:
     rows = np.column_stack([series.times, series.values])
-    _write_table(path, "t,v", rows, meta)
+    write_table(path, "t,v", rows, meta)
 
 
 def read_scalar_csv(path: Path, unit: str = "magnitude") -> ScalarSeries:
@@ -97,7 +126,7 @@ def read_scalar_csv(path: Path, unit: str = "magnitude") -> ScalarSeries:
 def write_spectrum_csv(path: Path, spectrum: SpectrumEstimate,
                        meta: dict | None = None) -> None:
     rows = np.column_stack([spectrum.frequencies, spectrum.power])
-    _write_table(path, "f,power", rows, meta)
+    write_table(path, "f,power", rows, meta)
 
 
 def write_labels_csv(path: Path, labels: AdherenceLabels,
@@ -105,10 +134,10 @@ def write_labels_csv(path: Path, labels: AdherenceLabels,
                      meta: dict | None = None) -> None:
     t = np.arange(len(labels)) / labels.rate
     if confidence is None:
-        _write_table(path, "t,u", np.column_stack([t, labels.labels]), meta)
+        write_table(path, "t,u", np.column_stack([t, labels.labels]), meta)
     else:
-        _write_table(path, "t,u,confidence",
-                     np.column_stack([t, labels.labels, confidence]), meta)
+        write_table(path, "t,u,confidence",
+                    np.column_stack([t, labels.labels, confidence]), meta)
 
 
 def read_labels_csv(path: Path) -> AdherenceLabels:
@@ -121,7 +150,7 @@ def read_labels_csv(path: Path) -> AdherenceLabels:
 def write_decomposition_csv(path: Path, times: np.ndarray, trend: np.ndarray,
                             dynamic: np.ndarray, meta: dict | None = None) -> None:
     rows = np.column_stack([times, trend, dynamic])
-    _write_table(path, "t,gx,gy,gz,dx,dy,dz", rows, meta)
+    write_table(path, "t,gx,gy,gz,dx,dy,dz", rows, meta)
 
 
 # -- model artifacts ----------------------------------------------------------

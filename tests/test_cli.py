@@ -179,3 +179,45 @@ class TestReproducibility:
                     "--kind", "walking", "--out", out_b]) == 0
         walked = serialize.read_scalar_csv(out_b / "feature.csv")
         assert walked.rate == pytest.approx(30.0, rel=0.01)
+
+
+class TestExitCodes:
+    def test_corrupt_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "raw.csv"
+        rows = [f"{i / 120:.6f},0.1,0.2,9.8" for i in range(600)]
+        rows[300] = "0.0x2,7,8,9"
+        path.write_text("t,x,y,z\n" + "\n".join(rows) + "\n")
+        assert run(["preprocess", path, "--kind", "walking",
+                    "--out", tmp_path / "feat"]) == 2
+        assert "0.0x2" in capsys.readouterr().err
+        assert not (tmp_path / "feat" / "feature.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "balance", "windw_seconds": 3}', "windw_seconds"),
+        ('{"kind": "balance",', "not valid JSON"),
+        ('["kind", "balance"]', "JSON object"),
+    ])
+    def test_bad_config_file_exit_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["synth", "--scenario", "two-cluster", "--duration", "4",
+                    "--config", cfg, "--out", tmp_path]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_classify_non_nb_artifact_exit_2(self, tmp_path, capsys):
+        run(["synth", "--scenario", "two-cluster", "--duration", "60",
+             "--rate", "10", "--out", tmp_path / "data"])
+        run(["segment-gmm", tmp_path / "data" / "feature.csv", "--kind", "voice",
+             "--out", tmp_path / "seg"])
+        counts = tmp_path / "counts.csv"
+        np.savetxt(counts, np.ones((5, 2)), delimiter=",", fmt="%d")
+        assert run(["classify", tmp_path / "seg" / "gmm.json", counts,
+                    "--out", tmp_path / "pred"]) == 2
+        assert "naive-Bayes" in capsys.readouterr().err
+
+    def test_numerical_failure_exit_3(self, tmp_path, capsys):
+        feature = tmp_path / "feature.csv"
+        feature.write_text("t,v\n" + "".join(f"{i / 10},1.0\n" for i in range(100)))
+        assert run(["segment-gmm", feature, "--kind", "voice",
+                    "--out", tmp_path / "seg"]) == 3
+        assert "runtime error" in capsys.readouterr().err

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from clinqc import gmm
-from clinqc.errors import DegenerateComponent, EqualMeans, EvenWindow, TooFewPoints
+from clinqc.errors import (
+    ClinQcError,
+    DegenerateComponent,
+    EqualMeans,
+    EvenWindow,
+    TooFewPoints,
+    ValidationError,
+)
 from clinqc.series import ADHERENCE, VIOLATION, ScalarSeries, StateSequence
 
 
@@ -44,6 +51,21 @@ class TestFitGmmEm:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             gmm.fit_gmm_em(scalar(np.arange(15.0)), 2, seed=0)
+
+    def test_zero_restarts_rejected(self):
+        values, _ = two_gaussians(seed=1, n=50)
+        with pytest.raises(ValidationError, match="restart"):
+            gmm.fit_gmm_em(scalar(values), 2, seed=0, n_restarts=0)
+
+    def test_decreasing_likelihood_is_runtime_error(self, monkeypatch):
+        exact = gmm._log_responsibilities
+        calls = iter(range(1000))
+        monkeypatch.setattr(gmm, "_log_responsibilities",
+                            lambda params, x: exact(params, x) - 10.0 * next(calls))
+        values, _ = two_gaussians(seed=1, n=50)
+        with pytest.raises(ClinQcError, match="decreased") as info:
+            gmm.fit_gmm_em(scalar(values), 2, seed=0)
+        assert not isinstance(info.value, ValidationError)
 
 
 class TestMapAssign:

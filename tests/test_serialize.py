@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,76 @@ class TestCsvRoundTrips:
         path.write_text("t,v\n0,1,2\n")
         with pytest.raises(ValidationError):
             serialize.read_scalar_csv(path)
+
+
+class TestStrictReader:
+    def test_corrupt_middle_row_rejected(self, tmp_path):
+        path = tmp_path / "acc.csv"
+        path.write_text("t,x,y,z\n0.0,1,2,3\n0.0x2,7,8,9\n0.02,4,5,6\n")
+        with pytest.raises(ValidationError, match="0.0x2"):
+            serialize.read_accelerometer_csv(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "scalar.csv"
+        path.write_text("t,v\n0,1\n1\n2,3\n")
+        with pytest.raises(ValidationError):
+            serialize.read_scalar_csv(path)
+
+    def test_headerless_numeric_file(self, tmp_path):
+        path = tmp_path / "audio.csv"
+        path.write_text("0,0.5\n1,0.25\n2,-1\n")
+        series = serialize.read_audio_csv(path)
+        assert series.values.tolist() == [0.5, 0.25, -1.0]
+
+    def test_comments_blank_lines_and_header(self, tmp_path):
+        path = tmp_path / "scalar.csv"
+        path.write_text("\n# config_hash=abc\n\n# seed=0\nt,v\n"
+                        "0,1\n# inline block comment\n0.5,2  # trailing\n\n1,3\n")
+        series = serialize.read_scalar_csv(path)
+        assert series.values.tolist() == [1.0, 2.0, 3.0]
+        assert series.rate == pytest.approx(2.0)
+
+    def test_only_one_header_line_skipped(self, tmp_path):
+        path = tmp_path / "scalar.csv"
+        path.write_text("t,v\ntime,value\n0,1\n1,2\n")
+        with pytest.raises(ValidationError):
+            serialize.read_scalar_csv(path)
+
+    @pytest.mark.parametrize("text", ["t,v\n", "# seed=0\nt,v\n", ""])
+    def test_table_without_rows_rejected_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no data rows"):
+                serialize.read_scalar_csv(path)
+
+    def test_values_bit_identical_to_python_float(self, tmp_path):
+        texts = ["1e-300", "-0", "0.1", "nan", "-1.5e308", "5e-324",
+                 "0.30000000000000004", "123456789.123456789", "inf", "-inf"]
+        path = tmp_path / "audio.csv"
+        path.write_text("t,v\n" + "".join(f"{i},{v}\n" for i, v in enumerate(texts)))
+        values = serialize._read_table(path, 2)[:, 1]
+        expected = np.array([float(v) for v in texts])
+        assert values.tobytes() == expected.tobytes()
+
+
+class TestWriteTable:
+    def test_matches_per_value_formatting(self, tmp_path):
+        rows = np.column_stack([np.arange(7) / 3.0,
+                                [0.1, -0.0, 1e-300, np.nan, np.inf, 2, 1e17]])
+        path = tmp_path / "table.csv"
+        serialize.write_table(path, "t,v", rows, meta={"seed": 1, "b": "x"})
+        expected = ["# b=x", "# seed=1", "t,v"]
+        expected += [",".join("%.12g" % v for v in row) for row in rows]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+    def test_single_row_and_empty_table(self, tmp_path):
+        path = tmp_path / "table.csv"
+        serialize.write_table(path, "a,b,c", np.array([1, 2.5, 3]))
+        assert path.read_text() == "a,b,c\n1,2.5,3\n"
+        serialize.write_table(path, "a,b", np.zeros((0, 2)))
+        assert path.read_text() == "a,b\n"
 
 
 class TestModelArtifacts:
