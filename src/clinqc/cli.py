@@ -179,7 +179,7 @@ def _cmd_segment_ar(args) -> int:
 
 def _cmd_train_nb(args) -> int:
     config = _load_config(args)
-    counts = np.loadtxt(args.counts, delimiter=",", ndmin=2)
+    counts = serialize.read_counts_csv(Path(args.counts))
     labels = serialize.read_labels_csv(Path(args.labels))
     model = context.nb_train(counts, labels, smoothing=config.smoothing)
     out = _out_dir(args) / (args.name or "nb.json")
@@ -193,7 +193,7 @@ def _cmd_classify(args) -> int:
     model = serialize.load_model(Path(args.model))
     if not isinstance(model, context.NaiveBayesModel):
         raise ValidationError(f"{args.model}: not a naive-Bayes model artifact")
-    counts = np.loadtxt(args.counts, delimiter=",", ndmin=2)
+    counts = serialize.read_counts_csv(Path(args.counts))
     predictions, confidence = context.nb_predict(model, counts)
     labels = AdherenceLabels(rate=args.rate, labels=predictions)
     out = _out_dir(args) / (args.name or "predictions.csv")
@@ -205,7 +205,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
-    counts = np.loadtxt(args.counts, delimiter=",", ndmin=2)
+    counts = serialize.read_counts_csv(Path(args.counts))
     labels = serialize.read_labels_csv(Path(args.labels))
 
     def train(train_counts, train_labels):

@@ -1,10 +1,12 @@
 """Sensor-agnostic preprocessing: resampling, filtering, feature extraction,
-spectral estimation."""
+spectral estimation.
+
+scipy is imported on first use, so importing this module (and the CLI)
+stays cheap for commands that never resample or filter.
+"""
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     CutoffAboveNyquist,
@@ -25,6 +27,8 @@ def interpolate_uniform(raw: TimestampedTriaxial, target_rate: float) -> Triaxia
     grid starts at the first observed timestamp and never extends past the
     last one (no extrapolation).
     """
+    from scipy.interpolate import CubicSpline
+
     if len(raw) < 4:
         raise TooFewSamples("cubic spline interpolation needs at least 4 samples")
     t = raw.timestamps
@@ -79,6 +83,8 @@ def lowpass_filter(series: ScalarSeries, cutoff: float, order: int = 4) -> Scala
 
     Applied forward-backward so segment boundaries are not displaced in time.
     """
+    from scipy import signal as sps
+
     nyquist = series.rate / 2.0
     if not 0 < cutoff < nyquist:
         raise CutoffAboveNyquist(
@@ -109,6 +115,8 @@ def power_spectrum(series: ScalarSeries, segment_length: int | None = None,
     length). Power is normalized so that the integral over frequency matches
     the series variance (one-sided density).
     """
+    from scipy import signal as sps
+
     if segment_length is None:
         segment_length = min(int(round(4 * series.rate)), len(series))
     if segment_length > len(series):

@@ -7,12 +7,12 @@ Every CSV reader accepts the same input:
 - the first remaining line is a header and is skipped if any of its fields
   is not a number; at most one such line is skipped;
 - every other line is a row of comma-separated numbers, as many as the
-  table has columns.
+  table has columns (a count matrix: as many as its first row).
 
 Anything else, such as a corrupt value, a short row or a table without
-rows, raises ``ValidationError`` (CLI exit code 2): no row is dropped
-silently. Model artifacts are versioned JSON documents that round-trip
-field-for-field.
+rows, raises ``ValidationError`` (CLI exit code 2) naming the file line at
+fault: no row is dropped silently. Model artifacts are versioned JSON
+documents that round-trip field-for-field.
 """
 from __future__ import annotations
 
@@ -59,11 +59,15 @@ def write_table(path: Path, header: str, rows: np.ndarray,
     Path(path).write_text(head + body)
 
 
+def _content(line: str) -> str:
+    return line.split("#", 1)[0].strip()
+
+
 def _rows_to_skip(path: Path) -> int:
     """Lines ``np.loadtxt`` must skip: through the header, if there is one."""
     with open(path) as fh:
         for index, line in enumerate(fh):
-            line = line.split("#", 1)[0].strip()
+            line = _content(line)
             if not line:
                 continue
             try:
@@ -74,8 +78,41 @@ def _rows_to_skip(path: Path) -> int:
     return 0
 
 
-def _read_table(path: Path, expected_columns: int) -> np.ndarray:
-    """Parse a numeric CSV table strictly; see the module docstring."""
+def _parses_like_loadtxt(field: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``field`` as a number; ``float()`` also
+    takes ``_`` digit separators and non-ASCII digits, loadtxt does not."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and "_" not in field
+
+
+def _first_bad_row(path: Path, skip: int) -> str | None:
+    """Where and why the first row after ``skip`` lines is not a row of as
+    many numbers as the first row; None if every row parses."""
+    columns = None
+    with open(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            fields = _content(line).split(",")
+            if number <= skip or fields == [""]:
+                continue
+            for field in fields:
+                if not _parses_like_loadtxt(field):
+                    return (f"line {number}: could not convert {field.strip()!r}"
+                            " to a number")
+            if columns is None:
+                columns = len(fields)
+            elif len(fields) != columns:
+                return f"line {number}: expected {columns} values, got {len(fields)}"
+    return None
+
+
+def _read_table(path: Path, expected_columns: int | None) -> np.ndarray:
+    """Parse a numeric CSV table strictly; see the module docstring.
+
+    ``expected_columns=None`` accepts any column count shared by all rows.
+    """
     skip = _rows_to_skip(path)
     with warnings.catch_warnings():
         # an empty table is reported below as a ValidationError
@@ -85,10 +122,12 @@ def _read_table(path: Path, expected_columns: int) -> np.ndarray:
             data = np.loadtxt(path, delimiter=",", comments="#",
                               skiprows=skip, ndmin=2)
         except ValueError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+            # numpy counts data rows, not file lines; find the line itself
+            raise ValidationError(
+                f"{path}, {_first_bad_row(path, skip) or exc}") from exc
     if len(data) == 0:
         raise ValidationError(f"{path}: no data rows")
-    if data.shape[1] != expected_columns:
+    if expected_columns is not None and data.shape[1] != expected_columns:
         raise ValidationError(
             f"{path}: expected {expected_columns} columns, got shape {data.shape}")
     return data
@@ -106,6 +145,11 @@ def read_audio_csv(path: Path, rate: float = 44_100.0) -> ScalarSeries:
     """Read ``t,v`` audio samples; the time column fixes nothing beyond order."""
     data = _read_table(path, 2)
     return ScalarSeries(rate=rate, values=data[:, 1], unit="energy")
+
+
+def read_counts_csv(path: Path) -> np.ndarray:
+    """Read a count matrix: one row per time point, one column per state."""
+    return _read_table(path, None)
 
 
 def write_scalar_csv(path: Path, series: ScalarSeries,

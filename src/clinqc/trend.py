@@ -1,10 +1,17 @@
 """Piecewise-linear trend estimation and gravity removal.
 
 The device-orientation component of raw acceleration is modelled as a
-piecewise-linear trend per axis and estimated by L1 trend filtering: a
-squared (or optionally absolute) data-fidelity term plus an L1 penalty on
-second differences of the trend. The convex problem is solved by ADMM with
-a banded Cholesky factorization of the quadratic subproblem.
+piecewise-linear trend per axis and estimated by L1 trend filtering (Kim,
+Koh, Boyd & Gorinevsky, SIAM Review 2009): a squared (or optionally
+absolute) data-fidelity term plus an L1 penalty on second differences of
+the trend. The convex problem is solved by ADMM. Its quadratic subproblem
+``(diag_add * I + rho * D^T D) g = rhs`` is pentadiagonal: the three bands
+are written down in closed form and factored with LAPACK's banded Cholesky
+(``dpbtrf``/``dpbtrs``), so a change of ``rho`` by residual balancing
+(Boyd et al., "Distributed optimization ... ADMM", FnT ML 2011, section
+3.4.1) costs one O(n) refactorisation. The primal and dual residuals are
+computed only on iterations that may stop or rebalance. scipy is imported
+on first use.
 """
 from __future__ import annotations
 
@@ -13,10 +20,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import NoConvergenceWarning, TooShort, ValidationError
+from .errors import ClinQcError, NoConvergenceWarning, TooShort, ValidationError
 from .series import ScalarSeries, TriaxialSeries
 
 
@@ -34,12 +39,14 @@ class TrendFilterConfig:
     fidelity: str = "squared"  # "squared" or "l1"
 
     def __post_init__(self):
-        if self.lam is not None and self.lam < 0:
-            raise ValidationError("lambda must be non-negative")
+        if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValidationError(
+                f"lambda must be finite and non-negative, got {self.lam}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError(
+                f"tolerance must be finite and positive, got {self.tolerance}")
         if self.fidelity not in ("squared", "l1"):
             raise ValidationError("fidelity must be 'squared' or 'l1'")
 
@@ -69,26 +76,60 @@ def _second_difference_transpose(w: np.ndarray, n: int) -> np.ndarray:
 
 
 def _dtd_banded(n: int, diag_add: float, rho: float) -> np.ndarray:
-    """Upper banded form of diag_add * I + rho * D^T D (bandwidth 2)."""
-    diff2 = sparse.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n - 2, n))
-    mat = (diag_add * sparse.eye(n) + rho * (diff2.T @ diff2)).tocsc()
+    """Upper banded form of diag_add * I + rho * D^T D (bandwidth 2).
+
+    Row ``[1, -2, 1]`` of D adds ``[1, 4, 1]`` to three diagonal entries,
+    -2 to two first off-diagonal entries and 1 to one second off-diagonal
+    entry; summing the rows gives the bands for every n >= 3.
+    """
+    d0 = np.zeros(n)
+    d0[:-2] += 1.0
+    d0[1:-1] += 4.0
+    d0[2:] += 1.0
+    d1 = np.zeros(n - 1)
+    d1[:-1] -= 2.0
+    d1[1:] -= 2.0
     ab = np.zeros((3, n))
-    ab[2, :] = mat.diagonal(0)
-    ab[1, 1:] = mat.diagonal(1)
-    ab[0, 2:] = mat.diagonal(2)
+    ab[2, :] = diag_add + rho * d0
+    ab[1, 1:] = rho * d1
+    ab[0, 2:] = rho
     return ab
+
+
+def _banded_cholesky(ab: np.ndarray) -> np.ndarray:
+    """Upper banded Cholesky factor of ``ab``, which it overwrites."""
+    from scipy.linalg.lapack import dpbtrf
+
+    chol, info = dpbtrf(ab, lower=0, overwrite_ab=1)
+    if info != 0:
+        raise ClinQcError(f"banded Cholesky factorisation failed (LAPACK info {info})")
+    return chol
+
+
+def _banded_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factor from ``_banded_cholesky``, overwriting ``rhs``."""
+    from scipy.linalg.lapack import dpbtrs
+
+    g, info = dpbtrs(chol, rhs, lower=0, overwrite_b=1)
+    if info != 0:
+        raise ClinQcError(f"banded Cholesky solve failed (LAPACK info {info})")
+    return g
 
 
 def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def _objective(x: np.ndarray, g: np.ndarray, lam: float, fidelity: str) -> float:
+def _objective(x: np.ndarray, g: np.ndarray, lam: float, fidelity: str,
+               dg: np.ndarray | None = None) -> float:
+    """Fidelity plus lam * |D g|_1; ``dg`` is ``D g`` when already at hand."""
     if fidelity == "squared":
         fit = 0.5 * float(np.sum((x - g) ** 2))
     else:
         fit = float(np.sum(np.abs(x - g)))
-    return fit + lam * float(np.sum(np.abs(_second_difference(g))))
+    if dg is None:
+        dg = _second_difference(g)
+    return fit + lam * float(np.sum(np.abs(dg)))
 
 
 def default_lambda(values: np.ndarray) -> float:
@@ -136,7 +177,7 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
         u1 = np.zeros(n)
     else:
         ab = _dtd_banded(n, diag_add=1.0, rho=rho)
-    chol = cholesky_banded(ab, lower=False)
+    chol = _banded_cholesky(ab)
 
     best_g = g.copy()
     best_obj = _objective(x, g, lam, config.fidelity)
@@ -148,42 +189,45 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
     for iteration in range(config.max_iterations):
         if config.fidelity == "l1":
             rhs = rho * (x + z1 - u1) + rho * _second_difference_transpose(w - u, n)
-            g = cho_solve_banded((chol, False), rhs)
+            g = _banded_solve(chol, rhs)
             z1 = _soft_threshold(g - x + u1, 1.0 / rho)
             u1 += g - x - z1
         else:
             rhs = x + rho * _second_difference_transpose(w - u, n)
-            g = cho_solve_banded((chol, False), rhs)
+            g = _banded_solve(chol, rhs)
         dg = _second_difference(g)
         w_old = w
         w = _soft_threshold(dg + u, lam / rho)
         u += dg - w
 
-        obj = _objective(x, g, lam, config.fidelity)
+        obj = _objective(x, g, lam, config.fidelity, dg)
         if obj < best_obj:
             best_obj = obj
             best_g = g.copy()
         if trace_out is not None:
             trace_out.append(best_obj)
 
-        primal = float(np.linalg.norm(dg - w))
-        dual = rho * float(np.linalg.norm(
-            _second_difference_transpose(w - w_old, n)))
-        primal_tol = eps * (np.sqrt(n) + max(float(np.linalg.norm(dg)),
-                                             float(np.linalg.norm(w)))) * max(scale, 1.0)
-        dual_tol = eps * (np.sqrt(n) + float(np.linalg.norm(u)) * rho) * max(scale, 1.0)
         # small residuals alone can be an artifact of a large rho slowing the
         # iterates down; also require the objective to have flattened out
         window.append(best_obj)
         stalled = (len(window) == window.maxlen
                    and window[0] - best_obj
                    < config.tolerance * window.maxlen * max(abs(best_obj), 1e-15))
-        if primal < primal_tol and dual < dual_tol and stalled:
-            converged = True
-            break
         # residual balancing keeps the two residuals within an order of
         # magnitude of each other; changing rho invalidates the factorization
-        if config.fidelity == "squared" and iteration % 10 == 9:
+        rebalance = config.fidelity == "squared" and iteration % 10 == 9
+        if not (stalled or rebalance):
+            continue  # the residuals are needed only to stop or to rebalance
+        primal = float(np.linalg.norm(dg - w))
+        dual = rho * float(np.linalg.norm(
+            _second_difference_transpose(w - w_old, n)))
+        primal_tol = eps * (np.sqrt(n) + max(float(np.linalg.norm(dg)),
+                                             float(np.linalg.norm(w)))) * max(scale, 1.0)
+        dual_tol = eps * (np.sqrt(n) + float(np.linalg.norm(u)) * rho) * max(scale, 1.0)
+        if stalled and primal < primal_tol and dual < dual_tol:
+            converged = True
+            break
+        if rebalance:
             if primal > 10 * dual:
                 rho *= 2.0
                 u /= 2.0
@@ -192,8 +236,7 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
                 u *= 2.0
             else:
                 continue
-            chol = cholesky_banded(_dtd_banded(n, diag_add=1.0, rho=rho),
-                                   lower=False)
+            chol = _banded_cholesky(_dtd_banded(n, diag_add=1.0, rho=rho))
     if not converged:
         warnings.warn("trend filter hit the iteration cap; returning best iterate",
                       NoConvergenceWarning)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clinqc
 from clinqc import serialize
 from clinqc.cli import main
 
@@ -153,6 +158,21 @@ class TestClassifierCommands:
         assert doc["baseline"] == "shuffled"
         assert doc["metrics"]["mean"]["ba"] < 0.8
 
+    @pytest.mark.parametrize("command", ["train-nb", "classify", "evaluate"])
+    def test_corrupt_counts_exit_2(self, tmp_path, capsys, command):
+        counts_path, labels_path = self.prepare(tmp_path)
+        assert run(["train-nb", counts_path, labels_path,
+                    "--out", tmp_path / "model"]) == 0
+        lines = counts_path.read_text().splitlines()
+        lines[40] = "3,x"
+        counts_path.write_text("# counts\n" + "\n".join(lines) + "\n")
+        args = {"train-nb": [counts_path, labels_path],
+                "classify": [tmp_path / "model" / "nb.json", counts_path],
+                "evaluate": [counts_path, labels_path]}[command]
+        capsys.readouterr()
+        assert run([command, *args, "--out", tmp_path / "out"]) == 2
+        assert "line 42: could not convert 'x'" in capsys.readouterr().err
+
 
 class TestReproducibility:
     def test_synth_byte_identical(self, tmp_path):
@@ -215,9 +235,32 @@ class TestExitCodes:
                     "--out", tmp_path / "pred"]) == 2
         assert "naive-Bayes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_exit_2(self, tmp_path, capsys, value):
+        raw_dir = tmp_path / "raw"
+        run(["synth", "--scenario", "gravity-drift", "--duration", "4",
+             "--rate", "120", "--out", raw_dir])
+        capsys.readouterr()
+        assert run(["preprocess", raw_dir / "raw.csv", "--kind", "walking",
+                    "--lambda", value, "--out", tmp_path / "feat"]) == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         feature = tmp_path / "feature.csv"
         feature.write_text("t,v\n" + "".join(f"{i / 10},1.0\n" for i in range(100)))
         assert run(["segment-gmm", feature, "--kind", "voice",
                     "--out", tmp_path / "seg"]) == 3
         assert "runtime error" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported on first use, so commands that never resample,
+    # filter or trend-filter do not pay for it at start-up
+    code = ("import sys, clinqc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(clinqc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "[]"

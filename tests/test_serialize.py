@@ -96,6 +96,17 @@ class TestStrictReader:
         with pytest.raises(ValidationError):
             serialize.read_scalar_csv(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("# seed=0\nt,v\n0,1\n1,2\n2,3\n3,x\n", "line 6: could not convert 'x'"),
+        ("t,v\n0,1\n\n# note\n1,2,3\n", "line 5: expected 2 values, got 3"),
+        ("0,1\n1,1_0\n", "line 2: could not convert '1_0'"),
+    ])
+    def test_error_names_file_line(self, tmp_path, text, line):
+        path = tmp_path / "scalar.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=line):
+            serialize.read_scalar_csv(path)
+
     def test_headerless_numeric_file(self, tmp_path):
         path = tmp_path / "audio.csv"
         path.write_text("0,0.5\n1,0.25\n2,-1\n")
@@ -133,6 +144,23 @@ class TestStrictReader:
         values = serialize._read_table(path, 2)[:, 1]
         expected = np.array([float(v) for v in texts])
         assert values.tobytes() == expected.tobytes()
+
+
+class TestReadCountsCsv:
+    @pytest.mark.parametrize("columns", [1, 2, 5])
+    def test_any_column_count(self, tmp_path, columns):
+        counts = np.arange(4 * columns).reshape(4, columns)
+        path = tmp_path / "counts.csv"
+        np.savetxt(path, counts, delimiter=",", fmt="%d")
+        read = serialize.read_counts_csv(path)
+        assert read.dtype == np.float64
+        assert np.array_equal(read, counts)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("1,2,3\n4,5\n")
+        with pytest.raises(ValidationError, match="line 2: expected 3 values, got 2"):
+            serialize.read_counts_csv(path)
 
 
 class TestWriteTable:

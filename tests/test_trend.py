@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from clinqc.errors import TooShort
+from clinqc.errors import TooShort, ValidationError
 from clinqc.series import ScalarSeries, TriaxialSeries
 from clinqc.trend import (
     GravityDecomposition,
     TrendFilterConfig,
+    _dtd_banded,
     _objective,
     l1_trend_filter,
     remove_gravity,
 )
-
-cvxpy = pytest.importorskip("cvxpy")
 
 
 def series(values, rate=1.0):
@@ -20,6 +19,7 @@ def series(values, rate=1.0):
 
 def cvxpy_oracle(x, lam, fidelity="squared"):
     """Generic convex-program solution of the same objective."""
+    cvxpy = pytest.importorskip("cvxpy")
     g = cvxpy.Variable(len(x))
     if fidelity == "squared":
         fit = 0.5 * cvxpy.sum_squares(x - g)
@@ -28,6 +28,30 @@ def cvxpy_oracle(x, lam, fidelity="squared"):
     problem = cvxpy.Problem(cvxpy.Minimize(fit + lam * cvxpy.norm1(cvxpy.diff(g, 2))))
     problem.solve()
     return np.asarray(g.value), problem.value
+
+
+class TestDtdBanded:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 1000])
+    @pytest.mark.parametrize("fidelity", ["squared", "l1"])
+    def test_equals_dense_matrix_exactly(self, n, fidelity):
+        rho = 0.37
+        diag_add = 1.0 if fidelity == "squared" else rho
+        diff2 = np.diff(np.eye(n), 2, axis=0)
+        dense = diag_add * np.eye(n) + rho * (diff2.T @ diff2)
+        ab = _dtd_banded(n, diag_add, rho)
+        assert np.array_equal(ab[2], np.diag(dense))
+        assert np.array_equal(ab[1, 1:], np.diag(dense, 1))
+        assert np.array_equal(ab[0, 2:], np.diag(dense, 2))
+        assert not ab[1, 0] and not ab[0, :2].any()
+
+
+class TestTrendFilterConfig:
+    @pytest.mark.parametrize("field, name", [("lam", "lambda"),
+                                             ("tolerance", "tolerance")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, name, value):
+        with pytest.raises(ValidationError, match=name):
+            TrendFilterConfig(**{field: value})
 
 
 class TestL1TrendFilter:
@@ -82,6 +106,16 @@ class TestL1TrendFilter:
         l1_trend_filter(series(x), TrendFilterConfig(lam=10.0), trace_out=trace)
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs <= 1e-12)
+
+    @pytest.mark.parametrize("fidelity", ["squared", "l1"])
+    def test_trace_ends_at_objective_of_result(self, fidelity):
+        rng = np.random.default_rng(5)
+        x = np.cumsum(rng.normal(size=300))
+        trace = []
+        out = l1_trend_filter(series(x), TrendFilterConfig(lam=10.0, fidelity=fidelity),
+                              trace_out=trace)
+        assert trace[-1] == pytest.approx(_objective(x, out.values, 10.0, fidelity),
+                                          rel=1e-9)
 
     def test_affine_shift_moves_trend_only(self):
         rng = np.random.default_rng(8)
