@@ -32,7 +32,6 @@ class PipelineConfig:
     """Preprocessing and model parameters; defaults follow the test recipes."""
 
     kind: str = "walking"                # walking | balance | voice
-    model: str = "gmm"                   # gmm | switching-ar
     target_rate: float = DEFAULT_TARGET_RATE
     cutoff: float = DEFAULT_CUTOFF_HZ
     decimation: int = DEFAULT_DECIMATION
@@ -48,7 +47,6 @@ class PipelineConfig:
     burn_in: int = 250
     window_seconds: float = 2.0
     smoothing: float = 1.0
-    count_scale: int = 100
     folds: int = 10
     seed: int = 0
 
@@ -244,7 +242,7 @@ def _cmd_synth(args) -> int:
         serialize.write_table(out_dir / "raw.csv", "t,x,y,z", rows, meta)
         serialize.write_decomposition_csv(out_dir / "truth.csv", raw.timestamps,
                                           trend_truth, dynamic_truth, meta)
-    elif args.scenario == "two-cluster" or args.scenario == "voice-like":
+    elif args.scenario == "two-cluster":
         series, labels = synth.gen_two_cluster(spec)
         serialize.write_scalar_csv(out_dir / "feature.csv", series, meta)
         serialize.write_labels_csv(out_dir / "truth.csv", labels, meta=meta)
@@ -259,7 +257,7 @@ def _cmd_synth(args) -> int:
 
 def _default_schedule(scenario: str, duration: float) -> list[synth.RegimeInterval]:
     third = duration / 3.0
-    if scenario in ("two-cluster", "voice-like"):
+    if scenario == "two-cluster":
         half = duration / 2.0
         return [synth.RegimeInterval(0, 0.0, half),
                 synth.RegimeInterval(1, half, duration)]

@@ -9,7 +9,7 @@ adherence/violation; an explicit unseen-state pseudo-attribute makes the
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,10 @@ from .errors import SingleClassTraining, UnlabelledState, ValidationError
 from .series import ADHERENCE, VIOLATION, AdherenceLabels, StateSequence
 
 CLASSES = (ADHERENCE, VIOLATION)
+
+#: Per-class log-probability of the unseen-state pseudo-attribute, in
+#: ``CLASSES`` order: never under adherence, always under violation.
+UNSEEN_LOGPROB = np.array([-np.inf, 0.0])
 
 
 def mode_behaviour_map(states: StateSequence, behaviours: list[str]) -> dict[int, str]:
@@ -67,16 +71,15 @@ class NaiveBayesModel:
     ``attribute_probs`` rows (one per class) are simplexes over the K+ seen
     attributes following the add-smoothing estimate. Mass placed on an
     attribute never seen during training routes through a pseudo-attribute
-    whose log-probability is -inf under adherence and 0 under violation, so
-    unseen states deterministically classify as violation.
+    whose log-probability is ``UNSEEN_LOGPROB``: -inf under adherence and 0
+    under violation, so unseen states deterministically classify as
+    violation.
     """
 
     attribute_probs: np.ndarray        # (2, K) rows on the simplex
     priors: np.ndarray                 # (2,), order (adherence, violation)
     seen: np.ndarray                   # (K,) bool, attribute observed in training
     smoothing: float = 1.0
-    pseudo_logprob: np.ndarray = field(
-        default_factory=lambda: np.array([-np.inf, 0.0]))
 
     def __post_init__(self):
         self.attribute_probs = np.asarray(self.attribute_probs, dtype=float)
@@ -136,7 +139,7 @@ def nb_scores(model: NaiveBayesModel, counts: np.ndarray) -> np.ndarray:
     unseen_mass = counts[:, ~seen].sum(axis=1)
     with np.errstate(invalid="ignore"):
         penalty = np.where(unseen_mass[:, None] > 0,
-                           unseen_mass[:, None] * model.pseudo_logprob[None, :],
+                           unseen_mass[:, None] * UNSEEN_LOGPROB[None, :],
                            0.0)
     return scores + penalty
 

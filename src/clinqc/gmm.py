@@ -65,12 +65,6 @@ def _log_responsibilities(params: GmmParams, x: np.ndarray) -> np.ndarray:
             - 0.5 * diff ** 2 / params.variances[None, :])
 
 
-def _log_likelihood(params: GmmParams, x: np.ndarray) -> float:
-    lr = _log_responsibilities(params, x)
-    m = lr.max(axis=1)
-    return float(np.sum(m + np.log(np.sum(np.exp(lr - m[:, None]), axis=1))))
-
-
 def _quantile_init(x: np.ndarray, k: int, jitter: np.ndarray) -> GmmParams:
     # Split the sorted data into K equal chunks and use chunk statistics.
     order = np.sort(x)

@@ -12,10 +12,12 @@ Every CSV reader accepts the same input:
 Anything else, such as a corrupt value, a short row or a table without
 rows, raises ``ValidationError`` (CLI exit code 2) naming the file line at
 fault: no row is dropped silently. Model artifacts are versioned JSON
-documents that round-trip field-for-field.
+documents whose payload is the model dataclass's fields, so they
+round-trip field-for-field.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -35,6 +37,9 @@ from .series import (
 from .swar import ArPrior, ArState, SwitchingArModel
 
 ARTIFACT_VERSION = 1
+#: Artifact ``kind`` -> model class; the payload holds the class's fields.
+MODEL_KINDS = {"switching-ar": SwitchingArModel, "gmm": GmmParams,
+               "naive-bayes": NaiveBayesModel}
 _FLOAT_FMT = "%.12g"
 
 
@@ -199,80 +204,54 @@ def write_decomposition_csv(path: Path, times: np.ndarray, trend: np.ndarray,
 
 # -- model artifacts ----------------------------------------------------------
 
-def _artifact(kind: str, payload: dict, config: dict | None, seed: int | None) -> dict:
-    return {
+def _to_json(value):
+    """Arrays as nested lists; boolean masks as 0/1."""
+    if isinstance(value, np.ndarray):
+        return (value.astype(int) if value.dtype == bool else value).tolist()
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def save_model(path: Path, model, config: dict | None = None,
+               seed: int | None = None) -> None:
+    """Write ``model``'s dataclass fields as a versioned JSON artifact."""
+    kind = next((name for name, cls in MODEL_KINDS.items()
+                 if isinstance(model, cls)), None)
+    if kind is None:
+        raise ValidationError(f"cannot serialize model of type {type(model)!r}")
+    doc = {
         "format": "clinqc-model",
         "version": ARTIFACT_VERSION,
         "kind": kind,
         "seed": seed,
         "config": config or {},
         "config_hash": config_hash(config or {}),
-        "payload": payload,
+        "payload": dataclasses.asdict(model),
     }
-
-
-def save_model(path: Path, model, config: dict | None = None,
-               seed: int | None = None) -> None:
-    if isinstance(model, SwitchingArModel):
-        payload = {
-            "order": model.order,
-            "truncation": model.truncation,
-            "alpha": model.alpha,
-            "gamma": model.gamma,
-            "kappa": model.kappa,
-            "seed": model.seed,
-            "beta": model.beta.tolist(),
-            "transitions": model.transitions.tolist(),
-            "states": [{"coefficients": s.coefficients.tolist(),
-                        "mean": s.mean, "variance": s.variance}
-                       for s in model.states],
-            "prior": {"coef_scale": model.prior.coef_scale,
-                      "shape": model.prior.shape, "scale": model.prior.scale},
-        }
-        doc = _artifact("switching-ar", payload, config, seed)
-    elif isinstance(model, GmmParams):
-        payload = {"means": model.means.tolist(),
-                   "variances": model.variances.tolist(),
-                   "weights": model.weights.tolist()}
-        doc = _artifact("gmm", payload, config, seed)
-    elif isinstance(model, NaiveBayesModel):
-        payload = {"attribute_probs": model.attribute_probs.tolist(),
-                   "priors": model.priors.tolist(),
-                   "seen": model.seen.astype(int).tolist(),
-                   "smoothing": model.smoothing}
-        doc = _artifact("naive-bayes", payload, config, seed)
-    else:
-        raise ValidationError(f"cannot serialize model of type {type(model)!r}")
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(
+        json.dumps(doc, indent=2, sort_keys=True, default=_to_json) + "\n")
 
 
 def load_model(path: Path):
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "clinqc-model":
+    """Rebuild the model saved at ``path``; ``ValidationError`` if malformed."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "clinqc-model":
         raise ValidationError(f"{path}: not a model artifact")
     if doc.get("version") != ARTIFACT_VERSION:
         raise ValidationError(f"{path}: unsupported artifact version")
-    kind = doc["kind"]
-    payload = doc["payload"]
-    if kind == "switching-ar":
-        return SwitchingArModel(
-            order=payload["order"], truncation=payload["truncation"],
-            states=[ArState(coefficients=np.array(s["coefficients"]),
-                            mean=s["mean"], variance=s["variance"])
-                    for s in payload["states"]],
-            transitions=np.array(payload["transitions"]),
-            beta=np.array(payload["beta"]),
-            alpha=payload["alpha"], gamma=payload["gamma"],
-            kappa=payload["kappa"], seed=payload["seed"],
-            prior=ArPrior(**payload["prior"]))
-    if kind == "gmm":
-        return GmmParams(means=np.array(payload["means"]),
-                         variances=np.array(payload["variances"]),
-                         weights=np.array(payload["weights"]))
-    if kind == "naive-bayes":
-        return NaiveBayesModel(
-            attribute_probs=np.array(payload["attribute_probs"]),
-            priors=np.array(payload["priors"]),
-            seen=np.array(payload["seen"], dtype=bool),
-            smoothing=payload["smoothing"])
-    raise ValidationError(f"{path}: unknown model kind {kind!r}")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise ValidationError(f"{path}: unknown model kind {kind!r}")
+    payload = doc.get("payload")
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: payload is not a JSON object")
+    try:
+        if kind == "switching-ar":
+            payload = {**payload,
+                       "states": [ArState(**s) for s in payload["states"]],
+                       "prior": ArPrior(**payload["prior"])}
+        return MODEL_KINDS[kind](**payload)
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"{path}: malformed {kind} payload: {exc}") from exc

@@ -1,7 +1,7 @@
 """Core time-series containers shared across the pipeline."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,7 +146,6 @@ class StateSequence:
 
     indicators: np.ndarray                  # (T,) integers >= 0
     posteriors: np.ndarray | None = None    # (T, L) rows on the simplex
-    occupied: int = field(default=0)
 
     def __post_init__(self):
         self.indicators = np.asarray(self.indicators, dtype=int)
@@ -161,7 +160,11 @@ class StateSequence:
             sums = self.posteriors.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > 1e-6):
                 raise ValidationError("posterior rows must sum to 1")
-        self.occupied = len(np.unique(self.indicators))
 
     def __len__(self) -> int:
         return len(self.indicators)
+
+    @property
+    def occupied(self) -> int:
+        """Number of distinct states the sequence visits (K+)."""
+        return len(np.unique(self.indicators))

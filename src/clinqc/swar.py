@@ -116,8 +116,12 @@ class SwArFit:
     model: SwitchingArModel
     states: StateSequence          # point estimate, full length T
     loglik_trace: np.ndarray       # complete-data log-likelihood per sweep
-    occupied: int                  # K+ of the point estimate
     occupied_trace: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+
+    @property
+    def occupied(self) -> int:
+        """K+ of the point estimate."""
+        return self.states.occupied
 
     def occupied_mode(self, burn_in: int = 0) -> int:
         """Most frequent K+ over post-burn-in sweeps."""
@@ -437,7 +441,7 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
         z_init = np.zeros(n, dtype=int)
         return SwArFit(model=model,
                        states=_expand_chain(z_init, r, None),
-                       loglik_trace=np.empty(0), occupied=1)
+                       loglik_trace=np.empty(0))
 
     best_ll = -np.inf
     best_model = model
@@ -461,7 +465,6 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
     posteriors = freq / kept if kept else None
     states = _expand_chain(best_z, r, posteriors)
     return SwArFit(model=best_model, states=states, loglik_trace=trace,
-                   occupied=len(np.unique(best_z)),
                    occupied_trace=occupied_trace)
 
 

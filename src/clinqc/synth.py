@@ -25,8 +25,7 @@ from .swar import ArState, SwitchingArModel, simulate
 
 GRAVITY = 9.81
 
-SCENARIOS = ("walking-like", "balance-like", "voice-like", "switching-ar",
-             "gravity-drift", "two-cluster")
+SCENARIOS = ("switching-ar", "gravity-drift", "two-cluster")
 
 
 @dataclass

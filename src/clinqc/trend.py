@@ -4,7 +4,8 @@ The device-orientation component of raw acceleration is modelled as a
 piecewise-linear trend per axis and estimated by L1 trend filtering (Kim,
 Koh, Boyd & Gorinevsky, SIAM Review 2009): a squared (or optionally
 absolute) data-fidelity term plus an L1 penalty on second differences of
-the trend. The convex problem is solved by ADMM. Its quadratic subproblem
+the trend. The convex problem is solved by ADMM, each axis on its own from
+a cold start, so an axis's trend does not depend on the other axes. Its quadratic subproblem
 ``(diag_add * I + rho * D^T D) g = rhs`` is pentadiagonal: the three bands
 are written down in closed form and factored with LAPACK's banded Cholesky
 (``dpbtrf``/``dpbtrs``), so a change of ``rho`` by residual balancing
@@ -137,7 +138,6 @@ def default_lambda(values: np.ndarray) -> float:
 
 
 def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = None,
-                    initial: np.ndarray | None = None,
                     trace_out: list | None = None) -> ScalarSeries:
     """Estimate the piecewise-linear trend of a scalar series.
 
@@ -168,7 +168,7 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
 
     scale = max(float(np.std(x)), 1e-12)
     rho = max(lam, 1e-3)
-    g = x.copy() if initial is None else initial - affine
+    g = x.copy()
     w = _second_difference(g)
     u = np.zeros(n - 2)
     if config.fidelity == "l1":
@@ -245,17 +245,18 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
 
 def remove_gravity(series: TriaxialSeries,
                    config: TrendFilterConfig | None = None) -> GravityDecomposition:
-    """Per-axis trend filtering; dynamic = input - trend elementwise."""
+    """Per-axis trend filtering; dynamic = input - trend elementwise.
+
+    Each axis is solved independently: its trend equals
+    ``l1_trend_filter`` run on that axis alone.
+    """
     config = config or TrendFilterConfig()
     if len(series) < 3:
         raise TooShort("gravity removal needs at least 3 samples")
     trend = np.empty_like(series.samples)
-    prev: np.ndarray | None = None
     for axis in range(3):
         axis_series = ScalarSeries(rate=series.rate, values=series.samples[:, axis])
-        result = l1_trend_filter(axis_series, config, initial=prev)
-        trend[:, axis] = result.values
-        prev = result.values
+        trend[:, axis] = l1_trend_filter(axis_series, config).values
     trend_series = TriaxialSeries(rate=series.rate, samples=trend)
     dynamic = TriaxialSeries(rate=series.rate, samples=series.samples - trend)
     return GravityDecomposition(trend=trend_series, dynamic=dynamic)

@@ -8,15 +8,12 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from clinqc import context, gmm, metrics, preprocess, swar, synth, trend
 from clinqc.cli import main as cli_main
 from clinqc.series import ADHERENCE, VIOLATION, AdherenceLabels, ScalarSeries
 from clinqc.synth import RegimeInterval, SynthSpec
 from clinqc.trend import TrendFilterConfig, _objective, l1_trend_filter
-
-cvxpy = pytest.importorskip("cvxpy")
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -55,22 +52,18 @@ def three_regime_spec(duration, rate, seed=0):
                                RegimeInterval(2, 2 * third, duration)])
 
 
-def test_criterion_1_trend_solver_oracle():
+def test_criterion_1_trend_solver_oracle(trend_filter_oracle):
     start = time.time()
     worst_gap = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         x = np.cumsum(rng.normal(size=50)) + rng.normal(0, 0.1, size=50)
         lam = 2.0 + 3.0 * rng.random()
-        g_var = cvxpy.Variable(50)
-        problem = cvxpy.Problem(cvxpy.Minimize(
-            0.5 * cvxpy.sum_squares(x - g_var)
-            + lam * cvxpy.norm1(cvxpy.diff(g_var, 2))))
-        problem.solve()
+        _, oracle_obj = trend_filter_oracle(x, lam)
         ours = l1_trend_filter(
             ScalarSeries(rate=1.0, values=x),
             TrendFilterConfig(lam=lam, tolerance=1e-12, max_iterations=50_000))
-        gap = _objective(x, ours.values, lam, "squared") - problem.value
+        gap = _objective(x, ours.values, lam, "squared") - oracle_obj
         worst_gap = max(worst_gap, gap)
 
     t = np.arange(100.0)

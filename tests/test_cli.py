@@ -37,6 +37,13 @@ class TestSynthCommand:
         labels = serialize.read_labels_csv(tmp_path / "truth.csv")
         assert set(np.unique(labels.labels)) == {1, 2}
 
+    @pytest.mark.parametrize("scenario", ["walking-like", "balance-like",
+                                          "voice-like"])
+    def test_removed_alias_scenarios_exit_2(self, tmp_path, scenario):
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", "--scenario", scenario, "--out", tmp_path])
+        assert exc.value.code == 2
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CLINQC_OUT_DIR", str(tmp_path / "env_out"))
         assert run(["synth", "--scenario", "two-cluster", "--duration", "4",
@@ -140,6 +147,21 @@ class TestClassifierCommands:
         agreement = (pred[:, 1].astype(int) == truth.labels).mean()
         assert agreement > 0.95
 
+    def test_classify_output_independent_of_model_location(self, tmp_path):
+        counts_path, labels_path = self.prepare(tmp_path)
+        assert run(["train-nb", counts_path, labels_path,
+                    "--out", tmp_path / "model"]) == 0
+        outputs = []
+        for name in ("a", "b"):
+            copy = tmp_path / name / "nb.json"
+            copy.parent.mkdir()
+            copy.write_bytes((tmp_path / "model" / "nb.json").read_bytes())
+            assert run(["classify", copy, counts_path,
+                        "--out", tmp_path / name / "pred"]) == 0
+            outputs.append((tmp_path / name / "pred" / "predictions.csv").read_text())
+        assert "# config_hash=" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_evaluate_report(self, tmp_path):
         counts_path, labels_path = self.prepare(tmp_path)
         out = tmp_path / "eval"
@@ -234,6 +256,26 @@ class TestExitCodes:
         assert run(["classify", tmp_path / "seg" / "gmm.json", counts,
                     "--out", tmp_path / "pred"]) == 2
         assert "naive-Bayes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        "[1, 2]",
+        '{"format": "clinqc-model", "version": 1, "payload": {}}',
+        '{"format": "clinqc-model", "version": 1, "kind": "gmm",'
+        ' "payload": {"means": [0, 1], "weights": [0.5, 0.5]}}',
+        '{"format": "clinqc-model", "version": 1, "kind": "naive-bayes",'
+        ' "payload": {"attribute_probs": [[0.5, 0.5], [0.5, 0.5]],'
+        ' "priors": [0.5, 0.5], "seen": [1, 1], "smoothing": 1.0,'
+        ' "temperature": 2.0}}',
+    ], ids=["not-json", "json-list", "no-kind", "gmm-missing-field",
+            "unknown-field"])
+    def test_malformed_model_artifact_exit_2(self, tmp_path, capsys, text):
+        model = tmp_path / "nb.json"
+        model.write_text(text)
+        counts = tmp_path / "counts.csv"
+        np.savetxt(counts, np.ones((5, 2)), delimiter=",", fmt="%d")
+        assert run(["classify", model, counts, "--out", tmp_path / "pred"]) == 2
+        assert str(model) in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_lambda_exit_2(self, tmp_path, capsys, value):

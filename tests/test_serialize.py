@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -181,6 +182,14 @@ class TestWriteTable:
         assert path.read_text() == "a,b\n"
 
 
+def payload_keys(path):
+    return set(json.loads(path.read_text())["payload"])
+
+
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 class TestModelArtifacts:
     def test_switching_ar_roundtrip(self, tmp_path):
         model = SwitchingArModel(
@@ -193,6 +202,7 @@ class TestModelArtifacts:
         serialize.save_model(path, model, config={"sweeps": 100}, seed=7)
         back = serialize.load_model(path)
         assert isinstance(back, SwitchingArModel)
+        assert payload_keys(path) == field_names(SwitchingArModel)
         assert back.order == 1 and back.kappa == 10.0
         assert np.allclose(back.transitions, model.transitions)
         assert np.allclose(back.beta, model.beta)
@@ -207,6 +217,7 @@ class TestModelArtifacts:
         path = tmp_path / "gmm.json"
         serialize.save_model(path, params)
         back = serialize.load_model(path)
+        assert payload_keys(path) == field_names(GmmParams)
         assert np.allclose(back.means, params.means)
         assert np.allclose(back.variances, params.variances)
         assert np.allclose(back.weights, params.weights)
@@ -219,6 +230,8 @@ class TestModelArtifacts:
         path = tmp_path / "nb.json"
         serialize.save_model(path, model, seed=0)
         back = serialize.load_model(path)
+        assert payload_keys(path) == field_names(NaiveBayesModel)
+        assert json.loads(path.read_text())["payload"]["seen"] == [1, 0]
         assert np.allclose(back.attribute_probs, model.attribute_probs)
         assert np.array_equal(back.seen, model.seen)
         assert back.smoothing == 1.0

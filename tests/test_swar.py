@@ -144,6 +144,7 @@ class TestGibbsSweep:
         fit = swar.fit(data, cfg)
         assert len(fit.loglik_trace) == 0
         assert np.all(fit.states.indicators == 0)
+        assert fit.occupied == fit.states.occupied == 1
 
     def test_truncation_saturation(self):
         # 3-state data with L = 2: both slots get used, no error
@@ -157,7 +158,7 @@ class TestGibbsSweep:
         data = ScalarSeries(rate=1.0, values=series.values)
         cfg = swar.SwArConfig(order=1, truncation=2, sweeps=40, burn_in=20, seed=2)
         fit = swar.fit(data, cfg)
-        assert fit.occupied == 2
+        assert fit.occupied == fit.states.occupied == 2
 
 
 class TestCompleteDataLoglik:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from clinqc.errors import TooShort, ValidationError
+from clinqc.preprocess import interpolate_uniform
 from clinqc.series import ScalarSeries, TriaxialSeries
+from clinqc.synth import RegimeInterval, SynthSpec, gen_gravity_drift
 from clinqc.trend import (
     GravityDecomposition,
     TrendFilterConfig,
@@ -15,19 +17,6 @@ from clinqc.trend import (
 
 def series(values, rate=1.0):
     return ScalarSeries(rate=rate, values=np.asarray(values, dtype=float))
-
-
-def cvxpy_oracle(x, lam, fidelity="squared"):
-    """Generic convex-program solution of the same objective."""
-    cvxpy = pytest.importorskip("cvxpy")
-    g = cvxpy.Variable(len(x))
-    if fidelity == "squared":
-        fit = 0.5 * cvxpy.sum_squares(x - g)
-    else:
-        fit = cvxpy.norm1(x - g)
-    problem = cvxpy.Problem(cvxpy.Minimize(fit + lam * cvxpy.norm1(cvxpy.diff(g, 2))))
-    problem.solve()
-    return np.asarray(g.value), problem.value
 
 
 class TestDtdBanded:
@@ -68,7 +57,7 @@ class TestL1TrendFilter:
         out = l1_trend_filter(series(x), TrendFilterConfig(lam=0.0))
         assert np.array_equal(out.values, x)
 
-    def test_kink_recovery_and_oracle(self):
+    def test_kink_recovery_and_oracle(self, trend_filter_oracle):
         rng = np.random.default_rng(42)
         t = np.arange(500.0)
         truth = np.where(t < 250, 0.02 * t, 5.0 - 0.01 * (t - 250))
@@ -78,16 +67,16 @@ class TestL1TrendFilter:
 
         # small-scale oracle comparison
         x50 = x[:50]
-        _, oracle_obj = cvxpy_oracle(x50, 5.0)
+        _, oracle_obj = trend_filter_oracle(x50, 5.0)
         ours = l1_trend_filter(series(x50),
                                TrendFilterConfig(lam=5.0, tolerance=1e-12,
                                                  max_iterations=50_000))
         assert _objective(x50, ours.values, 5.0, "squared") <= oracle_obj + 1e-6
 
-    def test_l1_fidelity_mode_vs_oracle(self):
+    def test_l1_fidelity_mode_vs_oracle(self, trend_filter_oracle):
         rng = np.random.default_rng(9)
         x = np.cumsum(rng.normal(size=40))
-        _, oracle_obj = cvxpy_oracle(x, 3.0, fidelity="l1")
+        _, oracle_obj = trend_filter_oracle(x, 3.0, fidelity="l1")
         ours = l1_trend_filter(series(x),
                                TrendFilterConfig(lam=3.0, fidelity="l1",
                                                  tolerance=1e-12,
@@ -166,6 +155,19 @@ class TestRemoveGravity:
             assert rms(dyn) >= 0.9 * rms(sinusoid)
             trend_err = decomp.trend.samples[:, axis] - drift[:, axis]
             assert rms(trend_err) < 0.05 * rms(drift[:, axis] - drift[:, axis].mean() + 1e-9) + 0.05
+
+    def test_axes_solved_independently(self):
+        spec = SynthSpec(scenario="gravity-drift", duration=8.0, rate=120.0,
+                         noise=0.05, seed=0,
+                         schedule=[RegimeInterval(0, 0.0, 3.0),
+                                   RegimeInterval(1, 3.0, 5.0),
+                                   RegimeInterval(0, 5.0, 8.0)])
+        raw, _, _ = gen_gravity_drift(spec)
+        uniform = interpolate_uniform(raw, spec.rate)
+        decomp = remove_gravity(uniform)
+        for axis in range(3):
+            alone = l1_trend_filter(series(uniform.samples[:, axis], uniform.rate))
+            assert np.array_equal(decomp.trend.samples[:, axis], alone.values)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
