@@ -95,12 +95,12 @@ class NaiveBayesModel:
         return self.attribute_probs.shape[1]
 
 
-def nb_train(counts: np.ndarray, labels: AdherenceLabels, smoothing: float = 1.0,
-             priors_override: np.ndarray | None = None) -> NaiveBayesModel:
+def nb_train(counts: np.ndarray, labels: AdherenceLabels,
+             smoothing: float = 1.0) -> NaiveBayesModel:
     """Estimate per-class attribute probabilities from count vectors.
 
     pi_{k,c} = (smoothing + class counts for k) / (K * smoothing + class
-    total); priors default to empirical class frequencies.
+    total); priors are the empirical class frequencies.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or len(counts) != len(labels):
@@ -114,10 +114,7 @@ def nb_train(counts: np.ndarray, labels: AdherenceLabels, smoothing: float = 1.0
     for row, cls in enumerate(CLASSES):
         class_counts = counts[u == cls].sum(axis=0)
         probs[row] = (smoothing + class_counts) / (K * smoothing + class_counts.sum())
-    if priors_override is not None:
-        priors = np.asarray(priors_override, dtype=float)
-    else:
-        priors = np.array([(u == c).mean() for c in CLASSES])
+    priors = np.array([(u == c).mean() for c in CLASSES])
     seen = counts.sum(axis=0) > 0
     return NaiveBayesModel(attribute_probs=probs, priors=priors, seen=seen,
                            smoothing=smoothing)
@@ -163,62 +160,8 @@ def nb_predict(model: NaiveBayesModel, counts: np.ndarray
     return pred, conf / totals
 
 
-def one_hot_counts(states: StateSequence, n_attributes: int,
-                   scale: int = 100) -> np.ndarray:
-    """Modal-indicator shortcut: one-hot encode z_t instead of posteriors."""
-    counts = np.zeros((len(states), n_attributes), dtype=int)
-    counts[np.arange(len(states)), states.indicators] = scale
-    return counts
-
-
 def posterior_counts(states: StateSequence, scale: int = 100) -> np.ndarray:
     """Rescaled posterior state probabilities as integer frequencies."""
     if states.posteriors is None:
         raise ValidationError("state sequence carries no posteriors")
     return rescale_to_counts(states.posteriors, scale)
-
-
-def lda_projection(counts: np.ndarray, labels: AdherenceLabels
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Project log-count inputs to 2-D for visual inspection.
-
-    The first axis is the two-class linear discriminant direction; the
-    second is the leading principal direction of the within-class residual
-    orthogonal to it. Returns (projections (T, 2), the (K, 2) projection
-    matrix).
-    """
-    X = np.log1p(np.asarray(counts, dtype=float))
-    u = labels.labels
-    mu = {c: X[u == c].mean(axis=0) for c in CLASSES}
-    centered = X.copy()
-    for c in CLASSES:
-        centered[u == c] -= mu[c]
-    sw = centered.T @ centered + 1e-9 * np.eye(X.shape[1])
-    w1 = np.linalg.solve(sw, mu[VIOLATION] - mu[ADHERENCE])
-    norm = np.linalg.norm(w1)
-    if norm == 0:
-        raise ValidationError("class means coincide; no discriminant direction")
-    w1 /= norm
-    residual = centered - np.outer(centered @ w1, w1)
-    _, _, vt = np.linalg.svd(residual, full_matrices=False)
-    w2 = vt[0]
-    w2 -= (w2 @ w1) * w1
-    w2_norm = np.linalg.norm(w2)
-    w2 = w2 / w2_norm if w2_norm > 0 else np.zeros_like(w1)
-    basis = np.stack([w1, w2], axis=1)
-    return X @ basis, basis
-
-
-def nb_decision_boundary(model: NaiveBayesModel, basis: np.ndarray) -> np.ndarray:
-    """Project the classifier's linear boundary onto an LDA basis.
-
-    Returns (a, b, c) with the boundary a * d1 + b * d2 = c in projected
-    coordinates. Only seen attributes participate (the boundary is not
-    defined along the pseudo-attribute direction).
-    """
-    with np.errstate(divide="ignore"):
-        normal = (np.log(model.attribute_probs[0]) - np.log(model.attribute_probs[1]))
-        offset = np.log(model.priors[1]) - np.log(model.priors[0])
-    normal = np.where(model.seen, normal, 0.0)
-    projected = basis.T @ normal
-    return np.array([projected[0], projected[1], offset])

@@ -43,8 +43,7 @@ def interpolate_uniform(raw: TimestampedTriaxial, target_rate: float) -> Triaxia
 def magnitude(series: TriaxialSeries) -> ScalarSeries:
     """Euclidean norm of each 3-vector."""
     return ScalarSeries(rate=series.rate,
-                        values=np.linalg.norm(series.samples, axis=1),
-                        unit="magnitude")
+                        values=np.linalg.norm(series.samples, axis=1))
 
 
 def log_magnitude(series: TriaxialSeries, floor: float = 1e-6) -> ScalarSeries:
@@ -53,8 +52,7 @@ def log_magnitude(series: TriaxialSeries, floor: float = 1e-6) -> ScalarSeries:
         raise NonPositiveFloor("floor must be positive")
     mag = np.linalg.norm(series.samples, axis=1)
     return ScalarSeries(rate=series.rate,
-                        values=np.log10(np.maximum(mag, floor)),
-                        unit="log-magnitude")
+                        values=np.log10(np.maximum(mag, floor)))
 
 
 def windowed_energy(series: ScalarSeries, window: int, squared: bool = False) -> ScalarSeries:
@@ -75,7 +73,7 @@ def windowed_energy(series: ScalarSeries, window: int, squared: bool = False) ->
     energy = np.sum(chunks ** 2, axis=1)
     if not squared:
         energy = np.sqrt(energy)
-    return ScalarSeries(rate=series.rate / window, values=energy, unit="energy")
+    return ScalarSeries(rate=series.rate / window, values=energy)
 
 
 def lowpass_filter(series: ScalarSeries, cutoff: float, order: int = 4) -> ScalarSeries:
@@ -103,8 +101,7 @@ def downsample(series: ScalarSeries, factor: int) -> ScalarSeries:
     if factor < 1:
         raise ZeroFactor("factor must be a positive integer")
     return ScalarSeries(rate=series.rate / factor,
-                        values=series.values[::factor],
-                        unit=series.unit)
+                        values=series.values[::factor])
 
 
 def power_spectrum(series: ScalarSeries, segment_length: int | None = None,
@@ -129,4 +126,4 @@ def power_spectrum(series: ScalarSeries, segment_length: int | None = None,
                              noverlap=int(segment_length * overlap),
                              detrend=detrend)
     power = np.maximum(power, 0.0)
-    return SpectrumEstimate(frequencies=freqs, power=power, method="welch")
+    return SpectrumEstimate(frequencies=freqs, power=power)

@@ -149,7 +149,7 @@ def read_accelerometer_csv(path: Path) -> TimestampedTriaxial:
 def read_audio_csv(path: Path, rate: float = 44_100.0) -> ScalarSeries:
     """Read ``t,v`` audio samples; the time column fixes nothing beyond order."""
     data = _read_table(path, 2)
-    return ScalarSeries(rate=rate, values=data[:, 1], unit="energy")
+    return ScalarSeries(rate=rate, values=data[:, 1])
 
 
 def read_counts_csv(path: Path) -> np.ndarray:
@@ -163,13 +163,13 @@ def write_scalar_csv(path: Path, series: ScalarSeries,
     write_table(path, "t,v", rows, meta)
 
 
-def read_scalar_csv(path: Path, unit: str = "magnitude") -> ScalarSeries:
+def read_scalar_csv(path: Path) -> ScalarSeries:
     data = _read_table(path, 2)
     t = data[:, 0]
     if len(t) < 2:
         raise ValidationError(f"{path}: need at least 2 samples")
     rate = 1.0 / float(np.median(np.diff(t)))
-    return ScalarSeries(rate=rate, values=data[:, 1], unit=unit)
+    return ScalarSeries(rate=rate, values=data[:, 1])
 
 
 def write_spectrum_csv(path: Path, spectrum: SpectrumEstimate,

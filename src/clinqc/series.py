@@ -7,9 +7,6 @@ import numpy as np
 
 from .errors import NonMonotonicTimestamps, ValidationError
 
-#: Allowed unit tags for one-dimensional feature series.
-UNIT_TAGS = ("magnitude", "log-magnitude", "energy")
-
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -69,14 +66,11 @@ class ScalarSeries:
 
     rate: float             # Hz
     values: np.ndarray
-    unit: str = "magnitude"
 
     def __post_init__(self):
         if self.rate <= 0:
             raise ValidationError("rate must be positive")
         self.values = _as_float_array(self.values, "values", 1)
-        if self.unit not in UNIT_TAGS:
-            raise ValidationError(f"unit must be one of {UNIT_TAGS}, got {self.unit!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -85,11 +79,8 @@ class ScalarSeries:
     def times(self) -> np.ndarray:
         return np.arange(len(self.values)) / self.rate
 
-    def with_values(self, values: np.ndarray, rate: float | None = None,
-                    unit: str | None = None) -> "ScalarSeries":
-        return ScalarSeries(rate=self.rate if rate is None else rate,
-                            values=values,
-                            unit=self.unit if unit is None else unit)
+    def with_values(self, values: np.ndarray, rate: float | None = None) -> "ScalarSeries":
+        return ScalarSeries(rate=self.rate if rate is None else rate, values=values)
 
 
 @dataclass
@@ -98,7 +89,6 @@ class SpectrumEstimate:
 
     frequencies: np.ndarray  # Hz, increasing
     power: np.ndarray        # >= 0
-    method: str = "welch"
 
     def __post_init__(self):
         self.frequencies = _as_float_array(self.frequencies, "frequencies", 1)

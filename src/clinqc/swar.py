@@ -166,7 +166,7 @@ def ar_psd(state: ArState, freqs: np.ndarray, rate: float = 1.0) -> SpectrumEsti
     else:
         transfer = np.ones(len(f_norm), dtype=complex)
     power = state.variance / np.abs(transfer) ** 2
-    return SpectrumEstimate(frequencies=freqs, power=power, method="ar-closed-form")
+    return SpectrumEstimate(frequencies=freqs, power=power)
 
 
 def simulate(model: SwitchingArModel, length: int, seed: int = 0,

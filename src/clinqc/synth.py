@@ -171,5 +171,5 @@ def gen_two_cluster(spec: SynthSpec) -> tuple[ScalarSeries, AdherenceLabels]:
     means = np.where(z == 0, mean_adherence, 0.0)
     values = means + rng.normal(0.0, sigma, size=len(z))
     labels = np.where(z == 0, ADHERENCE, VIOLATION)
-    return (ScalarSeries(rate=spec.rate, values=values, unit="energy"),
+    return (ScalarSeries(rate=spec.rate, values=values),
             AdherenceLabels(rate=spec.rate, labels=labels))

@@ -63,7 +63,7 @@ def test_criterion_1_trend_solver_oracle(trend_filter_oracle):
         ours = l1_trend_filter(
             ScalarSeries(rate=1.0, values=x),
             TrendFilterConfig(lam=lam, tolerance=1e-12, max_iterations=50_000))
-        gap = _objective(x, ours.values, lam, "squared") - oracle_obj
+        gap = _objective(x, ours.values, lam) - oracle_obj
         worst_gap = max(worst_gap, gap)
 
     t = np.arange(100.0)

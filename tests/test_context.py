@@ -88,12 +88,6 @@ class TestNbTrain:
         model = context.nb_train(counts, labels([1, 1, 1, 2]))
         assert np.allclose(model.priors, [0.75, 0.25])
 
-    def test_priors_override(self):
-        counts = np.ones((2, 2))
-        model = context.nb_train(counts, labels([1, 2]),
-                                 priors_override=np.array([0.9, 0.1]))
-        assert np.allclose(model.priors, [0.9, 0.1])
-
     def test_single_class_raises(self):
         with pytest.raises(SingleClassTraining):
             context.nb_train(np.ones((2, 2)), labels([1, 1]))
@@ -136,8 +130,7 @@ class TestNbPredict:
 
     def test_positive_scaling_invariance_with_equal_priors(self):
         counts = np.array([[60, 40], [30, 70]], dtype=float)
-        model = context.nb_train(counts, labels([1, 2]),
-                                 priors_override=np.array([0.5, 0.5]))
+        model = context.nb_train(counts, labels([1, 2]))
         x = np.array([[55.0, 45.0]])
         pred1, _ = context.nb_predict(model, x)
         pred3, _ = context.nb_predict(model, 3 * x)
@@ -150,11 +143,6 @@ class TestNbPredict:
 
 
 class TestCountEncodings:
-    def test_one_hot(self):
-        states = seq([0, 2, 1])
-        out = context.one_hot_counts(states, 3, scale=100)
-        assert out.tolist() == [[100, 0, 0], [0, 0, 100], [0, 100, 0]]
-
     def test_posterior_counts(self):
         post = np.array([[0.25, 0.75], [0.996, 0.004]])
         states = seq([1, 0], posteriors=post)
@@ -164,37 +152,3 @@ class TestCountEncodings:
     def test_posterior_counts_requires_posteriors(self):
         with pytest.raises(ValidationError):
             context.posterior_counts(seq([0, 1]))
-
-
-class TestLdaProjection:
-    def make_data(self, n=60, seed=0):
-        rng = np.random.default_rng(seed)
-        a = rng.poisson([80, 15, 5], size=(n // 2, 3))
-        b = rng.poisson([10, 20, 70], size=(n // 2, 3))
-        counts = np.vstack([a, b]).astype(float)
-        u = labels(np.r_[np.full(n // 2, ADHERENCE), np.full(n // 2, VIOLATION)])
-        return counts, u
-
-    def test_shapes_and_orthonormal_basis(self):
-        counts, u = self.make_data()
-        proj, basis = context.lda_projection(counts, u)
-        assert proj.shape == (len(counts), 2)
-        assert basis.shape == (3, 2)
-        assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-9)
-
-    def test_first_axis_separates_classes(self):
-        counts, u = self.make_data()
-        proj, _ = context.lda_projection(counts, u)
-        a = proj[u.labels == ADHERENCE, 0]
-        b = proj[u.labels == VIOLATION, 0]
-        gap = abs(a.mean() - b.mean())
-        spread = max(a.std(), b.std())
-        assert gap > 3 * spread
-
-    def test_decision_boundary_coefficients(self):
-        counts, u = self.make_data()
-        model = context.nb_train(counts, u)
-        _, basis = context.lda_projection(counts, u)
-        line = context.nb_decision_boundary(model, basis)
-        assert line.shape == (3,)
-        assert np.all(np.isfinite(line))

@@ -72,7 +72,7 @@ class TestCsvRoundTrips:
 
     def test_spectrum(self, tmp_path):
         spec = SpectrumEstimate(frequencies=np.array([0.0, 1.0]),
-                                power=np.array([2.0, 0.5]), method="welch")
+                                power=np.array([2.0, 0.5]))
         path = tmp_path / "spec.csv"
         serialize.write_spectrum_csv(path, spec)
         assert serialize._read_table(path, 2)[1, 1] == pytest.approx(0.5)

@@ -1,15 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from clinqc.errors import TooShort, ValidationError
+from clinqc.errors import NoConvergenceWarning, TooShort, ValidationError
 from clinqc.preprocess import interpolate_uniform
 from clinqc.series import ScalarSeries, TriaxialSeries
 from clinqc.synth import RegimeInterval, SynthSpec, gen_gravity_drift
 from clinqc.trend import (
     GravityDecomposition,
     TrendFilterConfig,
-    _dtd_banded,
+    _ddt_banded,
     _objective,
+    default_lambda,
     l1_trend_filter,
     remove_gravity,
 )
@@ -19,19 +22,17 @@ def series(values, rate=1.0):
     return ScalarSeries(rate=rate, values=np.asarray(values, dtype=float))
 
 
-class TestDtdBanded:
+class TestDdtBanded:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 1000])
-    @pytest.mark.parametrize("fidelity", ["squared", "l1"])
-    def test_equals_dense_matrix_exactly(self, n, fidelity):
-        rho = 0.37
-        diag_add = 1.0 if fidelity == "squared" else rho
+    def test_equals_dense_matrix_exactly(self, n):
+        h = np.random.default_rng(n).exponential(size=n - 2)
         diff2 = np.diff(np.eye(n), 2, axis=0)
-        dense = diag_add * np.eye(n) + rho * (diff2.T @ diff2)
-        ab = _dtd_banded(n, diag_add, rho)
-        assert np.array_equal(ab[2], np.diag(dense))
-        assert np.array_equal(ab[1, 1:], np.diag(dense, 1))
-        assert np.array_equal(ab[0, 2:], np.diag(dense, 2))
-        assert not ab[1, 0] and not ab[0, :2].any()
+        dense = diff2 @ diff2.T + np.diag(h)
+        ab = _ddt_banded(h)
+        assert np.array_equal(ab[0], np.diag(dense))
+        assert np.array_equal(ab[1, :-1], np.diag(dense, -1))
+        assert np.array_equal(ab[2, :-2], np.diag(dense, -2))
+        assert not ab[1, -1] and not ab[2, -2:].any()
 
 
 class TestTrendFilterConfig:
@@ -71,18 +72,14 @@ class TestL1TrendFilter:
         ours = l1_trend_filter(series(x50),
                                TrendFilterConfig(lam=5.0, tolerance=1e-12,
                                                  max_iterations=50_000))
-        assert _objective(x50, ours.values, 5.0, "squared") <= oracle_obj + 1e-6
+        assert _objective(x50, ours.values, 5.0) <= oracle_obj + 1e-6
 
-    def test_l1_fidelity_mode_vs_oracle(self, trend_filter_oracle):
-        rng = np.random.default_rng(9)
-        x = np.cumsum(rng.normal(size=40))
-        _, oracle_obj = trend_filter_oracle(x, 3.0, fidelity="l1")
-        ours = l1_trend_filter(series(x),
-                               TrendFilterConfig(lam=3.0, fidelity="l1",
-                                                 tolerance=1e-12,
-                                                 max_iterations=50_000))
-        # the nonsmooth fidelity converges more slowly; compare loosely
-        assert _objective(x, ours.values, 3.0, "l1") <= oracle_obj + 1e-3
+    def test_default_settings_reach_oracle(self, trend_filter_oracle):
+        rng = np.random.default_rng(1)
+        x = np.cumsum(rng.normal(size=200))
+        _, oracle_obj = trend_filter_oracle(x, default_lambda(x))
+        ours = l1_trend_filter(series(x))
+        assert _objective(x, ours.values, default_lambda(x)) <= oracle_obj * (1 + 1e-6)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -96,15 +93,33 @@ class TestL1TrendFilter:
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs <= 1e-12)
 
-    @pytest.mark.parametrize("fidelity", ["squared", "l1"])
-    def test_trace_ends_at_objective_of_result(self, fidelity):
+    def test_trace_ends_at_objective_of_result(self):
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.normal(size=300))
         trace = []
-        out = l1_trend_filter(series(x), TrendFilterConfig(lam=10.0, fidelity=fidelity),
-                              trace_out=trace)
-        assert trace[-1] == pytest.approx(_objective(x, out.values, 10.0, fidelity),
-                                          rel=1e-9)
+        out = l1_trend_filter(series(x), TrendFilterConfig(lam=10.0), trace_out=trace)
+        assert trace[-1] == pytest.approx(_objective(x, out.values, 10.0), rel=1e-9)
+
+    def test_iteration_cap_warns_and_returns_best_iterate(self):
+        rng = np.random.default_rng(5)
+        x = np.cumsum(rng.normal(size=300))
+        trace = []
+        with pytest.warns(NoConvergenceWarning):
+            out = l1_trend_filter(series(x), TrendFilterConfig(lam=10.0, max_iterations=1),
+                                  trace_out=trace)
+        assert len(trace) == 1
+        assert trace[-1] == pytest.approx(_objective(x, out.values, 10.0), rel=1e-9)
+
+    @pytest.mark.parametrize("values", [0.3 * np.arange(100.0) - 2.0, np.full(100, 9.81)],
+                             ids=["affine", "constant"])
+    def test_affine_input_stops_at_first_iterate(self, values):
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = l1_trend_filter(series(values), TrendFilterConfig(lam=10.0),
+                                  trace_out=trace)
+        assert len(trace) == 1
+        assert np.max(np.abs(out.values - values)) < 1e-9
 
     def test_affine_shift_moves_trend_only(self):
         rng = np.random.default_rng(8)
