@@ -79,8 +79,8 @@ class ScalarSeries:
     def times(self) -> np.ndarray:
         return np.arange(len(self.values)) / self.rate
 
-    def with_values(self, values: np.ndarray, rate: float | None = None) -> "ScalarSeries":
-        return ScalarSeries(rate=self.rate if rate is None else rate, values=values)
+    def with_values(self, values: np.ndarray) -> "ScalarSeries":
+        return ScalarSeries(rate=self.rate, values=values)
 
 
 @dataclass

@@ -228,6 +228,9 @@ def _loglik_matrix(model: SwitchingArModel, X: np.ndarray, y: np.ndarray) -> np.
     return out
 
 
+_BLOCK = 512   # time steps per block of the forward table
+
+
 def sample_states(model: SwitchingArModel, loglik: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Jointly sample the chain by backward filtering / forward sampling.
@@ -235,7 +238,10 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     The chain starts from the global weights ``beta``. Per-time likelihoods
     are max-shifted before exponentiation and the backward messages are
     renormalized every step, which keeps the recursion stable without
-    log-space arithmetic in the inner loop.
+    log-space arithmetic in the inner loop. The forward pass looks each
+    draw up in a table: per block of steps and previous state j, one
+    vectorized pass draws the next state of every step in the block, the
+    first time the chain is in j within that block.
     """
     n, L = loglik.shape
     shift = loglik.max(axis=1, keepdims=True)
@@ -244,30 +250,52 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     lik = np.exp(loglik - shift)
     pi = model.transitions
     messages = np.ones((n, L))
+    # row views in lists and bound numpy calls: four numpy calls per step,
+    # with the arithmetic of ``msg = pi @ (lik[t+1] * msg[t+1]); msg / sum``
+    lik_rows, msg_rows = list(lik), list(messages)
+    weighted = np.empty(L)
+    dot, multiply, divide, add = pi.dot, np.multiply, np.divide, np.add.reduce
     for t in range(n - 2, -1, -1):
-        msg = pi @ (lik[t + 1] * messages[t + 1])
-        total = msg.sum()
-        if total <= 0 or not np.isfinite(total):
+        msg = dot(multiply(lik_rows[t + 1], msg_rows[t + 1], out=weighted))
+        total = add(msg)
+        if not 0 < total < np.inf:
             raise NumericalUnderflow("backward message underflowed")
-        messages[t] = msg / total
+        divide(msg, total, out=msg_rows[t])
     uniforms = rng.random(n)
-    z = np.empty(n, dtype=int)
-    p = model.beta * lik[0] * messages[0]
-    z[0] = _sample_categorical(p, uniforms[0])
-    # precomputed cumulative weights make the sequential pass a cheap
-    # searchsorted per step: cum[t, j] = cumsum_k pi[j, k] lik[t, k] msg[t, k]
-    cum = np.cumsum(lik[:, None, :] * messages[:, None, :] * pi[None, :, :],
-                    axis=2)
-    last = L - 1
-    searchsorted = np.searchsorted
-    for t in range(1, n):
-        row = cum[t, z[t - 1]]
-        total = row[last]
-        if total <= 0 or not np.isfinite(total):
-            raise NumericalUnderflow("all state probabilities underflowed")
-        idx = searchsorted(row, uniforms[t] * total, side="right")
-        z[t] = idx if idx <= last else last
-    return z
+    state = _sample_categorical(model.beta * lik[0] * messages[0], uniforms[0])
+    path = [state]
+    weights = lik * messages
+    for start in range(1, n, _BLOCK):
+        block = slice(start, min(start + _BLOCK, n))
+        block_weights, block_uniforms = weights[block], uniforms[block]
+        table = [None] * L
+        for i in range(len(block_uniforms)):
+            column = table[state]
+            if column is None:
+                column = table[state] = _draw_column(block_weights, pi[state],
+                                                     block_uniforms)
+            state = column[i]
+            if state < 0:
+                raise NumericalUnderflow("all state probabilities underflowed")
+            path.append(state)
+    return np.array(path, dtype=int)
+
+
+def _draw_column(weights: np.ndarray, row: np.ndarray,
+                 uniforms: np.ndarray) -> list[int]:
+    """One categorical draw per step from ``weights[t] * row``.
+
+    Draw t is ``searchsorted(cum, u_t * cum[-1], side="right")`` capped at
+    L - 1 with ``cum = cumsum(weights[t] * row)``: the number of the first
+    L - 1 cumulative weights at most u_t times the total, as they never
+    decrease. A step whose total is not positive and finite draws -1.
+    """
+    last = len(row) - 1
+    cum = np.add.accumulate(weights * row, axis=1)
+    total = cum[:, last]
+    picks = (cum[:, :last] <= (uniforms * total)[:, None]).sum(axis=1)
+    picks[~((total > 0) & (total < np.inf))] = -1
+    return picks.tolist()
 
 
 def _sample_categorical(weights: np.ndarray, u: float) -> int:
@@ -285,12 +313,18 @@ def _transition_counts(z: np.ndarray, L: int) -> np.ndarray:
 
 
 def _sample_dirichlet(alphas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Dirichlet draws along the last axis, one per row of a matrix.
+
+    A row whose gamma draws all underflow puts its mass on its largest
+    concentration.
+    """
     draws = rng.gamma(np.maximum(alphas, 1e-12))
-    total = draws.sum()
-    if total <= 0:
-        out = np.zeros_like(alphas)
-        out[int(np.argmax(alphas))] = 1.0
-        return out
+    total = draws.sum(axis=-1, keepdims=True)
+    empty = total <= 0
+    if empty.any():
+        largest = np.argmax(alphas, axis=-1)[..., None]
+        draws = np.where(empty, np.arange(alphas.shape[-1]) == largest, draws)
+        total = np.where(empty, 1.0, total)
     return draws / total
 
 
@@ -298,19 +332,21 @@ def _sample_tables(counts: np.ndarray, model: SwitchingArModel,
                    rng: np.random.Generator) -> np.ndarray:
     """Chinese-restaurant-franchise table counts for the beta update.
 
-    Includes the sticky override correction so self-transition tables caused
-    by the kappa bias do not inflate the global weights.
+    Customer i (from 0) of cell (j, k) opens a table with probability
+    c / (c + i), c = alpha * beta_k + kappa [j == k]: one uniform per
+    customer, cells in row-major order. Includes the sticky override
+    correction so self-transition tables caused by the kappa bias do not
+    inflate the global weights.
     """
     L = model.truncation
-    tables = np.zeros((L, L))
-    for j in range(L):
-        for k in range(L):
-            n = int(counts[j, k])
-            if n == 0:
-                continue
-            conc = model.alpha * model.beta[k] + (model.kappa if j == k else 0.0)
-            i = np.arange(n, dtype=float)
-            tables[j, k] = np.sum(rng.random(n) < conc / (conc + i))
+    conc = np.tile(model.alpha * model.beta, (L, 1))
+    conc[np.diag_indices(L)] += model.kappa
+    customers = counts.astype(int).ravel()
+    cell = np.repeat(np.arange(L * L), customers)
+    i = np.arange(len(cell)) - np.repeat(np.cumsum(customers) - customers, customers)
+    c = conc.ravel()[cell]
+    opened = rng.random(len(cell)) < c / (c + i)
+    tables = np.bincount(cell, weights=opened, minlength=L * L).reshape(L, L)
     if model.kappa > 0:
         rho = model.kappa / (model.alpha + model.kappa)
         for j in range(L):
@@ -332,7 +368,7 @@ def _sample_emission(X: np.ndarray, y: np.ndarray, prior: ArPrior, order: int,
     v0_inv = np.eye(d) / prior.coef_scale ** 2
     if len(y) == 0:
         variance = 1.0 / rng.gamma(prior.shape, 1.0 / prior.scale)
-        w = rng.multivariate_normal(np.zeros(d), variance * prior.coef_scale ** 2 * np.eye(d))
+        w = np.sqrt(variance * prior.coef_scale ** 2) * rng.standard_normal(d)
     else:
         vn_inv = v0_inv + X.T @ X
         vn = np.linalg.inv(vn_inv)
@@ -365,13 +401,10 @@ def gibbs_sweep(model: SwitchingArModel, data: ScalarSeries,
     z = sample_states(model, loglik, rng)
 
     counts = _transition_counts(z, L)
-    transitions = np.empty((L, L))
-    for j in range(L):
-        conc = model.alpha * model.beta + counts[j]
-        if model.kappa > 0:
-            conc = conc.copy()
-            conc[j] += model.kappa
-        transitions[j] = _sample_dirichlet(conc, rng)
+    conc = model.alpha * model.beta + counts
+    if model.kappa > 0:
+        conc[np.diag_indices(L)] += model.kappa
+    transitions = _sample_dirichlet(conc, rng)
 
     tables = _sample_tables(counts, model, rng)
     beta = _sample_dirichlet(model.gamma / L + tables.sum(axis=0), rng)

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clinqc
-from clinqc import serialize
+from clinqc import serialize, swar
 from clinqc.cli import main
 
 
@@ -293,6 +294,44 @@ class TestExitCodes:
         assert run(["segment-gmm", feature, "--kind", "voice",
                     "--out", tmp_path / "seg"]) == 3
         assert "runtime error" in capsys.readouterr().err
+
+    def segment_ar_exit_code(self, tmp_path, capsys):
+        run(["synth", "--scenario", "switching-ar", "--duration", "10",
+             "--rate", "30", "--out", tmp_path / "data"])
+        capsys.readouterr()
+        code = run(["segment-ar", tmp_path / "data" / "feature.csv", "--order", "1",
+                    "--truncation", "2", "--sweeps", "2", "--burn-in", "1",
+                    "--out", tmp_path / "seg"])
+        return code, capsys.readouterr().err
+
+    def test_swar_non_finite_loglik_exit_3(self, tmp_path, capsys, monkeypatch):
+        loglik_matrix = swar._loglik_matrix
+
+        def with_nan_row(model, X, y):
+            out = loglik_matrix(model, X, y)
+            out[5] = np.nan
+            return out
+
+        monkeypatch.setattr(swar, "_loglik_matrix", with_nan_row)
+        code, err = self.segment_ar_exit_code(tmp_path, capsys)
+        assert code == 3
+        assert "runtime error: emission likelihoods are not finite" in err
+
+    def test_swar_message_underflow_exit_3(self, tmp_path, capsys, monkeypatch):
+        # every state moves to state 0, whose tiny innovation variance gives
+        # the data zero likelihood: the backward messages vanish
+        initial_model = swar.initial_model
+
+        def absorbing_chain(data, config):
+            model = initial_model(data, config)
+            return replace(model, transitions=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                           states=[replace(model.states[0], variance=1e-6),
+                                   model.states[1]])
+
+        monkeypatch.setattr(swar, "initial_model", absorbing_chain)
+        code, err = self.segment_ar_exit_code(tmp_path, capsys)
+        assert code == 3
+        assert "runtime error: backward message underflowed" in err
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from clinqc import preprocess, swar
-from clinqc.errors import ValidationError, WrongWindowLength
+from clinqc import preprocess, swar, synth
+from clinqc.errors import NumericalUnderflow, ValidationError, WrongWindowLength
 from clinqc.series import ScalarSeries
+from clinqc.synth import RegimeInterval, SynthSpec
 
 
 def ar1_state(coef, mean=0.0, var=1.0):
@@ -237,3 +240,209 @@ class TestConjugateEmissionUpdate:
             for s in range(400)])
         # Monte-Carlo error on the posterior mean of the lag-1 coefficient
         assert abs(draws.mean() - wn[0]) < 5 * draws.std() / np.sqrt(len(draws)) + 1e-3
+
+
+# Reference implementations: the straightforward loops that the vectorized
+# sampler must reproduce draw for draw, bit for bit.
+
+def reference_sample_states(model, loglik, rng):
+    n, L = loglik.shape
+    shift = loglik.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(shift)):
+        raise NumericalUnderflow("emission likelihoods are not finite")
+    lik = np.exp(loglik - shift)
+    pi = model.transitions
+    messages = np.ones((n, L))
+    for t in range(n - 2, -1, -1):
+        msg = pi @ (lik[t + 1] * messages[t + 1])
+        total = msg.sum()
+        if total <= 0 or not np.isfinite(total):
+            raise NumericalUnderflow("backward message underflowed")
+        messages[t] = msg / total
+    uniforms = rng.random(n)
+    z = np.empty(n, dtype=int)
+    z[0] = swar._sample_categorical(model.beta * lik[0] * messages[0], uniforms[0])
+    cum = np.cumsum(lik[:, None, :] * messages[:, None, :] * pi[None, :, :], axis=2)
+    for t in range(1, n):
+        row = cum[t, z[t - 1]]
+        total = row[L - 1]
+        if total <= 0 or not np.isfinite(total):
+            raise NumericalUnderflow("all state probabilities underflowed")
+        z[t] = min(np.searchsorted(row, uniforms[t] * total, side="right"), L - 1)
+    return z
+
+
+def reference_sample_tables(counts, model, rng):
+    L = model.truncation
+    tables = np.zeros((L, L))
+    for j in range(L):
+        for k in range(L):
+            n = int(counts[j, k])
+            if n == 0:
+                continue
+            conc = model.alpha * model.beta[k] + (model.kappa if j == k else 0.0)
+            i = np.arange(n, dtype=float)
+            tables[j, k] = np.sum(rng.random(n) < conc / (conc + i))
+    if model.kappa > 0:
+        rho = model.kappa / (model.alpha + model.kappa)
+        for j in range(L):
+            m_jj = int(tables[j, j])
+            if m_jj == 0:
+                continue
+            p_override = rho / (rho + model.beta[j] * (1.0 - rho))
+            tables[j, j] -= rng.binomial(m_jj, p_override)
+    return tables
+
+
+def reference_sample_dirichlet(alphas, rng):
+    draws = rng.gamma(np.maximum(alphas, 1e-12))
+    total = draws.sum()
+    if total <= 0:
+        out = np.zeros_like(alphas)
+        out[int(np.argmax(alphas))] = 1.0
+        return out
+    return draws / total
+
+
+def reference_sample_emission(X, y, prior, order, rng):
+    d = order + 1
+    if len(y) == 0:
+        variance = 1.0 / rng.gamma(prior.shape, 1.0 / prior.scale)
+        w = rng.multivariate_normal(np.zeros(d),
+                                    variance * prior.coef_scale ** 2 * np.eye(d))
+        return swar.ArState(coefficients=w[:order], mean=float(w[order]),
+                            variance=float(variance))
+    return swar._sample_emission(X, y, prior, order, rng)
+
+
+def reference_gibbs_sweep(model, data, rng, design=None):
+    X, y = design if design is not None else swar._design(data.values, model.order)
+    L = model.truncation
+    z = reference_sample_states(model, swar._loglik_matrix(model, X, y), rng)
+    counts = swar._transition_counts(z, L)
+    transitions = np.empty((L, L))
+    for j in range(L):
+        conc = model.alpha * model.beta + counts[j]
+        if model.kappa > 0:
+            conc = conc.copy()
+            conc[j] += model.kappa
+        transitions[j] = reference_sample_dirichlet(conc, rng)
+    tables = reference_sample_tables(counts, model, rng)
+    beta = reference_sample_dirichlet(model.gamma / L + tables.sum(axis=0), rng)
+    states = [reference_sample_emission(X[z == k], y[z == k], model.prior,
+                                        model.order, rng) for k in range(L)]
+    return replace(model, states=states, transitions=transitions, beta=beta), z
+
+
+def random_model(L, kappa, seed):
+    rng = np.random.default_rng(seed)
+    transitions = rng.dirichlet(np.full(L, 0.5), size=L) + kappa * np.eye(L)
+    transitions /= transitions.sum(axis=1, keepdims=True)
+    return swar.SwitchingArModel(
+        order=1, truncation=L, states=[ar1_state(0.0) for _ in range(L)],
+        transitions=transitions, beta=rng.dirichlet(np.ones(L)), kappa=kappa)
+
+
+class TestReferenceEquality:
+    @pytest.mark.parametrize("kappa", [0.0, 20.0])
+    @pytest.mark.parametrize("L", [2, 20])
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025])
+    def test_sample_states(self, n, L, kappa):
+        model = random_model(L, kappa, seed=n + L)
+        loglik = np.random.default_rng(n).normal(scale=5.0, size=(n, L))
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        z = swar.sample_states(model, loglik, rng)
+        assert np.array_equal(z, reference_sample_states(model, loglik, ref_rng))
+        assert z.dtype == np.dtype(int)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_sample_states_ties(self):
+        # u * total landing exactly on a cumulative weight picks the next
+        # state (searchsorted side="right"), so u = 0 never picks a state
+        # of zero weight
+        class FixedUniforms:
+            def random(self, n):
+                return np.resize([0.0, 0.5], n)
+
+        model = swar.SwitchingArModel(
+            order=1, truncation=2, states=[ar1_state(0.0), ar1_state(0.0)],
+            transitions=[[0.0, 1.0], [0.5, 0.5]], beta=[0.0, 1.0])
+        loglik = np.zeros((9, 2))
+        z = swar.sample_states(model, loglik, FixedUniforms())
+        assert np.array_equal(z, reference_sample_states(model, loglik, FixedUniforms()))
+        # u = 0 from state 1 picks 0; u = 0.5 from 1 ties with the first of
+        # the equal weights and picks 1; from 0 only 1 has weight
+        assert z.tolist() == [1, 1, 0, 1, 0, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("kappa", [0.0, 20.0])
+    @pytest.mark.parametrize("L", [2, 20])
+    def test_sample_tables(self, L, kappa):
+        model = random_model(L, kappa, seed=L)
+        z = np.random.default_rng(L).integers(0, L, size=3000)
+        z[1000:2000] = 1              # a long self-transition run
+        counts = swar._transition_counts(z, L)
+        counts[0] = 0.0               # and a row with no customers
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        tables = swar._sample_tables(counts, model, rng)
+        assert np.array_equal(tables, reference_sample_tables(counts, model, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_transition_rows(self):
+        # one gamma call for the whole matrix draws what row-by-row calls
+        # draw; the middle row's draws all underflow to zero
+        conc = np.random.default_rng(1).gamma(1.0, size=(3, 20))
+        conc[1] = np.linspace(1e-300, 2e-300, 20)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        rows = swar._sample_dirichlet(conc, rng)
+        ref = [reference_sample_dirichlet(row, ref_rng) for row in conc]
+        assert np.array_equal(rows, ref)
+        assert np.array_equal(rows[1], np.eye(20)[19])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("coef_scale", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("order", [0, 1, 4])
+    def test_empty_state_draws_from_prior(self, order, coef_scale):
+        prior = swar.ArPrior(coef_scale=coef_scale, shape=2.0, scale=0.7)
+        X, y = np.empty((0, order + 1)), np.empty(0)
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            state = swar._sample_emission(X, y, prior, order, rng)
+            ref = reference_sample_emission(X, y, prior, order, ref_rng)
+            assert np.array_equal(state.coefficients, ref.coefficients)
+            assert (state.mean, state.variance) == (ref.mean, ref.variance)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kappa", [0.0, 20.0])
+    def test_whole_fit(self, monkeypatch, kappa):
+        schedule = [RegimeInterval(s, 5.0 * i, 5.0 * (i + 1))
+                    for i, s in enumerate([0, 1, 2, 1, 0, 2])]
+        series, _ = synth.gen_switching_ar(SynthSpec(
+            scenario="switching-ar", duration=30.0, rate=30.0,
+            schedule=schedule, seed=11))
+        cfg = swar.SwArConfig(order=2, truncation=8, kappa=kappa, sweeps=20,
+                              burn_in=10, seed=5)
+        fit = swar.fit(series, cfg)
+        monkeypatch.setattr(swar, "gibbs_sweep", reference_gibbs_sweep)
+        ref = swar.fit(series, cfg)
+        assert np.array_equal(fit.states.indicators, ref.states.indicators)
+        assert np.array_equal(fit.states.posteriors, ref.states.posteriors)
+        assert np.array_equal(fit.loglik_trace, ref.loglik_trace)
+        assert np.array_equal(fit.model.transitions, ref.model.transitions)
+        assert np.array_equal(fit.model.beta, ref.model.beta)
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loglik(self, bad):
+        loglik = np.zeros((6, 2))
+        loglik[3, 1] = bad
+        with pytest.raises(NumericalUnderflow, match="not finite"):
+            swar.sample_states(two_state_model(), loglik, np.random.default_rng(0))
+
+    def test_backward_message_underflow(self):
+        model = swar.SwitchingArModel(
+            order=1, truncation=2, states=[ar1_state(0.0), ar1_state(0.0)],
+            transitions=[[1.0, 0.0], [1.0, 0.0]], beta=[0.5, 0.5])
+        loglik = np.array([[0.0, 0.0], [-1000.0, 0.0]])
+        with pytest.raises(NumericalUnderflow, match="backward message"):
+            swar.sample_states(model, loglik, np.random.default_rng(0))
