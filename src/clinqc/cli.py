@@ -79,8 +79,7 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _meta(config: PipelineConfig) -> dict:
-    cfg = asdict(config)
-    return {"config_hash": serialize.config_hash(cfg), "seed": config.seed}
+    return {"config_hash": serialize.config_hash(asdict(config)), "seed": config.seed}
 
 
 def preprocess_recipe(kind: str, raw_path: Path, config: PipelineConfig
@@ -219,9 +218,8 @@ def _cmd_evaluate(args) -> int:
     else:
         report = metrics.kfold_cv(counts, labels, config.folds,
                                   train, predict, seed=config.seed)
-    doc = {"metrics": report.to_dict(), "config": asdict(config),
-           "config_hash": serialize.config_hash(asdict(config)),
-           "seed": config.seed, "baseline": args.baseline}
+    doc = {**_meta(config), "metrics": report.to_dict(),
+           "config": asdict(config), "baseline": args.baseline}
     out = _out_dir(args) / (args.name or "report.json")
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
@@ -234,8 +232,7 @@ def _cmd_synth(args) -> int:
     spec = synth.SynthSpec(scenario=args.scenario, duration=args.duration,
                            rate=args.rate, seed=config.seed,
                            schedule=_default_schedule(args.scenario, args.duration))
-    meta = {"config_hash": serialize.config_hash(asdict(config)),
-            "seed": config.seed}
+    meta = _meta(config)
     if args.scenario == "gravity-drift":
         raw, trend_truth, dynamic_truth = synth.gen_gravity_drift(spec)
         rows = np.column_stack([raw.timestamps, raw.samples])
@@ -274,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clinqc",
         description="Quality control of behavioural sensor test recordings.")
-    parser.add_argument("--config", help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

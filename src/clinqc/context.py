@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingleClassTraining, UnlabelledState, ValidationError
-from .series import ADHERENCE, VIOLATION, AdherenceLabels, StateSequence
+from .errors import ValidationError
+from .series import ADHERENCE, VIOLATION, AdherenceLabels, StateSequence, check_simplex
 
 CLASSES = (ADHERENCE, VIOLATION)
 
@@ -36,7 +36,7 @@ def mode_behaviour_map(states: StateSequence, behaviours: list[str]) -> dict[int
         labels = [behaviours[t] for t in np.flatnonzero(z == k)
                   if behaviours[t] is not None]
         if not labels:
-            raise UnlabelledState(f"state {k} has no labelled points")
+            raise ValidationError(f"state {k} has no labelled points")
         counts = Counter(labels)
         top = max(counts.values())
         mapping[int(k)] = min(lbl for lbl, c in counts.items() if c == top)
@@ -85,10 +85,11 @@ class NaiveBayesModel:
         self.attribute_probs = np.asarray(self.attribute_probs, dtype=float)
         self.priors = np.asarray(self.priors, dtype=float)
         self.seen = np.asarray(self.seen, dtype=bool)
-        if np.any(np.abs(self.attribute_probs.sum(axis=1) - 1.0) > 1e-9):
-            raise ValidationError("attribute rows must sum to 1")
-        if abs(self.priors.sum() - 1.0) > 1e-9:
-            raise ValidationError("priors must sum to 1")
+        if (self.seen.ndim != 1 or self.priors.shape != (2,)
+                or self.attribute_probs.shape != (2, len(self.seen))):
+            raise ValidationError("attribute_probs must be (2, K), priors (2,) and seen (K,)")
+        check_simplex(self.attribute_probs, "attribute rows must sum to 1")
+        check_simplex(self.priors, "priors must sum to 1")
 
     @property
     def n_attributes(self) -> int:
@@ -108,7 +109,7 @@ def nb_train(counts: np.ndarray, labels: AdherenceLabels,
     u = labels.labels
     present = set(np.unique(u))
     if present != {ADHERENCE, VIOLATION}:
-        raise SingleClassTraining("training needs both classes present")
+        raise ValidationError("training needs both classes present")
     K = counts.shape[1]
     probs = np.empty((2, K))
     for row, cls in enumerate(CLASSES):

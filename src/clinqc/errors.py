@@ -1,107 +1,17 @@
-"""Exception hierarchy for the quality-control pipeline."""
+"""Errors and warnings of the quality-control pipeline.
+
+The CLI maps ``ValidationError`` to exit code 2 and any other
+``ClinQcError`` to exit code 3.
+"""
 
 
 class ClinQcError(Exception):
-    """Base class for all pipeline errors."""
+    """Base pipeline error; raised directly for numerical or runtime failures (exit code 3)."""
 
 
 class ValidationError(ClinQcError):
-    """Bad inputs or configuration detected before any computation."""
-
-
-# -- preprocessing ------------------------------------------------------------
-
-class NonMonotonicTimestamps(ValidationError):
-    pass
-
-
-class TooFewSamples(ValidationError):
-    pass
-
-
-class NonPositiveFloor(ValidationError):
-    pass
-
-
-class EmptyInput(ValidationError):
-    pass
-
-
-class WindowLargerThanInput(ValidationError):
-    pass
-
-
-class CutoffAboveNyquist(ValidationError):
-    pass
-
-
-class ZeroFactor(ValidationError):
-    pass
-
-
-class SegmentTooLong(ValidationError):
-    pass
-
-
-# -- trend filtering ----------------------------------------------------------
-
-class TooShort(ValidationError):
-    pass
+    """Bad inputs or configuration detected before any computation (exit code 2)."""
 
 
 class NoConvergenceWarning(UserWarning):
     """Solver hit its iteration cap; the best iterate is returned anyway."""
-
-
-# -- mixture modelling --------------------------------------------------------
-
-class TooFewPoints(ValidationError):
-    pass
-
-
-class DegenerateComponent(ClinQcError):
-    pass
-
-
-class EvenWindow(ValidationError):
-    pass
-
-
-class EqualMeans(ClinQcError):
-    pass
-
-
-# -- switching AR -------------------------------------------------------------
-
-class WrongWindowLength(ValidationError):
-    pass
-
-
-class NumericalUnderflow(ClinQcError):
-    pass
-
-
-# -- context mapping ----------------------------------------------------------
-
-class UnlabelledState(ValidationError):
-    pass
-
-
-class SingleClassTraining(ValidationError):
-    pass
-
-
-# -- evaluation ---------------------------------------------------------------
-
-class EmptyDenominator(ClinQcError):
-    pass
-
-
-class FoldTooSmall(ValidationError):
-    pass
-
-
-# -- synthetic data -----------------------------------------------------------
-
-class InvalidSchedule(ValidationError):
-    pass

@@ -12,15 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClinQcError,
-    DegenerateComponent,
-    EqualMeans,
-    EvenWindow,
-    TooFewPoints,
-    ValidationError,
-)
-from .series import ADHERENCE, VIOLATION, AdherenceLabels, ScalarSeries, StateSequence
+from .errors import ClinQcError, ValidationError
+from .series import (ADHERENCE, VIOLATION, AdherenceLabels, ScalarSeries, StateSequence,
+                     check_simplex)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -46,10 +40,11 @@ class GmmParams:
         k = len(self.means)
         if len(self.variances) != k or len(self.weights) != k:
             raise ValidationError("means, variances and weights must share length")
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.variances))):
+            raise ValidationError("means and variances must be finite")
         if np.any(self.variances <= 0):
             raise ValidationError("variances must be positive")
-        if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
-            raise ValidationError("weights must form a simplex")
+        check_simplex(self.weights, "weights must form a simplex")
 
     @property
     def n_components(self) -> int:
@@ -76,12 +71,13 @@ def _quantile_init(x: np.ndarray, k: int, jitter: np.ndarray) -> GmmParams:
                      weights=np.full(k, 1.0 / k))
 
 
-def fit_gmm_em(data: ScalarSeries, n_components: int = 2, seed: int = 0,
-               tolerance: float = 1e-8, max_iter: int = 500,
-               n_restarts: int = 5) -> tuple[GmmParams, np.ndarray]:
+def fit_gmm_em(data: ScalarSeries, n_components: int = 2,
+               seed: int = 0) -> tuple[GmmParams, np.ndarray]:
     """Fit a 1-D GMM by expectation-maximization.
 
-    Returns the parameters and the (T, K) responsibility matrix of the best
+    Runs five restarts of at most 500 iterations each, stopping a restart
+    when the log-likelihood gains less than 1e-8 of its magnitude. Returns
+    the parameters and the (T, K) responsibility matrix of the best
     restart. The log-likelihood is checked to be non-decreasing on every
     iteration.
     """
@@ -89,24 +85,22 @@ def fit_gmm_em(data: ScalarSeries, n_components: int = 2, seed: int = 0,
     k = n_components
     if k < 1:
         raise ValidationError("need at least one component")
-    if n_restarts < 1:
-        raise ValidationError("need at least one restart")
     if len(x) < 10 * k:
-        raise TooFewPoints(f"need at least {10 * k} points for K={k}")
+        raise ValidationError(f"need at least {10 * k} points for K={k}")
     data_var = float(np.var(x))
     if data_var == 0 and k > 1:
-        raise DegenerateComponent("all data points identical")
+        raise ClinQcError("all data points identical")
     var_floor = max(1e-8 * data_var, 1e-300)
     rng = np.random.default_rng(seed)
 
     best: tuple[float, GmmParams, np.ndarray] | None = None
-    for restart in range(n_restarts):
+    for restart in range(5):
         scale = float(np.std(x)) if restart > 0 else 0.0
         jitter = rng.normal(0.0, 0.1 * scale, size=k) if restart > 0 else np.zeros(k)
         params = _quantile_init(x, k, jitter)
         prev_ll = -np.inf
         resp = None
-        for _ in range(max_iter):
+        for _ in range(500):
             lr = _log_responsibilities(params, x)
             m = lr.max(axis=1)
             ll = float(np.sum(m + np.log(np.sum(np.exp(lr - m[:, None]), axis=1))))
@@ -117,12 +111,12 @@ def fit_gmm_em(data: ScalarSeries, n_components: int = 2, seed: int = 0,
 
             nk = resp.sum(axis=0)
             if np.any((nk / len(x)) < 1e-6) and k > 1:
-                raise DegenerateComponent("component weight collapsed")
+                raise ClinQcError("component weight collapsed")
             means = resp.T @ x / nk
             variances = (resp * (x[:, None] - means[None, :]) ** 2).sum(axis=0) / nk
             variances = np.maximum(variances, var_floor)
             params = GmmParams(means=means, variances=variances, weights=nk / len(x))
-            if ll - prev_ll < tolerance * max(abs(ll), 1.0):
+            if ll - prev_ll < 1e-8 * max(abs(ll), 1.0):
                 prev_ll = ll
                 break
             prev_ll = ll
@@ -150,16 +144,16 @@ def _median_pass(values: np.ndarray, window: int) -> np.ndarray:
     return np.median(stacked, axis=1).astype(values.dtype)
 
 
-def median_smooth_to_convergence(states: StateSequence, window: int,
-                                 max_passes: int = 100) -> StateSequence:
+def median_smooth_to_convergence(states: StateSequence, window: int) -> StateSequence:
     """Repeat a moving median over the indicators until a pass changes nothing.
 
-    Edges are handled by replicating the boundary value.
+    At most 100 passes are made. Edges are handled by replicating the
+    boundary value.
     """
     if window < 3 or window % 2 == 0:
-        raise EvenWindow("window must be odd and >= 3")
+        raise ValidationError("window must be odd and >= 3")
     values = states.indicators.copy()
-    for _ in range(max_passes):
+    for _ in range(100):
         smoothed = _median_pass(values, window)
         if np.array_equal(smoothed, values):
             break
@@ -178,7 +172,7 @@ def mean_rule_adherence(params: GmmParams, smoothed: StateSequence,
         raise ValidationError("adherence orientation requires exactly 2 components")
     mu = params.means
     if abs(mu[0] - mu[1]) < 1e-9:
-        raise EqualMeans("component means coincide; cannot orient labels")
+        raise ClinQcError("component means coincide; cannot orient labels")
     larger = int(np.argmax(mu))
     if kind in (TestKind.WALKING, TestKind.VOICE):
         label_of_larger = ADHERENCE

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyDenominator, FoldTooSmall, ValidationError
+from .errors import ClinQcError, ValidationError
 from .series import ADHERENCE, AdherenceLabels, VIOLATION
 
 
@@ -39,7 +39,7 @@ class MetricsReport:
     def _collect(self, attr: str) -> np.ndarray:
         vals = [getattr(f, attr) for f in self.folds]
         if any(v is None for v in vals):
-            raise EmptyDenominator(f"{attr} undefined on at least one fold")
+            raise ClinQcError(f"{attr} undefined on at least one fold")
         return np.asarray(vals, dtype=float)
 
     def mean(self, attr: str = "ba") -> float:
@@ -104,7 +104,7 @@ class FoldPlan:
         if self.k < 2:
             raise ValidationError("need at least 2 folds")
         if self.n < self.k:
-            raise FoldTooSmall("fewer points than folds")
+            raise ValidationError("fewer points than folds")
         if self.strategy not in ("blocks", "shuffled"):
             raise ValidationError("strategy must be 'blocks' or 'shuffled'")
         if not self.folds:
@@ -138,7 +138,7 @@ def kfold_cv(inputs: np.ndarray, labels: AdherenceLabels, k: int,
         train_mask[held_out] = False
         train_labels = u[train_mask]
         if len(set(train_labels)) < 2:
-            raise FoldTooSmall("a training split lost one of the classes")
+            raise ValidationError("a training split lost one of the classes")
         model = train(inputs[train_mask],
                       AdherenceLabels(rate=labels.rate, labels=train_labels))
         predictions = predict(model, inputs[held_out])

@@ -8,15 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    CutoffAboveNyquist,
-    EmptyInput,
-    NonPositiveFloor,
-    SegmentTooLong,
-    TooFewSamples,
-    WindowLargerThanInput,
-    ZeroFactor,
-)
+from .errors import ValidationError
 from .series import ScalarSeries, SpectrumEstimate, TimestampedTriaxial, TriaxialSeries
 
 
@@ -30,7 +22,7 @@ def interpolate_uniform(raw: TimestampedTriaxial, target_rate: float) -> Triaxia
     from scipy.interpolate import CubicSpline
 
     if len(raw) < 4:
-        raise TooFewSamples("cubic spline interpolation needs at least 4 samples")
+        raise ValidationError("cubic spline interpolation needs at least 4 samples")
     t = raw.timestamps
     n_out = int(np.floor((t[-1] - t[0]) * target_rate)) + 1
     grid = t[0] + np.arange(n_out) / target_rate
@@ -46,38 +38,33 @@ def magnitude(series: TriaxialSeries) -> ScalarSeries:
                         values=np.linalg.norm(series.samples, axis=1))
 
 
-def log_magnitude(series: TriaxialSeries, floor: float = 1e-6) -> ScalarSeries:
-    """log10 of the vector magnitude, floored to guard idle sensors."""
-    if floor <= 0:
-        raise NonPositiveFloor("floor must be positive")
+def log_magnitude(series: TriaxialSeries) -> ScalarSeries:
+    """log10 of the vector magnitude, floored at 1e-6 to guard idle sensors."""
     mag = np.linalg.norm(series.samples, axis=1)
     return ScalarSeries(rate=series.rate,
-                        values=np.log10(np.maximum(mag, floor)))
+                        values=np.log10(np.maximum(mag, 1e-6)))
 
 
-def windowed_energy(series: ScalarSeries, window: int, squared: bool = False) -> ScalarSeries:
-    """Energy of consecutive non-overlapping windows.
+def windowed_energy(series: ScalarSeries, window: int) -> ScalarSeries:
+    """Root-sum-square energy of consecutive non-overlapping windows.
 
-    The default is the root-sum-square of each window; ``squared=True`` drops
-    the root. A trailing partial window is discarded.
+    A trailing partial window is discarded.
     """
     if window < 1:
-        raise WindowLargerThanInput("window must be >= 1")
+        raise ValidationError("window must be >= 1")
     if len(series) == 0:
-        raise EmptyInput("input series is empty")
+        raise ValidationError("input series is empty")
     if len(series) < window:
-        raise WindowLargerThanInput(
+        raise ValidationError(
             f"window {window} larger than input length {len(series)}")
     n_win = len(series) // window
     chunks = series.values[: n_win * window].reshape(n_win, window)
-    energy = np.sum(chunks ** 2, axis=1)
-    if not squared:
-        energy = np.sqrt(energy)
+    energy = np.sqrt(np.sum(chunks ** 2, axis=1))
     return ScalarSeries(rate=series.rate / window, values=energy)
 
 
-def lowpass_filter(series: ScalarSeries, cutoff: float, order: int = 4) -> ScalarSeries:
-    """Zero-phase Butterworth low-pass filter.
+def lowpass_filter(series: ScalarSeries, cutoff: float) -> ScalarSeries:
+    """Zero-phase fourth-order Butterworth low-pass filter.
 
     Applied forward-backward so segment boundaries are not displaced in time.
     """
@@ -85,9 +72,9 @@ def lowpass_filter(series: ScalarSeries, cutoff: float, order: int = 4) -> Scala
 
     nyquist = series.rate / 2.0
     if not 0 < cutoff < nyquist:
-        raise CutoffAboveNyquist(
+        raise ValidationError(
             f"cutoff {cutoff} Hz must lie in (0, {nyquist}) Hz")
-    sos = sps.butter(order, cutoff / nyquist, btype="low", output="sos")
+    sos = sps.butter(4, cutoff / nyquist, btype="low", output="sos")
     filtered = sps.sosfiltfilt(sos, series.values)
     return series.with_values(filtered)
 
@@ -99,14 +86,13 @@ def downsample(series: ScalarSeries, factor: int) -> ScalarSeries:
     (rate / factor) / 2 first; no anti-aliasing is applied here.
     """
     if factor < 1:
-        raise ZeroFactor("factor must be a positive integer")
+        raise ValidationError("factor must be a positive integer")
     return ScalarSeries(rate=series.rate / factor,
                         values=series.values[::factor])
 
 
-def power_spectrum(series: ScalarSeries, segment_length: int | None = None,
-                   overlap: float = 0.5, detrend: str | bool = "constant") -> SpectrumEstimate:
-    """Welch-averaged periodogram.
+def power_spectrum(series: ScalarSeries, segment_length: int | None = None) -> SpectrumEstimate:
+    """Welch-averaged periodogram with half-overlapping, mean-removed segments.
 
     Default segment length is 4 seconds of samples (capped at the series
     length). Power is normalized so that the integral over frequency matches
@@ -117,13 +103,10 @@ def power_spectrum(series: ScalarSeries, segment_length: int | None = None,
     if segment_length is None:
         segment_length = min(int(round(4 * series.rate)), len(series))
     if segment_length > len(series):
-        raise SegmentTooLong(
+        raise ValidationError(
             f"segment length {segment_length} exceeds series length {len(series)}")
-    if not 0 <= overlap < 1:
-        raise SegmentTooLong("overlap must lie in [0, 1)")
     freqs, power = sps.welch(series.values, fs=series.rate,
                              nperseg=segment_length,
-                             noverlap=int(segment_length * overlap),
-                             detrend=detrend)
+                             noverlap=segment_length // 2, detrend="constant")
     power = np.maximum(power, 0.0)
     return SpectrumEstimate(frequencies=freqs, power=power)

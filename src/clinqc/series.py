@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonMonotonicTimestamps, ValidationError
+from .errors import ValidationError
 
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
@@ -15,6 +15,17 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite values")
     return arr
+
+
+def check_simplex(probs: np.ndarray, message: str) -> None:
+    """Raise ``ValidationError(message)`` unless ``probs`` holds probabilities.
+
+    Entries must be finite and >= 0, and each row (the whole vector when
+    one-dimensional) must sum to 1 within 1e-9.
+    """
+    if (not np.all(np.isfinite(probs)) or np.any(probs < 0)
+            or np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9)):
+        raise ValidationError(message)
 
 
 @dataclass
@@ -32,7 +43,7 @@ class TimestampedTriaxial:
         if len(self.timestamps) != len(self.samples):
             raise ValidationError("timestamps and samples must have equal length")
         if np.any(np.diff(self.timestamps) <= 0):
-            raise NonMonotonicTimestamps("timestamps must be strictly increasing")
+            raise ValidationError("timestamps must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.timestamps)

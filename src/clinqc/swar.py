@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericalUnderflow, ValidationError, WrongWindowLength
-from .series import ScalarSeries, SpectrumEstimate, StateSequence
+from .errors import ClinQcError, ValidationError
+from .series import ScalarSeries, SpectrumEstimate, StateSequence, check_simplex
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -83,10 +83,10 @@ class SwitchingArModel:
         L = self.truncation
         if self.transitions.shape != (L, L):
             raise ValidationError("transition matrix must be L x L")
-        if np.any(np.abs(self.transitions.sum(axis=1) - 1.0) > 1e-9):
-            raise ValidationError("transition rows must sum to 1")
-        if len(self.beta) != L or abs(self.beta.sum() - 1.0) > 1e-9:
+        check_simplex(self.transitions, "transition rows must sum to 1")
+        if len(self.beta) != L:
             raise ValidationError("beta must be a length-L simplex")
+        check_simplex(self.beta, "beta must be a length-L simplex")
 
 
 @dataclass
@@ -142,7 +142,7 @@ def ar_loglik(state: ArState, window: np.ndarray, x: float) -> float:
     if state.order == 0 and window.size == 0:
         pred = state.mean
     elif len(window) != state.order:
-        raise WrongWindowLength(
+        raise ValidationError(
             f"window length {len(window)} != AR order {state.order}")
     else:
         pred = state.mean + float(state.coefficients @ window)
@@ -246,7 +246,7 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     n, L = loglik.shape
     shift = loglik.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(shift)):
-        raise NumericalUnderflow("emission likelihoods are not finite")
+        raise ClinQcError("emission likelihoods are not finite")
     lik = np.exp(loglik - shift)
     pi = model.transitions
     messages = np.ones((n, L))
@@ -259,7 +259,7 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
         msg = dot(multiply(lik_rows[t + 1], msg_rows[t + 1], out=weighted))
         total = add(msg)
         if not 0 < total < np.inf:
-            raise NumericalUnderflow("backward message underflowed")
+            raise ClinQcError("backward message underflowed")
         divide(msg, total, out=msg_rows[t])
     uniforms = rng.random(n)
     state = _sample_categorical(model.beta * lik[0] * messages[0], uniforms[0])
@@ -276,7 +276,7 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
                                                      block_uniforms)
             state = column[i]
             if state < 0:
-                raise NumericalUnderflow("all state probabilities underflowed")
+                raise ClinQcError("all state probabilities underflowed")
             path.append(state)
     return np.array(path, dtype=int)
 
@@ -301,7 +301,7 @@ def _draw_column(weights: np.ndarray, row: np.ndarray,
 def _sample_categorical(weights: np.ndarray, u: float) -> int:
     total = weights.sum()
     if total <= 0 or not np.isfinite(total):
-        raise NumericalUnderflow("all state probabilities underflowed")
+        raise ClinQcError("all state probabilities underflowed")
     cum = np.cumsum(weights)
     return int(np.searchsorted(cum, u * total, side="right").clip(0, len(weights) - 1))
 

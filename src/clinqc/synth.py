@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSchedule
+from .errors import ValidationError
 from .series import (
     ADHERENCE,
     VIOLATION,
@@ -51,9 +51,9 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise InvalidSchedule(f"unknown scenario {self.scenario!r}")
+            raise ValidationError(f"unknown scenario {self.scenario!r}")
         if self.rate <= 0 or self.duration <= 0:
-            raise InvalidSchedule("rate and duration must be positive")
+            raise ValidationError("rate and duration must be positive")
         if not self.schedule:
             self.schedule = [RegimeInterval(0, 0.0, self.duration)]
         self._validate_schedule()
@@ -62,12 +62,12 @@ class SynthSpec:
         cursor = 0.0
         for iv in self.schedule:
             if iv.end <= iv.start:
-                raise InvalidSchedule("interval end must exceed its start")
+                raise ValidationError("interval end must exceed its start")
             if abs(iv.start - cursor) > 1e-9:
-                raise InvalidSchedule("schedule must cover the duration without gaps")
+                raise ValidationError("schedule must cover the duration without gaps")
             cursor = iv.end
         if abs(cursor - self.duration) > 1e-9:
-            raise InvalidSchedule("schedule must end at the duration")
+            raise ValidationError("schedule must end at the duration")
 
     @property
     def n_samples(self) -> int:
@@ -165,7 +165,7 @@ def gen_two_cluster(spec: SynthSpec) -> tuple[ScalarSeries, AdherenceLabels]:
     rng = np.random.default_rng(spec.seed)
     z = spec.states_per_sample()
     if np.any(z > 1):
-        raise InvalidSchedule("two-cluster schedules use states 0 and 1 only")
+        raise ValidationError("two-cluster schedules use states 0 and 1 only")
     sigma = spec.noise if spec.noise > 0 else 1.0
     mean_adherence = spec.separation * sigma
     means = np.where(z == 0, mean_adherence, 0.0)

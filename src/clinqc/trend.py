@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClinQcError, NoConvergenceWarning, TooShort, ValidationError
+from .errors import ClinQcError, NoConvergenceWarning, ValidationError
 from .series import ScalarSeries, TriaxialSeries
 
 
@@ -148,7 +148,7 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
     x = series.values
     n = len(x)
     if n < 3:
-        raise TooShort("trend filtering needs at least 3 samples")
+        raise ValidationError("trend filtering needs at least 3 samples")
     lam = default_lambda(x) if config.lam is None else config.lam
     if lam == 0:
         return series.with_values(x.copy())
@@ -244,7 +244,7 @@ def remove_gravity(series: TriaxialSeries,
     """
     config = config or TrendFilterConfig()
     if len(series) < 3:
-        raise TooShort("gravity removal needs at least 3 samples")
+        raise ValidationError("gravity removal needs at least 3 samples")
     trend = np.empty_like(series.samples)
     for axis in range(3):
         axis_series = ScalarSeries(rate=series.rate, values=series.samples[:, axis])

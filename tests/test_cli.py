@@ -223,6 +223,20 @@ class TestReproducibility:
         walked = serialize.read_scalar_csv(out_b / "feature.csv")
         assert walked.rate == pytest.approx(30.0, rel=0.01)
 
+    def test_config_is_a_subcommand_option(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 9}))
+        with pytest.raises(SystemExit) as info:
+            run(["--config", cfg, "synth", "--duration", "4", "--out", tmp_path / "a"])
+        assert info.value.code == 2
+        assert not (tmp_path / "a").exists()
+        assert run(["synth", "--duration", "4", "--config", cfg,
+                    "--out", tmp_path / "b"]) == 0
+        assert run(["synth", "--duration", "4", "--seed", "9",
+                    "--out", tmp_path / "c"]) == 0
+        assert ((tmp_path / "b" / "feature.csv").read_bytes()
+                == (tmp_path / "c" / "feature.csv").read_bytes())
+
 
 class TestExitCodes:
     def test_corrupt_row_exit_2(self, tmp_path, capsys):
@@ -233,6 +247,16 @@ class TestExitCodes:
         assert run(["preprocess", path, "--kind", "walking",
                     "--out", tmp_path / "feat"]) == 2
         assert "0.0x2" in capsys.readouterr().err
+        assert not (tmp_path / "feat" / "feature.csv").exists()
+
+    def test_non_increasing_timestamps_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "raw.csv"
+        rows = [f"{i / 120:.6f},0.1,0.2,9.8" for i in range(600)]
+        rows[300] = rows[299].replace("0.1,", "0.3,", 1)
+        path.write_text("t,x,y,z\n" + "\n".join(rows) + "\n")
+        assert run(["preprocess", path, "--kind", "walking",
+                    "--out", tmp_path / "feat"]) == 2
+        assert "timestamps must be strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "feat" / "feature.csv").exists()
 
     @pytest.mark.parametrize("text, message", [
@@ -268,8 +292,14 @@ class TestExitCodes:
         ' "payload": {"attribute_probs": [[0.5, 0.5], [0.5, 0.5]],'
         ' "priors": [0.5, 0.5], "seen": [1, 1], "smoothing": 1.0,'
         ' "temperature": 2.0}}',
+        '{"format": "clinqc-model", "version": 1, "kind": "naive-bayes",'
+        ' "payload": {"attribute_probs": [[0.5, 0.5], [0.5, 0.5]],'
+        ' "priors": [NaN, NaN], "seen": [1, 1], "smoothing": 1.0}}',
+        '{"format": "clinqc-model", "version": 1, "kind": "naive-bayes",'
+        ' "payload": {"attribute_probs": [[0.5, 0.5], [0.5, 0.5]],'
+        ' "priors": [0.5, 0.5], "seen": [1], "smoothing": 1.0}}',
     ], ids=["not-json", "json-list", "no-kind", "gmm-missing-field",
-            "unknown-field"])
+            "unknown-field", "nan-priors", "short-seen"])
     def test_malformed_model_artifact_exit_2(self, tmp_path, capsys, text):
         model = tmp_path / "nb.json"
         model.write_text(text)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clinqc import context
-from clinqc.errors import (SingleClassTraining, UnlabelledState, ValidationError)
+from clinqc.errors import ValidationError
 from clinqc.series import ADHERENCE, VIOLATION, AdherenceLabels, StateSequence
 
 
@@ -30,7 +30,7 @@ class TestModeBehaviourMap:
         assert context.mode_behaviour_map(states, [None, "sit", None]) == {0: "sit"}
 
     def test_fully_unlabelled_state(self):
-        with pytest.raises(UnlabelledState):
+        with pytest.raises(ValidationError, match="state 1 has no labelled points"):
             context.mode_behaviour_map(seq([0, 1]), ["walk", None])
 
     def test_length_mismatch(self):
@@ -89,8 +89,32 @@ class TestNbTrain:
         assert np.allclose(model.priors, [0.75, 0.25])
 
     def test_single_class_raises(self):
-        with pytest.raises(SingleClassTraining):
+        with pytest.raises(ValidationError, match="training needs both classes present"):
             context.nb_train(np.ones((2, 2)), labels([1, 1]))
+
+
+class TestNaiveBayesModel:
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, np.nan]])
+    def test_bad_attribute_row(self, row):
+        with pytest.raises(ValidationError, match="attribute rows must sum to 1"):
+            context.NaiveBayesModel(attribute_probs=[[0.5, 0.5], row],
+                                    priors=[0.5, 0.5], seen=[True, True])
+
+    @pytest.mark.parametrize("priors", [[1.5, -0.5], [np.nan, np.nan]])
+    def test_bad_priors(self, priors):
+        with pytest.raises(ValidationError, match="priors must sum to 1"):
+            context.NaiveBayesModel(attribute_probs=[[0.5, 0.5], [0.5, 0.5]],
+                                    priors=priors, seen=[True, True])
+
+    @pytest.mark.parametrize("probs, priors, seen", [
+        ([0.5, 0.5], [0.5, 0.5], [True, True]),
+        ([[0.5, 0.5]] * 3, [0.5, 0.5], [True, True]),
+        ([[0.5, 0.5]] * 2, [1.0], [True, True]),
+        ([[0.5, 0.5]] * 2, [0.5, 0.5], [True]),
+    ], ids=["one-row", "three-rows", "one-prior", "short-seen"])
+    def test_bad_shapes(self, probs, priors, seen):
+        with pytest.raises(ValidationError, match=r"must be \(2, K\)"):
+            context.NaiveBayesModel(attribute_probs=probs, priors=priors, seen=seen)
 
 
 class TestNbPredict:

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from clinqc import preprocess
-from clinqc.errors import (
-    CutoffAboveNyquist,
-    TooFewSamples,
-    WindowLargerThanInput,
-    ZeroFactor,
-)
+from clinqc.errors import ValidationError
 from clinqc.series import ScalarSeries, TimestampedTriaxial, TriaxialSeries
 
 
@@ -55,7 +50,7 @@ class TestInterpolateUniform:
     def test_too_few_samples(self):
         raw = TimestampedTriaxial(timestamps=np.array([0.0, 0.1, 0.2]),
                                   samples=np.zeros((3, 3)))
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValidationError, match="spline interpolation needs at least 4"):
             preprocess.interpolate_uniform(raw, 120.0)
 
 
@@ -89,17 +84,12 @@ class TestLogMagnitude:
         assert out.values[0] == pytest.approx(1.0)
 
     def test_floor_engages(self):
-        out = preprocess.log_magnitude(triaxial([[0.0, 0.0, 0.0]]), floor=1e-6)
+        out = preprocess.log_magnitude(triaxial([[0.0, 0.0, 0.0]]))
         assert out.values[0] == pytest.approx(-6.0)
 
     def test_gravity_magnitude(self):
         out = preprocess.log_magnitude(triaxial([[0.0, 0.0, 9.81]]))
         assert out.values[0] == pytest.approx(np.log10(9.81), abs=1e-5)
-
-    def test_bad_floor(self):
-        from clinqc.errors import NonPositiveFloor
-        with pytest.raises(NonPositiveFloor):
-            preprocess.log_magnitude(triaxial([[1.0, 0.0, 0.0]]), floor=0.0)
 
 
 class TestWindowedEnergy:
@@ -107,11 +97,6 @@ class TestWindowedEnergy:
         series = ScalarSeries(rate=44_100.0, values=np.ones(441))
         out = preprocess.windowed_energy(series, 441)
         assert out.values[0] == pytest.approx(21.0)
-
-    def test_squared_variant(self):
-        series = ScalarSeries(rate=44_100.0, values=np.ones(441))
-        out = preprocess.windowed_energy(series, 441, squared=True)
-        assert out.values[0] == pytest.approx(441.0)
 
     def test_zeros(self):
         series = ScalarSeries(rate=100.0, values=np.zeros(30))
@@ -140,7 +125,12 @@ class TestWindowedEnergy:
 
     def test_window_too_large(self):
         series = ScalarSeries(rate=10.0, values=np.ones(5))
-        with pytest.raises(WindowLargerThanInput):
+        with pytest.raises(ValidationError, match="window 10 larger than input length 5"):
+            preprocess.windowed_energy(series, 10)
+
+    def test_empty_input(self):
+        series = ScalarSeries(rate=10.0, values=np.empty(0))
+        with pytest.raises(ValidationError, match="input series is empty"):
             preprocess.windowed_energy(series, 10)
 
 
@@ -163,7 +153,7 @@ class TestLowpassFilter:
 
     def test_cutoff_above_nyquist(self):
         series = ScalarSeries(rate=120.0, values=np.zeros(100))
-        with pytest.raises(CutoffAboveNyquist):
+        with pytest.raises(ValidationError, match=r"cutoff 70.0 Hz must lie in \(0, 60.0\)"):
             preprocess.lowpass_filter(series, 70.0)
 
 
@@ -187,7 +177,7 @@ class TestDownsample:
 
     def test_zero_factor(self):
         series = ScalarSeries(rate=8.0, values=np.arange(8.0))
-        with pytest.raises(ZeroFactor):
+        with pytest.raises(ValidationError, match="factor must be a positive integer"):
             preprocess.downsample(series, 0)
 
     def test_peak_preserved_after_antialias(self):
@@ -231,7 +221,6 @@ class TestPowerSpectrum:
         assert abs(total - np.var(series.values)) < 0.1 * np.var(series.values)
 
     def test_segment_too_long(self):
-        from clinqc.errors import SegmentTooLong
         series = ScalarSeries(rate=10.0, values=np.zeros(50))
-        with pytest.raises(SegmentTooLong):
+        with pytest.raises(ValidationError, match="length 100 exceeds series length 50"):
             preprocess.power_spectrum(series, segment_length=100)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clinqc import preprocess, swar, synth
-from clinqc.errors import NumericalUnderflow, ValidationError, WrongWindowLength
+from clinqc.errors import ClinQcError, ValidationError
 from clinqc.series import ScalarSeries
 from clinqc.synth import RegimeInterval, SynthSpec
 
@@ -18,6 +18,22 @@ def two_state_model(p_stay=0.99, states=None, order=1):
     pi = np.array([[p_stay, 1 - p_stay], [1 - p_stay, p_stay]])
     return swar.SwitchingArModel(order=order, truncation=2, states=states,
                                  transitions=pi, beta=np.array([0.5, 0.5]))
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, np.nan]])
+    def test_bad_transition_row(self, row):
+        with pytest.raises(ValidationError, match="transition rows must sum to 1"):
+            swar.SwitchingArModel(order=1, truncation=2,
+                                  states=[ar1_state(0.5), ar1_state(0.5)],
+                                  transitions=[[0.5, 0.5], row], beta=[0.5, 0.5])
+
+    @pytest.mark.parametrize("beta", [[1.5, -0.5], [np.nan, np.nan]])
+    def test_bad_beta(self, beta):
+        with pytest.raises(ValidationError, match="beta must be a length-L simplex"):
+            swar.SwitchingArModel(order=1, truncation=2,
+                                  states=[ar1_state(0.5), ar1_state(0.5)],
+                                  transitions=np.eye(2), beta=beta)
 
 
 class TestArLoglik:
@@ -40,7 +56,7 @@ class TestArLoglik:
         assert swar.ar_loglik(state, window, x) == pytest.approx(expected, abs=1e-12)
 
     def test_wrong_window(self):
-        with pytest.raises(WrongWindowLength):
+        with pytest.raises(ValidationError, match="window length 2 != AR order 1"):
             swar.ar_loglik(ar1_state(0.5), [1.0, 2.0], 0.0)
 
 
@@ -249,7 +265,7 @@ def reference_sample_states(model, loglik, rng):
     n, L = loglik.shape
     shift = loglik.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(shift)):
-        raise NumericalUnderflow("emission likelihoods are not finite")
+        raise ClinQcError("emission likelihoods are not finite")
     lik = np.exp(loglik - shift)
     pi = model.transitions
     messages = np.ones((n, L))
@@ -257,7 +273,7 @@ def reference_sample_states(model, loglik, rng):
         msg = pi @ (lik[t + 1] * messages[t + 1])
         total = msg.sum()
         if total <= 0 or not np.isfinite(total):
-            raise NumericalUnderflow("backward message underflowed")
+            raise ClinQcError("backward message underflowed")
         messages[t] = msg / total
     uniforms = rng.random(n)
     z = np.empty(n, dtype=int)
@@ -267,7 +283,7 @@ def reference_sample_states(model, loglik, rng):
         row = cum[t, z[t - 1]]
         total = row[L - 1]
         if total <= 0 or not np.isfinite(total):
-            raise NumericalUnderflow("all state probabilities underflowed")
+            raise ClinQcError("all state probabilities underflowed")
         z[t] = min(np.searchsorted(row, uniforms[t] * total, side="right"), L - 1)
     return z
 
@@ -436,13 +452,15 @@ class TestNumericalFailures:
     def test_non_finite_loglik(self, bad):
         loglik = np.zeros((6, 2))
         loglik[3, 1] = bad
-        with pytest.raises(NumericalUnderflow, match="not finite"):
+        with pytest.raises(ClinQcError, match="not finite") as info:
             swar.sample_states(two_state_model(), loglik, np.random.default_rng(0))
+        assert not isinstance(info.value, ValidationError)
 
     def test_backward_message_underflow(self):
         model = swar.SwitchingArModel(
             order=1, truncation=2, states=[ar1_state(0.0), ar1_state(0.0)],
             transitions=[[1.0, 0.0], [1.0, 0.0]], beta=[0.5, 0.5])
         loglik = np.array([[0.0, 0.0], [-1000.0, 0.0]])
-        with pytest.raises(NumericalUnderflow, match="backward message"):
+        with pytest.raises(ClinQcError, match="backward message") as info:
             swar.sample_states(model, loglik, np.random.default_rng(0))
+        assert not isinstance(info.value, ValidationError)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clinqc import preprocess, swar, synth
-from clinqc.errors import InvalidSchedule
+from clinqc.errors import ValidationError
 from clinqc.series import ADHERENCE, VIOLATION
 from clinqc.synth import GRAVITY, RegimeInterval, SynthSpec
 
@@ -27,22 +27,22 @@ class TestSynthSpec:
         assert z.tolist() == [0] * 10 + [1] * 10 + [2] * 10
 
     def test_unknown_scenario(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValidationError, match="unknown scenario 'running-like'"):
             SynthSpec(scenario="running-like", duration=1.0, rate=10.0)
 
     def test_gap_in_schedule(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValidationError, match="cover the duration without gaps"):
             SynthSpec(scenario="switching-ar", duration=2.0, rate=10.0,
                       schedule=[RegimeInterval(0, 0.0, 0.5),
                                 RegimeInterval(1, 1.0, 2.0)])
 
     def test_short_schedule(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValidationError, match="schedule must end at the duration"):
             SynthSpec(scenario="switching-ar", duration=2.0, rate=10.0,
                       schedule=[RegimeInterval(0, 0.0, 1.0)])
 
     def test_empty_interval(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValidationError, match="interval end must exceed its start"):
             SynthSpec(scenario="switching-ar", duration=1.0, rate=10.0,
                       schedule=[RegimeInterval(0, 0.0, 0.0),
                                 RegimeInterval(1, 0.0, 1.0)])
@@ -150,7 +150,7 @@ class TestGenTwoCluster:
         assert abs(adh.std() - 0.5) < 0.05
 
     def test_rejects_extra_states(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValidationError, match="use states 0 and 1 only"):
             spec = SynthSpec(scenario="two-cluster", duration=3.0, rate=10.0,
                              schedule=[RegimeInterval(0, 0.0, 1.0),
                                        RegimeInterval(2, 1.0, 3.0)])

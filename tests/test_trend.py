@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clinqc.errors import NoConvergenceWarning, TooShort, ValidationError
+from clinqc.errors import NoConvergenceWarning, ValidationError
 from clinqc.preprocess import interpolate_uniform
 from clinqc.series import ScalarSeries, TriaxialSeries
 from clinqc.synth import RegimeInterval, SynthSpec, gen_gravity_drift
@@ -82,7 +82,7 @@ class TestL1TrendFilter:
         assert _objective(x, ours.values, default_lambda(x)) <= oracle_obj * (1 + 1e-6)
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(ValidationError, match="trend filtering needs at least 3 samples"):
             l1_trend_filter(series([1.0, 2.0]))
 
     def test_objective_trace_non_increasing(self):
@@ -185,7 +185,7 @@ class TestRemoveGravity:
             assert np.array_equal(decomp.trend.samples[:, axis], alone.values)
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(ValidationError, match="gravity removal needs at least 3 samples"):
             remove_gravity(TriaxialSeries(rate=10.0, samples=np.zeros((2, 3))))
 
     def test_decomposition_invariants(self):
