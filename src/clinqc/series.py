@@ -146,7 +146,7 @@ class StateSequence:
     """Discrete per-time state indicators with optional posterior probabilities."""
 
     indicators: np.ndarray                  # (T,) integers >= 0
-    posteriors: np.ndarray | None = None    # (T, L) rows on the simplex
+    posteriors: np.ndarray | None = None    # (T, L) rows >= 0 summing to 1 within 1e-6
 
     def __post_init__(self):
         self.indicators = np.asarray(self.indicators, dtype=int)
@@ -159,8 +159,8 @@ class StateSequence:
             if len(self.posteriors) != len(self.indicators):
                 raise ValidationError("posteriors and indicators must have equal length")
             sums = self.posteriors.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-6):
-                raise ValidationError("posterior rows must sum to 1")
+            if np.any(self.posteriors < 0) or np.any(np.abs(sums - 1.0) > 1e-6):
+                raise ValidationError("posterior rows must be non-negative and sum to 1")
 
     def __len__(self) -> int:
         return len(self.indicators)

@@ -6,9 +6,17 @@ Gaussian innovations. Inference is a blocked Gibbs sampler: the full state
 sequence is drawn jointly by backward filtering / forward sampling, then
 transition rows, global weights and per-state AR parameters are resampled
 from their conditional posteriors.
+
+The backward filter runs in three passes over blocks of about sqrt(n)
+steps (block transfer matrices, messages at the block ends, then every
+block's messages at once), so a sweep takes about 3 sqrt(n) numpy steps
+instead of n. Its messages match the sequential recursion to rounding, and
+the draws equal the sequential recursion's unless a rounding difference at
+the 1e-16 level moves a uniform across a cumulative weight.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -228,6 +236,21 @@ def _loglik_matrix(model: SwitchingArModel, X: np.ndarray, y: np.ndarray) -> np.
     return out
 
 
+class _Design(tuple):
+    """The ``(X, y)`` of ``_design``, holding the log-likelihood matrix of
+    the last model it was asked for, so ``fit`` scores one sweep and
+    samples the next from one matrix. Models are never changed in place,
+    so a model object identifies its matrix."""
+
+    model = None
+    loglik = None
+
+    def loglik_of(self, model: SwitchingArModel) -> np.ndarray:
+        if self.model is not model:
+            self.model, self.loglik = model, _loglik_matrix(model, *self)
+        return self.loglik
+
+
 _BLOCK = 512   # time steps per block of the forward table
 
 
@@ -237,11 +260,14 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
 
     The chain starts from the global weights ``beta``. Per-time likelihoods
     are max-shifted before exponentiation and the backward messages are
-    renormalized every step, which keeps the recursion stable without
-    log-space arithmetic in the inner loop. The forward pass looks each
+    renormalized every step; ``_backward_messages`` computes them in three
+    passes over blocks of about sqrt(n) steps. The forward pass looks each
     draw up in a table: per block of steps and previous state j, one
     vectorized pass draws the next state of every step in the block, the
-    first time the chain is in j within that block.
+    first time the chain is in j within that block. Draws equal those of
+    the sequential recursion ``m_t = pi @ (lik_{t+1} * m_{t+1}) / total``
+    unless a rounding difference at the 1e-16 level moves a uniform across
+    a cumulative weight.
     """
     n, L = loglik.shape
     shift = loglik.max(axis=1, keepdims=True)
@@ -249,18 +275,7 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
         raise ClinQcError("emission likelihoods are not finite")
     lik = np.exp(loglik - shift)
     pi = model.transitions
-    messages = np.ones((n, L))
-    # row views in lists and bound numpy calls: four numpy calls per step,
-    # with the arithmetic of ``msg = pi @ (lik[t+1] * msg[t+1]); msg / sum``
-    lik_rows, msg_rows = list(lik), list(messages)
-    weighted = np.empty(L)
-    dot, multiply, divide, add = pi.dot, np.multiply, np.divide, np.add.reduce
-    for t in range(n - 2, -1, -1):
-        msg = dot(multiply(lik_rows[t + 1], msg_rows[t + 1], out=weighted))
-        total = add(msg)
-        if not 0 < total < np.inf:
-            raise ClinQcError("backward message underflowed")
-        divide(msg, total, out=msg_rows[t])
+    messages = _backward_messages(lik, pi)
     uniforms = rng.random(n)
     state = _sample_categorical(model.beta * lik[0] * messages[0], uniforms[0])
     path = [state]
@@ -279,6 +294,87 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
                 raise ClinQcError("all state probabilities underflowed")
             path.append(state)
     return np.array(path, dtype=int)
+
+
+def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Normalized backward messages ``m_t ~ pi @ (lik[t+1] * m_{t+1})``.
+
+    ``m_{n-1}`` is all ones. The n - 1 steps are cut into blocks of
+    B = ceil(sqrt(n - 1)) steps, the first block taking the remainder, and
+    run in three passes of about sqrt(n) numpy steps each:
+
+    1. For every block but the first, at once, the transfer matrix P (the
+       product of the block's ``pi @ diag(lik)`` factors, which maps the
+       message at the block's end to the one at its start) is built from
+       the identity in B steps. The columns of all the blocks' P sit side
+       by side in one ``(L, (blocks - 1) * L)`` array, so each step is one
+       contiguous ``(L, L) @ (L, (blocks - 1) * L)`` product. Every column
+       is renormalized by its total at every step and the logs of the
+       totals are summed; a column whose total is 0 stays zero with
+       log-scale -inf (a dead state, not an error).
+    2. From the last block back, the message at each block's start is the
+       sum of its P columns weighted by ``exp(log m + logscale - max)``,
+       with m the message at the block's end.
+    3. Every block at once fills its messages by the sequential recursion,
+       starting from the message at its end.
+
+    ``pi`` enters as ``pi * 2**64``: the factor is exact, cancels in the
+    normalization, and turns subnormal transitions (Dirichlet draws for
+    empty states) into normal numbers, which multiply far faster. A
+    message whose total is 0 or not finite raises ``ClinQcError``.
+    """
+    n, L = lik.shape
+    messages = np.empty((n, L))
+    messages[n - 1] = 1.0
+    steps = n - 1
+    if steps == 0:
+        return messages
+    width = math.isqrt(steps - 1) + 1
+    blocks = -(-steps // width)
+    first = steps - (blocks - 1) * width     # steps in the first block
+    # block b >= 1 runs from message first + (b-1)*width to first + b*width
+    pi = np.ldexp(pi, 64)
+    ones = np.ones(L)
+
+    with np.errstate(divide="ignore"):        # log(0) = -inf marks a dead column
+        # pass 1: columns[:, i, b - 1] is column i of block b's P
+        columns = np.repeat(np.eye(L)[:, :, None], blocks - 1, axis=2)
+        flat = columns.reshape(L, -1)
+        product = np.empty_like(flat)
+        total = np.empty(flat.shape[1])
+        logscale = np.zeros(flat.shape[1])
+        # step_lik[k, :, 0, b - 1] = lik[first + b*width - k]: step k of
+        # every block, counted from the block's end
+        tail = lik[first + 1:].reshape(blocks - 1, width, L)
+        step_lik = tail[:, ::-1].transpose(1, 2, 0)[:, :, None, :].copy()
+        for k in range(width):
+            np.multiply(columns, step_lik[k], out=columns)
+            np.matmul(pi, flat, out=product)
+            np.matmul(ones, product, out=total)
+            logscale += np.log(total)
+            total[total == 0] = 1.0           # a dead column stays zero
+            np.divide(product, total, out=flat)
+        # pass 2: the message at each block's start, from the last block back
+        logscale = logscale.reshape(L, -1)
+        for b in range(blocks - 1, 0, -1):
+            log_weight = np.log(messages[first + b * width]) + logscale[:, b - 1]
+            top = log_weight.max()
+            if not np.isfinite(top):
+                raise ClinQcError("backward message underflowed")
+            msg = columns[:, :, b - 1] @ np.exp(log_weight - top)
+            messages[first + (b - 1) * width] = msg / msg.sum()
+    # pass 3: the recursion inside every block at once, last step first
+    for k in range(width):
+        lo = first - 1 - k
+        if lo < 0:                             # the first block is filled
+            lo += width
+        msg = np.multiply(lik[lo + 1: steps - k + 1: width],
+                          messages[lo + 1: steps - k + 1: width]) @ pi.T
+        total = msg @ ones
+        if not (total.min() > 0 and total.max() < np.inf):
+            raise ClinQcError("backward message underflowed")
+        np.divide(msg, total[:, None], out=messages[lo: steps - k: width])
+    return messages
 
 
 def _draw_column(weights: np.ndarray, row: np.ndarray,
@@ -394,11 +490,13 @@ def gibbs_sweep(model: SwitchingArModel, data: ScalarSeries,
     """
     if len(data) <= model.order:
         raise ValidationError("data must be longer than the AR order")
-    X, y = design if design is not None else _design(data.values, model.order)
+    if not isinstance(design, _Design):
+        design = _Design(design if design is not None
+                         else _design(data.values, model.order))
+    X, y = design
     L = model.truncation
 
-    loglik = _loglik_matrix(model, X, y)
-    z = sample_states(model, loglik, rng)
+    z = sample_states(model, design.loglik_of(model), rng)
 
     counts = _transition_counts(z, L)
     conc = model.alpha * model.beta + counts
@@ -429,8 +527,12 @@ def complete_data_loglik(model: SwitchingArModel, data: ScalarSeries,
     z = np.asarray(z, dtype=int)
     if len(z) != len(y):
         raise ValidationError("z must cover t = r .. T-1")
-    loglik = _loglik_matrix(model, X, y)
-    emission = float(loglik[np.arange(len(y)), z].sum())
+    return _score(model, _loglik_matrix(model, X, y), z)
+
+
+def _score(model: SwitchingArModel, loglik: np.ndarray, z: np.ndarray) -> float:
+    """``complete_data_loglik`` from the model's log-likelihood matrix."""
+    emission = float(loglik[np.arange(len(z)), z].sum())
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.transitions)
     transition = float(log_pi[z[:-1], z[1:]].sum())
@@ -466,8 +568,8 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
         raise ValidationError(f"need at least {50 * max(r, 1)} points for order {r}")
     rng = np.random.default_rng(config.seed)
     model = initial_model(data, config)
-    X, y = _design(data.values, r)
-    n = len(y)
+    design = _Design(_design(data.values, r))
+    n = len(data) - r
     L = config.truncation
 
     if config.sweeps == 0:
@@ -484,8 +586,8 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
     trace = np.empty(config.sweeps)
     occupied_trace = np.empty(config.sweeps, dtype=int)
     for sweep in range(config.sweeps):
-        model, z = gibbs_sweep(model, data, rng, design=(X, y))
-        ll = complete_data_loglik(model, data, z)
+        model, z = gibbs_sweep(model, data, rng, design=design)
+        ll = _score(model, design.loglik_of(model), z)
         trace[sweep] = ll
         occupied_trace[sweep] = len(np.unique(z))
         if sweep >= config.burn_in:

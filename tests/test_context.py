@@ -176,3 +176,13 @@ class TestCountEncodings:
     def test_posterior_counts_requires_posteriors(self):
         with pytest.raises(ValidationError):
             context.posterior_counts(seq([0, 1]))
+
+    @pytest.mark.parametrize("post", [[[1.5, -0.5], [0.5, 0.5]],
+                                      [[0.5, 0.5], [1.0 + 1e-7, -1e-7]]])
+    def test_negative_posteriors_rejected(self, post):
+        with pytest.raises(ValidationError, match="non-negative"):
+            seq([0, 1], posteriors=post)
+
+    def test_posterior_row_sums_within_tolerance_accepted(self):
+        post = np.array([[0.5, 0.5 + 5e-7], [0.0, 1.0 - 5e-7]])
+        assert np.array_equal(seq([0, 1], posteriors=post).posteriors, post)

@@ -222,6 +222,30 @@ class TestCompleteDataLoglik:
             transitions=model.transitions, beta=model.beta)
         assert swar.complete_data_loglik(inflated, data, z) < base
 
+    def test_fit_trace_scores_each_sweep_once(self, monkeypatch):
+        series, _ = swar.simulate(two_state_model(), 300, seed=9)
+        data = ScalarSeries(rate=1.0, values=series.values)
+        cfg = swar.SwArConfig(order=1, truncation=4, sweeps=6, burn_in=2, seed=1)
+        sweeps, matrices = [], []
+        gibbs_sweep, loglik_matrix = swar.gibbs_sweep, swar._loglik_matrix
+
+        def recording_sweep(*args, **kwargs):
+            sweeps.append(gibbs_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        def counting_matrix(*args):
+            matrices.append(None)
+            return loglik_matrix(*args)
+
+        monkeypatch.setattr(swar, "gibbs_sweep", recording_sweep)
+        monkeypatch.setattr(swar, "_loglik_matrix", counting_matrix)
+        fit = swar.fit(data, cfg)
+        # one matrix per model: the initial one and each sweep's result
+        assert len(matrices) == cfg.sweeps + 1
+        monkeypatch.undo()
+        expected = [swar.complete_data_loglik(m, data, z) for m, z in sweeps]
+        assert np.array_equal(fit.loglik_trace, expected)
+
     def test_label_permutation_symmetry(self):
         s0 = ar1_state(0.9, var=0.5)
         s1 = ar1_state(-0.2, mean=1.0, var=2.0)
@@ -261,13 +285,8 @@ class TestConjugateEmissionUpdate:
 # Reference implementations: the straightforward loops that the vectorized
 # sampler must reproduce draw for draw, bit for bit.
 
-def reference_sample_states(model, loglik, rng):
-    n, L = loglik.shape
-    shift = loglik.max(axis=1, keepdims=True)
-    if not np.all(np.isfinite(shift)):
-        raise ClinQcError("emission likelihoods are not finite")
-    lik = np.exp(loglik - shift)
-    pi = model.transitions
+def reference_messages(pi, lik):
+    n, L = lik.shape
     messages = np.ones((n, L))
     for t in range(n - 2, -1, -1):
         msg = pi @ (lik[t + 1] * messages[t + 1])
@@ -275,6 +294,17 @@ def reference_sample_states(model, loglik, rng):
         if total <= 0 or not np.isfinite(total):
             raise ClinQcError("backward message underflowed")
         messages[t] = msg / total
+    return messages
+
+
+def reference_sample_states(model, loglik, rng):
+    n, L = loglik.shape
+    shift = loglik.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(shift)):
+        raise ClinQcError("emission likelihoods are not finite")
+    lik = np.exp(loglik - shift)
+    pi = model.transitions
+    messages = reference_messages(pi, lik)
     uniforms = rng.random(n)
     z = np.empty(n, dtype=int)
     z[0] = swar._sample_categorical(model.beta * lik[0] * messages[0], uniforms[0])
@@ -445,6 +475,62 @@ class TestReferenceEquality:
         assert np.array_equal(fit.loglik_trace, ref.loglik_trace)
         assert np.array_equal(fit.model.transitions, ref.model.transitions)
         assert np.array_equal(fit.model.beta, ref.model.beta)
+
+
+def hard_transitions(L, seed):
+    """Rows with exact zeros (dead columns 1 .. L//4 and scattered zeros)
+    and subnormal entries; column 0 stays positive, so no message dies.
+    For L = 2, a near-alternating chain with one of each."""
+    if L == 2:
+        return np.array([[0.0, 1.0], [1.0, 5e-316]])
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.full(L, 0.5), size=L)
+    pi[:, 0] += 0.1
+    pi /= pi.sum(axis=1, keepdims=True)
+    live = pi[:, 1 + L // 4:]
+    live[rng.random(live.shape) < 0.3] = 0.0
+    live[rng.random(live.shape) < 0.1] = 5e-316
+    live[0, -1], live[-1, -1] = 5e-316, 0.0
+    pi[:, 1: 1 + L // 4] = 0.0
+    pi[:, 0] = 1.0 - pi[:, 1:].sum(axis=1)
+    return pi
+
+
+class TestBackwardMessages:
+    # n = 41**2 + 1 makes 41 full blocks of 41 steps; n = 41**2 makes the first one short
+    @pytest.mark.parametrize("L", [2, 20])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 50, 1800, 1801, 41**2, 41**2 + 1])
+    def test_matches_sequential_recursion(self, n, L):
+        pi = hard_transitions(L, seed=L)
+        assert (pi == 0).any() and ((pi > 0) & (pi < 1e-307)).any()
+        rng = np.random.default_rng(n)
+        lik = np.exp(rng.normal(scale=5.0, size=(n, L)))
+        # zeros in every other row only: two rows in a row with lik[t, 1] = 0
+        # kill every message of the L = 2 chain
+        dropped = lik[::2, 1:]
+        dropped[rng.random(dropped.shape) < 0.3] = 0.0
+        lik /= lik.max(axis=1, keepdims=True)
+        messages = swar._backward_messages(lik, pi)
+        ref = reference_messages(pi, lik)
+        assert messages.shape == ref.shape
+        assert np.all(np.abs(messages - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("row", [3, 14, 15, 49],
+                             ids=["first-block", "anchor-lik", "anchor-message",
+                                  "last-block"])
+    def test_structural_zero_raises(self, row):
+        # n = 50: blocks of 7 steps with anchors at messages 7, 14, ..., 49;
+        # lik[row] = (0, 1) against a dead column 1 zeroes message row - 1
+        model = swar.SwitchingArModel(
+            order=1, truncation=2, states=[ar1_state(0.0), ar1_state(0.0)],
+            transitions=[[1.0, 0.0], [1.0, 0.0]], beta=[0.5, 0.5])
+        loglik = np.zeros((50, 2))
+        loglik[row, 0] = -1000.0
+        with pytest.raises(ClinQcError, match="backward message") as info:
+            swar.sample_states(model, loglik, np.random.default_rng(0))
+        assert not isinstance(info.value, ValidationError)
+        with pytest.raises(ClinQcError, match="backward message"):
+            reference_messages(model.transitions, np.exp(loglik))
 
 
 class TestNumericalFailures:
