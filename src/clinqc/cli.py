@@ -106,16 +106,21 @@ def preprocess_recipe(kind: str, raw_path: Path, config: PipelineConfig
     raise ValidationError(f"unknown test kind {kind!r}")
 
 
-def _odd_window(seconds: float, rate: float) -> int:
-    window = max(int(np.ceil(seconds * rate)), 3)
+def _odd_window(seconds: float, series: ScalarSeries) -> int:
+    """Odd median window of at least 3 samples covering ``seconds``."""
+    if not (np.isfinite(seconds) and 0 < seconds * series.rate <= len(series)):
+        raise ValidationError(
+            f"window_seconds must be positive and at most the series duration "
+            f"({len(series) / series.rate:g} s), got {seconds!r}")
+    window = max(int(np.ceil(seconds * series.rate)), 3)
     return window + 1 if window % 2 == 0 else window
 
 
 def _segment_gmm(series: ScalarSeries, config: PipelineConfig
                  ) -> tuple[AdherenceLabels, gmm.GmmParams]:
+    window = _odd_window(config.window_seconds, series)
     params, _ = gmm.fit_gmm_em(series, n_components=2, seed=config.seed)
     assigned = gmm.map_assign(params, series)
-    window = _odd_window(config.window_seconds, series.rate)
     smoothed = gmm.median_smooth_to_convergence(assigned, window)
     labels = gmm.mean_rule_adherence(params, smoothed,
                                      gmm.TestKind(config.kind), series.rate)

@@ -79,8 +79,9 @@ class SwitchingArModel:
     def __post_init__(self):
         if self.truncation < 2:
             raise ValidationError("truncation must be >= 2")
-        if self.alpha <= 0 or self.gamma <= 0 or self.kappa < 0:
-            raise ValidationError("need alpha > 0, gamma > 0, kappa >= 0")
+        if not (np.all(np.isfinite([self.alpha, self.gamma, self.kappa]))
+                and self.alpha > 0 and self.gamma > 0 and self.kappa >= 0):
+            raise ValidationError("need finite alpha > 0, gamma > 0, kappa >= 0")
         if len(self.states) != self.truncation:
             raise ValidationError("need one ArState per truncation slot")
         for s in self.states:

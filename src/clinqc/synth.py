@@ -52,8 +52,9 @@ class SynthSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
-        if self.rate <= 0 or self.duration <= 0:
-            raise ValidationError("rate and duration must be positive")
+        if not (np.isfinite(self.rate) and np.isfinite(self.duration)
+                and self.rate > 0 and self.duration > 0):
+            raise ValidationError("rate and duration must be finite and positive")
         if not self.schedule:
             self.schedule = [RegimeInterval(0, 0.0, self.duration)]
         self._validate_schedule()

@@ -325,6 +325,35 @@ class TestExitCodes:
                     "--out", tmp_path / "seg"]) == 3
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300", "0", "-1"])
+    def test_bad_window_seconds_exit_2(self, tmp_path, capsys, value):
+        run(["synth", "--scenario", "two-cluster", "--duration", "60",
+             "--rate", "10", "--out", tmp_path / "data"])
+        capsys.readouterr()
+        assert run(["segment-gmm", tmp_path / "data" / "feature.csv", "--kind", "voice",
+                    "--window-seconds", value, "--out", tmp_path / "seg"]) == 2
+        assert "window_seconds must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "seg" / "labels.csv").exists()
+
+    def test_nan_kappa_exit_2(self, tmp_path, capsys):
+        run(["synth", "--scenario", "switching-ar", "--duration", "10",
+             "--rate", "30", "--out", tmp_path / "data"])
+        capsys.readouterr()
+        assert run(["segment-ar", tmp_path / "data" / "feature.csv", "--order", "1",
+                    "--truncation", "2", "--sweeps", "2", "--burn-in", "1",
+                    "--kappa", "nan", "--out", tmp_path / "seg"]) == 2
+        assert "need finite alpha > 0, gamma > 0, kappa >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "seg" / "swar.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--rate", "nan"],
+                                       ["--rate", "inf"]],
+                             ids=["duration-nan", "rate-nan", "rate-inf"])
+    def test_non_finite_synth_size_exit_2(self, tmp_path, capsys, flags):
+        assert run(["synth", "--scenario", "two-cluster", *flags,
+                    "--out", tmp_path]) == 2
+        assert "rate and duration must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "feature.csv").exists()
+
     def segment_ar_exit_code(self, tmp_path, capsys):
         run(["synth", "--scenario", "switching-ar", "--duration", "10",
              "--rate", "30", "--out", tmp_path / "data"])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from clinqc import gmm
+from clinqc import gmm, preprocess
 from clinqc.errors import ClinQcError, ValidationError
-from clinqc.series import ADHERENCE, VIOLATION, ScalarSeries, StateSequence
+from clinqc.series import (ADHERENCE, VIOLATION, ScalarSeries, StateSequence,
+                           TriaxialSeries)
 
 
 def scalar(values, rate=1.0):
@@ -18,6 +19,105 @@ def two_gaussians(seed=0, n=500, means=(0.0, 10.0)):
     truth = np.concatenate([np.zeros(n, int), np.ones(n, int)])
     order = rng.permutation(2 * n)
     return values[order], truth[order]
+
+
+def three_gaussians(seed, n):
+    rng = np.random.default_rng(seed)
+    component = rng.choice(3, size=n, p=rng.dirichlet(np.full(3, 4.0)))
+    return (np.array([0.0, 4.0, 9.0])[component]
+            + np.array([1.0, 0.7, 1.5])[component] * rng.normal(size=n))
+
+
+def alternating_blocks(rng, n, shortest, longest):
+    """0/1 block indicator of length n, block lengths uniform in [shortest, longest)."""
+    lengths = rng.integers(shortest, longest, size=n // shortest + 1)
+    return np.repeat(np.arange(len(lengths)) % 2, lengths)[:n]
+
+
+def walking_like(seed):
+    """Walking recipe feature (log-magnitude, 15 Hz low-pass, 120 -> 30 Hz)
+    of dynamic acceleration whose scale jumps between still and walking
+    blocks: 18,000 points."""
+    rng = np.random.default_rng(seed)
+    moving = alternating_blocks(rng, 72_000, 1200, 3600)
+    accel = rng.normal(size=(72_000, 3)) * np.where(moving, 2.0, 0.05)[:, None]
+    feature = preprocess.log_magnitude(TriaxialSeries(rate=120.0, samples=accel))
+    return preprocess.downsample(preprocess.lowpass_filter(feature, 15.0), 4).values
+
+
+def voice_like(seed):
+    """Voice recipe feature (energy of 441-sample windows) of 30 s of
+    44.1 kHz audio, a harmonic tone in phonation blocks and noise between:
+    3,000 points."""
+    rng = np.random.default_rng(seed)
+    n = 30 * 44_100
+    t = np.arange(n) / 44_100.0
+    audio = rng.normal(0.0, 0.005, size=n)
+    tone = sum(w * np.sin(2 * np.pi * h * 180.0 * t) for h, w in ((1, 1.0), (2, 0.5)))
+    audio += 0.3 * alternating_blocks(rng, n, 110_000, 220_000) * tone
+    return preprocess.windowed_energy(ScalarSeries(rate=44_100.0, values=audio), 441).values
+
+
+# -- (T, K) reference: E-M and MAP assignment with time-major arrays ----------
+
+def reference_log_responsibilities(params, x):
+    log_w = np.log(params.weights)
+    diff = x[:, None] - params.means[None, :]
+    return (log_w[None, :]
+            - 0.5 * (np.log(2.0 * np.pi) + np.log(params.variances))[None, :]
+            - 0.5 * diff ** 2 / params.variances[None, :])
+
+
+def reference_fit_gmm_em(x, k, seed):
+    """fit_gmm_em on (T, K) arrays. Also returns the parameters entering each
+    E-step, the iteration count of each restart and the winning restart."""
+    if len(x) < 10 * k:
+        raise ValidationError(f"need at least {10 * k} points for K={k}")
+    var_floor = max(1e-8 * float(np.var(x)), 1e-300)
+    rng = np.random.default_rng(seed)
+    best, history, iterations = None, [], []
+    for restart in range(5):
+        scale = float(np.std(x)) if restart > 0 else 0.0
+        jitter = rng.normal(0.0, 0.1 * scale, size=k) if restart > 0 else np.zeros(k)
+        params = gmm._quantile_init(x, k, jitter)
+        prev_ll = -np.inf
+        for it in range(500):
+            history.append(params)
+            lr = reference_log_responsibilities(params, x)
+            m = lr.max(axis=1)
+            ll = float(np.sum(m + np.log(np.sum(np.exp(lr - m[:, None]), axis=1))))
+            if ll < prev_ll - 1e-9 * max(abs(prev_ll), 1.0):
+                raise ClinQcError("E-M log-likelihood decreased")
+            resp = np.exp(lr - lr.max(axis=1)[:, None])
+            resp /= resp.sum(axis=1)[:, None]
+
+            nk = resp.sum(axis=0)
+            if np.any((nk / len(x)) < 1e-6) and k > 1:
+                raise ClinQcError("component weight collapsed")
+            means = resp.T @ x / nk
+            variances = (resp * (x[:, None] - means[None, :]) ** 2).sum(axis=0) / nk
+            variances = np.maximum(variances, var_floor)
+            params = gmm.GmmParams(means=means, variances=variances, weights=nk / len(x))
+            if ll - prev_ll < 1e-8 * max(abs(ll), 1.0):
+                prev_ll = ll
+                break
+            prev_ll = ll
+        iterations.append(it + 1)
+        if best is None or prev_ll > best[0]:
+            best = (prev_ll, params, resp, restart)
+    return best[1], best[2], history, iterations, best[3]
+
+
+def reference_map_assign(params, x):
+    lr = reference_log_responsibilities(params, x)
+    post = np.exp(lr - lr.max(axis=1)[:, None])
+    post /= post.sum(axis=1)[:, None]
+    return np.argmax(lr, axis=1), post
+
+
+def assert_params_equal(a, b):
+    for field in ("means", "variances", "weights"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 class TestFitGmmEm:
@@ -174,3 +274,87 @@ class TestFullGmmPath:
         tp = np.mean(labels.labels[truth == ADHERENCE] == ADHERENCE)
         tn = np.mean(labels.labels[truth == VIOLATION] == VIOLATION)
         assert 0.5 * (tp + tn) >= 0.95
+
+
+class TestReferenceEquality:
+    """The component-major E-M and MAP assignment give the (T, K)
+    reference's results bit for bit."""
+
+    def check_fit(self, monkeypatch, x, k, seed):
+        try:
+            expected = reference_fit_gmm_em(x, k, seed)
+        except ClinQcError as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                gmm.fit_gmm_em(scalar(x), k, seed=seed)
+            return None
+        entered, restarts = [], []
+        exact_lr, exact_init = gmm._log_responsibilities, gmm._quantile_init
+
+        def recorded_lr(params, values):
+            entered.append(params)
+            return exact_lr(params, values)
+
+        def recorded_init(*args):
+            restarts.append(len(entered))
+            return exact_init(*args)
+
+        monkeypatch.setattr(gmm, "_log_responsibilities", recorded_lr)
+        monkeypatch.setattr(gmm, "_quantile_init", recorded_init)
+        params, resp = gmm.fit_gmm_em(scalar(x), k, seed=seed)
+        ref_params, ref_resp, history, iterations, winner = expected
+        assert np.diff(restarts + [len(entered)]).tolist() == iterations
+        assert len(entered) == len(history)
+        for got, want in zip(entered, history):
+            assert_params_equal(got, want)
+        assert_params_equal(params, ref_params)
+        assert resp.shape == (len(x), k)
+        assert np.array_equal(resp, ref_resp)
+        return winner
+
+    @pytest.mark.parametrize("T", [20, 1000, 18_000])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fit_mixture(self, monkeypatch, seed, k, T):
+        self.check_fit(monkeypatch, three_gaussians(seed, T), k, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fit_walking_like(self, monkeypatch, seed):
+        self.check_fit(monkeypatch, walking_like(seed), 2, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fit_voice_like(self, monkeypatch, seed):
+        self.check_fit(monkeypatch, voice_like(seed), 2, seed)
+
+    def test_winner_is_not_always_the_first_restart(self, monkeypatch):
+        winners = {self.check_fit(monkeypatch, three_gaussians(seed, 1000), 3, seed)
+                   for seed in range(5)}
+        assert winners - {0, None}
+
+    @pytest.mark.parametrize("source", ["mixture", "walking", "voice"])
+    def test_map_assign_fitted(self, source):
+        x = {"mixture": lambda: three_gaussians(0, 1000),
+             "walking": lambda: walking_like(0),
+             "voice": lambda: voice_like(0)}[source]()
+        params, _ = gmm.fit_gmm_em(scalar(x), 2, seed=0)
+        self.check_map_assign(params, x)
+
+    @pytest.mark.parametrize("means, variances, weights, x, expected", [
+        # x = 5 ties the two components; x = 5 and 15 tie neighbours of three
+        ((0.0, 10.0), (1.0, 1.0), (0.5, 0.5), [5.0, 0.0, 5.0, 10.0], [0, 0, 0, 1]),
+        ((0.0, 10.0, 20.0), (1.0, 1.0, 1.0), (1 / 3, 1 / 3, 1 / 3), [5.0, 15.0, 12.0],
+         [0, 1, 1]),
+        # identical components tie everywhere
+        ((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1 / 3, 1 / 3, 1 / 3), [0.0, 1.0, 7.0],
+         [0, 0, 0]),
+    ], ids=["two-way", "neighbours", "three-way"])
+    def test_map_assign_ties(self, means, variances, weights, x, expected):
+        params = gmm.GmmParams(means=means, variances=variances, weights=weights)
+        states = self.check_map_assign(params, np.array(x))
+        assert states.indicators.tolist() == expected
+
+    def check_map_assign(self, params, x):
+        states = gmm.map_assign(params, scalar(x))
+        indicators, posteriors = reference_map_assign(params, x)
+        assert np.array_equal(states.indicators, indicators)
+        assert np.array_equal(states.posteriors, posteriors)
+        return states

@@ -210,6 +210,22 @@ class TestModelArtifacts:
             assert np.allclose(a.coefficients, b.coefficients)
             assert a.mean == b.mean and a.variance == b.variance
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_switching_ar_non_finite_kappa_rejected(self, tmp_path, value):
+        model = SwitchingArModel(
+            order=1, truncation=2,
+            states=[ArState(coefficients=[0.9], mean=0.1, variance=0.5),
+                    ArState(coefficients=[-0.4], mean=2.0, variance=1.5)],
+            transitions=np.array([[0.95, 0.05], [0.1, 0.9]]),
+            beta=np.array([0.6, 0.4]), kappa=10.0)
+        path = tmp_path / "swar.json"
+        serialize.save_model(path, model)
+        doc = json.loads(path.read_text())
+        doc["payload"]["kappa"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="need finite alpha > 0"):
+            serialize.load_model(path)
+
     def test_gmm_roundtrip(self, tmp_path):
         params = GmmParams(means=np.array([0.0, 3.0]),
                            variances=np.array([1.0, 0.5]),

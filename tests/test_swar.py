@@ -35,6 +35,16 @@ class TestModelValidation:
                                   states=[ar1_state(0.5), ar1_state(0.5)],
                                   transitions=np.eye(2), beta=beta)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "kappa"])
+    def test_non_finite_concentration(self, name, value):
+        with pytest.raises(ValidationError,
+                           match="need finite alpha > 0, gamma > 0, kappa >= 0"):
+            swar.SwitchingArModel(order=1, truncation=2,
+                                  states=[ar1_state(0.5), ar1_state(0.5)],
+                                  transitions=np.eye(2), beta=[0.5, 0.5],
+                                  **{name: value})
+
 
 class TestArLoglik:
     def test_standard_normal(self):

@@ -30,6 +30,14 @@ class TestSynthSpec:
         with pytest.raises(ValidationError, match="unknown scenario 'running-like'"):
             SynthSpec(scenario="running-like", duration=1.0, rate=10.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["duration", "rate"])
+    def test_non_finite_size(self, name, value):
+        with pytest.raises(ValidationError,
+                           match="rate and duration must be finite and positive"):
+            SynthSpec(scenario="switching-ar", **{"duration": 1.0, "rate": 10.0,
+                                                  name: value})
+
     def test_gap_in_schedule(self):
         with pytest.raises(ValidationError, match="cover the duration without gaps"):
             SynthSpec(scenario="switching-ar", duration=2.0, rate=10.0,
