@@ -25,6 +25,7 @@ DEFAULT_CUTOFF_HZ = 15.0
 DEFAULT_DECIMATION = 4
 DEFAULT_ENERGY_WINDOW = 441
 DEFAULT_AUDIO_RATE = 44_100.0
+KINDS = tuple(kind.value for kind in gmm.TestKind)
 
 
 @dataclass
@@ -59,6 +60,7 @@ def _out_dir(args) -> Path:
 
 
 def _load_config(args) -> PipelineConfig:
+    fields = PipelineConfig.__dataclass_fields__
     values = {}
     if getattr(args, "config", None):
         try:
@@ -67,15 +69,32 @@ def _load_config(args) -> PipelineConfig:
             raise ValidationError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ValidationError(f"{args.config}: expected a JSON object")
-        unknown = sorted(set(values) - set(PipelineConfig.__dataclass_fields__))
+        unknown = sorted(set(values) - set(fields))
         if unknown:
             raise ValidationError(
                 f"{args.config}: unknown config key(s) {', '.join(unknown)}")
-    for key in PipelineConfig.__dataclass_fields__:
+        for key, value in values.items():
+            if not _fits(fields[key].type, value):
+                raise ValidationError(
+                    f"{args.config}: bad value {value!r} for config key {key}")
+    for key in fields:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     return PipelineConfig(**values)
+
+
+def _fits(annotation: str, value) -> bool:
+    """Whether a config-file value fits a ``PipelineConfig`` annotation.
+
+    bool is not a number, an int stays an int in a float field (so the
+    config hash does not move), and the kind must name a test.
+    """
+    if annotation == "str":
+        return value in KINDS
+    if value is None or isinstance(value, bool):
+        return value is None and annotation == "float | None"
+    return isinstance(value, int) or (annotation != "int" and isinstance(value, float))
 
 
 def _meta(config: PipelineConfig) -> dict:
@@ -221,8 +240,7 @@ def _cmd_evaluate(args) -> int:
         report = metrics.shuffled_baseline(counts, labels, config.folds,
                                            train, predict, seed=config.seed)
     else:
-        report = metrics.kfold_cv(counts, labels, config.folds,
-                                  train, predict, seed=config.seed)
+        report = metrics.kfold_cv(counts, labels, config.folds, train, predict)
     doc = {**_meta(config), "metrics": report.to_dict(),
            "config": asdict(config), "baseline": args.baseline}
     out = _out_dir(args) / (args.name or "report.json")
@@ -285,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="run the per-kind preprocessing recipe")
     p.add_argument("input")
-    p.add_argument("--kind", choices=["walking", "balance", "voice"], default=None)
+    p.add_argument("--kind", choices=KINDS, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--name", default=None)
     common(p)
@@ -299,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment-gmm", help="two-component GMM quality control")
     p.add_argument("input")
-    p.add_argument("--kind", choices=["walking", "balance", "voice"], default=None)
+    p.add_argument("--kind", choices=KINDS, default=None)
     p.add_argument("--window-seconds", dest="window_seconds", type=float,
                    default=None)
     common(p)

@@ -1,14 +1,12 @@
 """Mapping unsupervised segmentation states to clinical meaning.
 
-For controlled tests each occupied state is named by the most frequent
-behaviour label observed while the state was active. For field tests a
-multinomial naive Bayes classifier maps per-time state-count vectors to
+Posterior state probabilities become per-time integer state counts, and a
+multinomial naive Bayes classifier maps those count vectors to
 adherence/violation; an explicit unseen-state pseudo-attribute makes the
 "never seen in training means violation" rule a property of the model.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,45 +21,20 @@ CLASSES = (ADHERENCE, VIOLATION)
 UNSEEN_LOGPROB = np.array([-np.inf, 0.0])
 
 
-def mode_behaviour_map(states: StateSequence, behaviours: list[str]) -> dict[int, str]:
-    """Name each occupied state by its most frequent behaviour label.
-
-    Ties break lexicographically so the mapping is deterministic.
-    """
-    if len(states) != len(behaviours):
-        raise ValidationError("states and behaviour labels must have equal length")
-    mapping: dict[int, str] = {}
-    z = states.indicators
-    for k in np.unique(z):
-        labels = [behaviours[t] for t in np.flatnonzero(z == k)
-                  if behaviours[t] is not None]
-        if not labels:
-            raise ValidationError(f"state {k} has no labelled points")
-        counts = Counter(labels)
-        top = max(counts.values())
-        mapping[int(k)] = min(lbl for lbl, c in counts.items() if c == top)
-    return mapping
-
-
 def rescale_to_counts(probabilities: np.ndarray, scale: int = 100) -> np.ndarray:
-    """Turn a posterior probability vector into integer frequencies.
+    """Turn (T, K) posterior probabilities into integer frequencies.
 
-    Rounds scale * p; if everything rounds to zero the full scale goes to
-    the argmax component.
+    Rounds scale * p; a row that rounds to all zeros puts the full scale on
+    its argmax component.
     """
     p = np.asarray(probabilities, dtype=float)
     if scale < 1:
         raise ValidationError("scale must be >= 1")
-    if p.ndim == 1:
-        p = p[None, :]
-        squeeze = True
-    else:
-        squeeze = False
     counts = np.rint(scale * p).astype(int)
     dead = counts.sum(axis=1) == 0
     if np.any(dead):
         counts[dead, np.argmax(p[dead], axis=1)] = scale
-    return counts[0] if squeeze else counts
+    return counts
 
 
 @dataclass
@@ -161,8 +134,8 @@ def nb_predict(model: NaiveBayesModel, counts: np.ndarray
     return pred, conf / totals
 
 
-def posterior_counts(states: StateSequence, scale: int = 100) -> np.ndarray:
-    """Rescaled posterior state probabilities as integer frequencies."""
+def posterior_counts(states: StateSequence) -> np.ndarray:
+    """Posterior state probabilities as integer frequencies out of 100."""
     if states.posteriors is None:
         raise ValidationError("state sequence carries no posteriors")
-    return rescale_to_counts(states.posteriors, scale)
+    return rescale_to_counts(states.posteriors)

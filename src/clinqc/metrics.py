@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ClinQcError, ValidationError
-from .series import ADHERENCE, AdherenceLabels, VIOLATION
+from .series import ADHERENCE, AdherenceLabels
 
 
 @dataclass
@@ -34,7 +34,6 @@ class MetricsReport:
     """Per-fold TP/TN/BA with aggregate mean and standard deviation."""
 
     folds: list[FoldMetrics]
-    strategy: str = "single"
 
     def _collect(self, attr: str) -> np.ndarray:
         vals = [getattr(f, attr) for f in self.folds]
@@ -50,7 +49,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "strategy": self.strategy,
+            "strategy": "blocks",
             "folds": [{"tp": f.tp, "tn": f.tn, "ba": f.ba} for f in self.folds],
             "mean": {a: (self.mean(a) if self._all_defined(a) else None)
                      for a in ("tp", "tn", "ba")},
@@ -62,9 +61,10 @@ class MetricsReport:
         return all(getattr(f, attr) is not None for f in self.folds)
 
 
-def tp_tn_ba(predicted: np.ndarray, truth: np.ndarray, positive_class=ADHERENCE,
+def tp_tn_ba(predicted: np.ndarray, truth: np.ndarray,
              mode: str = "printed") -> FoldMetrics:
-    """TP, TN and balanced accuracy for one prediction run.
+    """TP, TN and balanced accuracy for one prediction run; adherence is
+    the positive class.
 
     ``mode="printed"`` normalizes by predicted-class counts; ``"recall"``
     by true-class counts. Undefined rates (empty denominator) are reported
@@ -76,8 +76,8 @@ def tp_tn_ba(predicted: np.ndarray, truth: np.ndarray, positive_class=ADHERENCE,
         raise ValidationError("predicted and truth must have equal length")
     if mode not in ("printed", "recall"):
         raise ValidationError("mode must be 'printed' or 'recall'")
-    pred_pos = predicted == positive_class
-    true_pos = truth == positive_class
+    pred_pos = predicted == ADHERENCE
+    true_pos = truth == ADHERENCE
     if mode == "printed":
         tp_den = int(pred_pos.sum())
         tn_den = int((~pred_pos).sum())
@@ -92,26 +92,18 @@ def tp_tn_ba(predicted: np.ndarray, truth: np.ndarray, positive_class=ADHERENCE,
 
 @dataclass
 class FoldPlan:
-    """Partition of 0..n-1 into folds of contiguous blocks (or shuffled)."""
+    """Partition of 0..n-1 into k folds of contiguous blocks."""
 
     n: int
     k: int
-    strategy: str = "blocks"
-    seed: int = 0
-    folds: list[np.ndarray] = field(default_factory=list)
+    folds: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         if self.k < 2:
             raise ValidationError("need at least 2 folds")
         if self.n < self.k:
             raise ValidationError("fewer points than folds")
-        if self.strategy not in ("blocks", "shuffled"):
-            raise ValidationError("strategy must be 'blocks' or 'shuffled'")
-        if not self.folds:
-            indices = np.arange(self.n)
-            if self.strategy == "shuffled":
-                indices = np.random.default_rng(self.seed).permutation(self.n)
-            self.folds = [np.sort(part) for part in np.array_split(indices, self.k)]
+        self.folds = np.array_split(np.arange(self.n), self.k)
 
 
 TrainFn = Callable[[np.ndarray, AdherenceLabels], object]
@@ -119,18 +111,17 @@ PredictFn = Callable[[object, np.ndarray], np.ndarray]
 
 
 def kfold_cv(inputs: np.ndarray, labels: AdherenceLabels, k: int,
-             train: TrainFn, predict: PredictFn, seed: int = 0,
-             strategy: str = "blocks", positive_class=ADHERENCE,
+             train: TrainFn, predict: PredictFn,
              mode: str = "printed") -> MetricsReport:
     """Cross-validate a train/predict pair.
 
-    Folds are contiguous time blocks by default, preventing temporal
-    leakage between train and test in autocorrelated series.
+    Folds are contiguous time blocks, preventing temporal leakage between
+    train and test in autocorrelated series.
     """
     inputs = np.asarray(inputs)
     if len(inputs) != len(labels):
         raise ValidationError("inputs and labels must have equal length")
-    plan = FoldPlan(n=len(inputs), k=k, strategy=strategy, seed=seed)
+    plan = FoldPlan(n=len(inputs), k=k)
     u = labels.labels
     folds = []
     for held_out in plan.folds:
@@ -142,14 +133,12 @@ def kfold_cv(inputs: np.ndarray, labels: AdherenceLabels, k: int,
         model = train(inputs[train_mask],
                       AdherenceLabels(rate=labels.rate, labels=train_labels))
         predictions = predict(model, inputs[held_out])
-        folds.append(tp_tn_ba(predictions, u[held_out],
-                              positive_class=positive_class, mode=mode))
-    return MetricsReport(folds=folds, strategy=strategy)
+        folds.append(tp_tn_ba(predictions, u[held_out], mode=mode))
+    return MetricsReport(folds=folds)
 
 
 def shuffled_baseline(inputs: np.ndarray, labels: AdherenceLabels, k: int,
                       train: TrainFn, predict: PredictFn, seed: int = 0,
-                      strategy: str = "blocks", positive_class=ADHERENCE,
                       mode: str = "printed") -> MetricsReport:
     """Randomized control: permute the inputs, keep the labels fixed.
 
@@ -159,5 +148,4 @@ def shuffled_baseline(inputs: np.ndarray, labels: AdherenceLabels, k: int,
     inputs = np.asarray(inputs)
     rng = np.random.default_rng(seed)
     permuted = inputs[rng.permutation(len(inputs))]
-    return kfold_cv(permuted, labels, k, train, predict, seed=seed,
-                    strategy=strategy, positive_class=positive_class, mode=mode)
+    return kfold_cv(permuted, labels, k, train, predict, mode=mode)

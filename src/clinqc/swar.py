@@ -141,24 +141,6 @@ class SwArFit:
         return int(values[np.argmax(counts)])
 
 
-def ar_loglik(state: ArState, window: np.ndarray, x: float) -> float:
-    """Gaussian log-density of x given the previous r values.
-
-    ``window`` holds the lagged values most recent first: window[0] is
-    x_{t-1}, window[1] is x_{t-2}, and so on.
-    """
-    window = np.atleast_1d(np.asarray(window, dtype=float))
-    if state.order == 0 and window.size == 0:
-        pred = state.mean
-    elif len(window) != state.order:
-        raise ValidationError(
-            f"window length {len(window)} != AR order {state.order}")
-    else:
-        pred = state.mean + float(state.coefficients @ window)
-    resid = x - pred
-    return -0.5 * (_LOG_2PI + np.log(state.variance)) - 0.5 * resid ** 2 / state.variance
-
-
 def ar_psd(state: ArState, freqs: np.ndarray, rate: float = 1.0) -> SpectrumEstimate:
     """Closed-form AR power spectral density on a frequency grid.
 
@@ -235,21 +217,6 @@ def _loglik_matrix(model: SwitchingArModel, X: np.ndarray, y: np.ndarray) -> np.
         out[:, k] = (-0.5 * (_LOG_2PI + np.log(st.variance))
                      - 0.5 * resid ** 2 / st.variance)
     return out
-
-
-class _Design(tuple):
-    """The ``(X, y)`` of ``_design``, holding the log-likelihood matrix of
-    the last model it was asked for, so ``fit`` scores one sweep and
-    samples the next from one matrix. Models are never changed in place,
-    so a model object identifies its matrix."""
-
-    model = None
-    loglik = None
-
-    def loglik_of(self, model: SwitchingArModel) -> np.ndarray:
-        if self.model is not model:
-            self.model, self.loglik = model, _loglik_matrix(model, *self)
-        return self.loglik
 
 
 _BLOCK = 512   # time steps per block of the forward table
@@ -480,24 +447,19 @@ def _sample_emission(X: np.ndarray, y: np.ndarray, prior: ArPrior, order: int,
                    variance=float(variance))
 
 
-def gibbs_sweep(model: SwitchingArModel, data: ScalarSeries,
-                rng: np.random.Generator,
-                design: tuple[np.ndarray, np.ndarray] | None = None
+def gibbs_sweep(model: SwitchingArModel, X: np.ndarray, y: np.ndarray,
+                loglik: np.ndarray, rng: np.random.Generator
                 ) -> tuple[SwitchingArModel, np.ndarray]:
     """One full blocked sweep; returns the updated model and sampled chain.
 
-    The chain covers t = r .. T-1; the first r observations are conditioned
-    on and carry no likelihood.
+    ``X, y`` are the regression form of the data from ``_design`` and
+    ``loglik`` is ``_loglik_matrix(model, X, y)``, the emission
+    log-likelihoods of the current model. The chain covers t = r .. T-1;
+    the first r observations are conditioned on and carry no likelihood.
     """
-    if len(data) <= model.order:
-        raise ValidationError("data must be longer than the AR order")
-    if not isinstance(design, _Design):
-        design = _Design(design if design is not None
-                         else _design(data.values, model.order))
-    X, y = design
     L = model.truncation
 
-    z = sample_states(model, design.loglik_of(model), rng)
+    z = sample_states(model, loglik, rng)
 
     counts = _transition_counts(z, L)
     conc = model.alpha * model.beta + counts
@@ -569,8 +531,8 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
         raise ValidationError(f"need at least {50 * max(r, 1)} points for order {r}")
     rng = np.random.default_rng(config.seed)
     model = initial_model(data, config)
-    design = _Design(_design(data.values, r))
-    n = len(data) - r
+    X, y = _design(data.values, r)
+    n = len(y)
     L = config.truncation
 
     if config.sweeps == 0:
@@ -579,6 +541,7 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
                        states=_expand_chain(z_init, r, None),
                        loglik_trace=np.empty(0))
 
+    loglik = _loglik_matrix(model, X, y)
     best_ll = -np.inf
     best_model = model
     best_z = np.zeros(n, dtype=int)
@@ -587,8 +550,9 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
     trace = np.empty(config.sweeps)
     occupied_trace = np.empty(config.sweeps, dtype=int)
     for sweep in range(config.sweeps):
-        model, z = gibbs_sweep(model, data, rng, design=design)
-        ll = _score(model, design.loglik_of(model), z)
+        model, z = gibbs_sweep(model, X, y, loglik, rng)
+        loglik = _loglik_matrix(model, X, y)     # scores z and drives the next sweep
+        ll = _score(model, loglik, z)
         trace[sweep] = ll
         occupied_trace[sweep] = len(np.unique(z))
         if sweep >= config.burn_in:

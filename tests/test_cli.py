@@ -170,6 +170,7 @@ class TestClassifierCommands:
                     "--out", out]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["metrics"]["mean"]["ba"] > 0.9
+        assert doc["metrics"]["strategy"] == "blocks"
         assert len(doc["metrics"]["folds"]) == 5
 
     def test_evaluate_shuffled_baseline(self, tmp_path):
@@ -207,7 +208,9 @@ class TestReproducibility:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "balance", "seed": 9}))
+        # null for lam and an int for a float field are valid values
+        cfg.write_text(json.dumps({"kind": "balance", "seed": 9, "lam": None,
+                                   "cutoff": 15}))
         raw_dir = tmp_path / "raw"
         run(["synth", "--scenario", "gravity-drift", "--duration", "4",
              "--rate", "120", "--out", raw_dir])
@@ -263,6 +266,12 @@ class TestExitCodes:
         ('{"kind": "balance", "windw_seconds": 3}', "windw_seconds"),
         ('{"kind": "balance",', "not valid JSON"),
         ('["kind", "balance"]', "JSON object"),
+        ('{"window_seconds": "2"}', "window_seconds"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"seed": true}', "seed"),
+        ('{"sweeps": "10"}', "sweeps"),
+        ('{"kind": "jogging"}', "kind"),
+        ('{"lam": "auto"}', "lam"),
     ])
     def test_bad_config_file_exit_2(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"

@@ -15,41 +15,18 @@ def labels(values):
     return AdherenceLabels(rate=1.0, labels=np.asarray(values, dtype=int))
 
 
-class TestModeBehaviourMap:
-    def test_majority_vote(self):
-        states = seq([0, 0, 0, 1, 1, 1])
-        names = ["walk", "walk", "stand", "stand", "stand", "walk"]
-        assert context.mode_behaviour_map(states, names) == {0: "walk", 1: "stand"}
-
-    def test_tie_breaks_lexicographic(self):
-        states = seq([0, 0])
-        assert context.mode_behaviour_map(states, ["b", "a"]) == {0: "a"}
-
-    def test_missing_labels_ignored(self):
-        states = seq([0, 0, 0])
-        assert context.mode_behaviour_map(states, [None, "sit", None]) == {0: "sit"}
-
-    def test_fully_unlabelled_state(self):
-        with pytest.raises(ValidationError, match="state 1 has no labelled points"):
-            context.mode_behaviour_map(seq([0, 1]), ["walk", None])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            context.mode_behaviour_map(seq([0]), ["a", "b"])
-
-
 class TestRescaleToCounts:
     def test_basic_rounding(self):
-        out = context.rescale_to_counts(np.array([0.25, 0.75]), scale=100)
-        assert out.tolist() == [25, 75]
+        out = context.rescale_to_counts(np.array([[0.25, 0.75]]), scale=100)
+        assert out.tolist() == [[25, 75]]
 
     def test_documented_example(self):
-        out = context.rescale_to_counts(np.array([0.004, 0.996]), scale=100)
-        assert out.tolist() == [0, 100]
+        out = context.rescale_to_counts(np.array([[0.004, 0.996]]), scale=100)
+        assert out.tolist() == [[0, 100]]
 
     def test_all_zero_row_goes_to_argmax(self):
-        out = context.rescale_to_counts(np.array([0.002, 0.004, 0.001]), scale=100)
-        assert out.tolist() == [0, 100, 0]
+        out = context.rescale_to_counts(np.array([[0.002, 0.004, 0.001]]), scale=100)
+        assert out.tolist() == [[0, 100, 0]]
 
     def test_matrix_input(self):
         p = np.array([[0.5, 0.5], [0.004, 0.996]])
@@ -58,7 +35,7 @@ class TestRescaleToCounts:
 
     def test_invalid_scale(self):
         with pytest.raises(ValidationError):
-            context.rescale_to_counts(np.array([1.0]), scale=0)
+            context.rescale_to_counts(np.array([[1.0]]), scale=0)
 
 
 class TestNbTrain:
@@ -170,7 +147,7 @@ class TestCountEncodings:
     def test_posterior_counts(self):
         post = np.array([[0.25, 0.75], [0.996, 0.004]])
         states = seq([1, 0], posteriors=post)
-        out = context.posterior_counts(states, scale=100)
+        out = context.posterior_counts(states)
         assert out.tolist() == [[25, 75], [100, 0]]
 
     def test_posterior_counts_requires_posteriors(self):
