@@ -30,19 +30,14 @@ KINDS = tuple(kind.value for kind in gmm.TestKind)
 
 @dataclass
 class PipelineConfig:
-    """Preprocessing and model parameters; defaults follow the test recipes."""
+    """Settings a config file or a flag may change; the recipe constants
+    above are not among them."""
 
     kind: str = "walking"                # walking | balance | voice
-    target_rate: float = DEFAULT_TARGET_RATE
-    cutoff: float = DEFAULT_CUTOFF_HZ
-    decimation: int = DEFAULT_DECIMATION
-    energy_window: int = DEFAULT_ENERGY_WINDOW
     audio_rate: float = DEFAULT_AUDIO_RATE
     lam: float | None = None
     order: int = 4
     truncation: int = 20
-    alpha: float = 1.0
-    gamma: float = 1.0
     kappa: float = 0.0
     sweeps: int = 500
     burn_in: int = 250
@@ -105,21 +100,22 @@ def preprocess_recipe(kind: str, raw_path: Path, config: PipelineConfig
                       ) -> ScalarSeries:
     """Per-test-kind preprocessing composition.
 
-    walking: interpolate -> gravity removal -> log-magnitude -> low-pass ->
-    decimate. balance: interpolate -> gravity removal -> magnitude (no
-    decimation). voice: non-overlapping window energy of the raw audio.
+    walking: interpolate to 120 Hz -> gravity removal -> log-magnitude ->
+    15 Hz low-pass -> decimate by 4. balance: interpolate to 120 Hz ->
+    gravity removal -> magnitude (no decimation). voice: energy of
+    non-overlapping 441-sample windows of the raw audio.
     """
     tf_config = trend.TrendFilterConfig(lam=config.lam)
     if kind == "voice":
         audio = serialize.read_audio_csv(raw_path, rate=config.audio_rate)
-        return preprocess.windowed_energy(audio, config.energy_window)
+        return preprocess.windowed_energy(audio, DEFAULT_ENERGY_WINDOW)
     raw = serialize.read_accelerometer_csv(raw_path)
-    uniform = preprocess.interpolate_uniform(raw, config.target_rate)
+    uniform = preprocess.interpolate_uniform(raw, DEFAULT_TARGET_RATE)
     decomposition = trend.remove_gravity(uniform, tf_config)
     if kind == "walking":
         feature = preprocess.log_magnitude(decomposition.dynamic)
-        filtered = preprocess.lowpass_filter(feature, config.cutoff)
-        return preprocess.downsample(filtered, config.decimation)
+        filtered = preprocess.lowpass_filter(feature, DEFAULT_CUTOFF_HZ)
+        return preprocess.downsample(filtered, DEFAULT_DECIMATION)
     if kind == "balance":
         return preprocess.magnitude(decomposition.dynamic)
     raise ValidationError(f"unknown test kind {kind!r}")
@@ -138,7 +134,7 @@ def _odd_window(seconds: float, series: ScalarSeries) -> int:
 def _segment_gmm(series: ScalarSeries, config: PipelineConfig
                  ) -> tuple[AdherenceLabels, gmm.GmmParams]:
     window = _odd_window(config.window_seconds, series)
-    params, _ = gmm.fit_gmm_em(series, n_components=2, seed=config.seed)
+    params, _ = gmm.fit_gmm_em(series, seed=config.seed)
     assigned = gmm.map_assign(params, series)
     smoothed = gmm.median_smooth_to_convergence(assigned, window)
     labels = gmm.mean_rule_adherence(params, smoothed,
@@ -182,7 +178,6 @@ def _cmd_segment_ar(args) -> int:
     config = _load_config(args)
     series = serialize.read_scalar_csv(Path(args.input))
     sw_config = swar.SwArConfig(order=config.order, truncation=config.truncation,
-                                alpha=config.alpha, gamma=config.gamma,
                                 kappa=config.kappa, sweeps=config.sweeps,
                                 burn_in=config.burn_in, seed=config.seed)
     result = swar.fit(series, sw_config)

@@ -1,18 +1,18 @@
 """Two-component Gaussian mixture segmentation with median smoothing.
 
-The simpler quality-control path: fit a GMM to the scalar feature by E-M,
-assign each time point to its most probable component, smooth the indicator
-sequence with a repeated moving median, and orient components to adherence
-or violation by comparing component means.
+The simpler quality-control path: fit a two-component GMM to the scalar
+feature by E-M, assign each time point to its more probable component,
+smooth the indicator sequence with a repeated moving median, and orient the
+components to adherence or violation by comparing their means.
 
-E-M and MAP assignment hold per-point arrays component-major, shape (K, T).
-A reduction over the K components then runs along the leading axis, one
-elementwise pass over T per component, instead of along a length-K
-trailing axis, which numpy walks one short row at a time (at K = 2 and
-T = 18,000, on a 2-vCPU Xeon virtual machine, a ``max`` or ``sum`` takes
-0.4-0.9 ms that way against 0.01-0.02 ms). Sums over T keep the order numpy uses for a C-ordered
-(T, K) array, and the means product keeps that operand layout, so the fit
-is bit-identical to the time-major E-M the tests hold it to.
+E-M and MAP assignment hold per-point arrays component-major, shape (2, T).
+A reduction over the components then runs along the leading axis, one
+elementwise pass over T per component, instead of along a length-2
+trailing axis, which numpy walks one short row at a time (at T = 18,000,
+on a 2-vCPU Xeon virtual machine, a ``max`` or ``sum`` takes 0.4-0.9 ms
+that way against 0.01-0.02 ms). Sums over T keep the order numpy uses for
+a C-ordered (T, 2) array, and the means product keeps that operand layout,
+so the fit is bit-identical to the time-major E-M the tests hold it to.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ class TestKind(enum.Enum):
 
 @dataclass
 class GmmParams:
-    """One-dimensional Gaussian mixture parameters."""
+    """One-dimensional two-component Gaussian mixture parameters."""
 
     means: np.ndarray
     variances: np.ndarray
@@ -46,22 +46,17 @@ class GmmParams:
         self.means = np.asarray(self.means, dtype=float)
         self.variances = np.asarray(self.variances, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        k = len(self.means)
-        if len(self.variances) != k or len(self.weights) != k:
-            raise ValidationError("means, variances and weights must share length")
+        if not len(self.means) == len(self.variances) == len(self.weights) == 2:
+            raise ValidationError("need 2 means, variances and weights")
         if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.variances))):
             raise ValidationError("means and variances must be finite")
         if np.any(self.variances <= 0):
             raise ValidationError("variances must be positive")
         check_simplex(self.weights, "weights must form a simplex")
 
-    @property
-    def n_components(self) -> int:
-        return len(self.means)
-
 
 def _log_responsibilities(params: GmmParams, x: np.ndarray) -> np.ndarray:
-    """Unnormalized per-component log posteriors, shape (K, T)."""
+    """Unnormalized per-component log posteriors, shape (2, T)."""
     log_w = np.log(params.weights)
     diff = x[None, :] - params.means[:, None]
     return ((log_w - 0.5 * (_LOG_2PI + np.log(params.variances)))[:, None]
@@ -70,7 +65,7 @@ def _log_responsibilities(params: GmmParams, x: np.ndarray) -> np.ndarray:
 
 def _normalize(lr: np.ndarray, out: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point log normalizer (T,) and responsibilities (K, T) of ``lr``.
+    """Per-point log normalizer (T,) and responsibilities (2, T) of ``lr``.
 
     The responsibilities are written to ``out`` when it is given.
     """
@@ -81,54 +76,40 @@ def _normalize(lr: np.ndarray, out: np.ndarray | None = None
 
 
 def _sum_over_points(a: np.ndarray) -> np.ndarray:
-    """Sum a (K, T) array over T, in the order numpy sums a C-ordered (T, K).
-
-    That order is sequential, row after row, except for K = 1, where the
-    (T, 1) array is one contiguous run and numpy sums it pairwise. Keeping
-    it keeps every fit bit-identical to the (T, K) reference E-M in the
-    tests.
-    """
-    if len(a) == 1:
-        return a.sum(axis=1)
+    """Sum a (2, T) array over T, in the order numpy sums a C-ordered (T, 2):
+    sequentially, row after row."""
     return np.add.accumulate(a, axis=1)[:, -1]
 
 
-def _quantile_init(x: np.ndarray, k: int, jitter: np.ndarray) -> GmmParams:
-    # Split the sorted data into K equal chunks and use chunk statistics.
-    order = np.sort(x)
-    chunks = np.array_split(order, k)
-    means = np.array([c.mean() for c in chunks]) + jitter
+def _quantile_init(x: np.ndarray, jitter: np.ndarray) -> GmmParams:
+    # Split the sorted data into two equal halves and use their statistics.
+    halves = np.array_split(np.sort(x), 2)
+    means = np.array([h.mean() for h in halves]) + jitter
     var = max(float(np.var(x)), 1e-12)
-    return GmmParams(means=means,
-                     variances=np.full(k, var),
-                     weights=np.full(k, 1.0 / k))
+    return GmmParams(means=means, variances=np.full(2, var), weights=np.full(2, 0.5))
 
 
-def fit_gmm_em(data: ScalarSeries, n_components: int = 2,
-               seed: int = 0) -> tuple[GmmParams, np.ndarray]:
-    """Fit a 1-D GMM by expectation-maximization.
+def fit_gmm_em(data: ScalarSeries, *, seed: int = 0) -> tuple[GmmParams, np.ndarray]:
+    """Fit a two-component 1-D GMM by expectation-maximization.
 
     Runs five restarts of at most 500 iterations each, stopping a restart
-    when the log-likelihood gains less than 1e-8 of its magnitude. Returns
-    the parameters and the (T, K) responsibility matrix of the best
-    restart. The log-likelihood is checked to be non-decreasing on every
-    iteration.
+    when the log-likelihood gains less than 1e-8 of its magnitude; ``seed``
+    draws the jitter of restarts 1-4. Returns the parameters and the (T, 2)
+    responsibility matrix of the best restart. The log-likelihood is
+    checked to be non-decreasing on every iteration.
 
-    Each iteration writes the responsibilities into a C-ordered (T, K)
-    array and works on its (K, T) transpose: the E-step takes the max, the
-    ``exp`` and the sum over K once and uses them for both the
+    Each iteration writes the responsibilities into a C-ordered (T, 2)
+    array and works on its (2, T) transpose: the E-step takes the max, the
+    ``exp`` and the sum over components once and uses them for both the
     log-likelihood and the responsibilities; the M-step sums over T
-    sequentially (``_sum_over_points``) and hands the (T, K) array,
+    sequentially (``_sum_over_points``) and hands the (T, 2) array,
     transposed, to BLAS for the means.
     """
     x = data.values
-    k = n_components
-    if k < 1:
-        raise ValidationError("need at least one component")
-    if len(x) < 10 * k:
-        raise ValidationError(f"need at least {10 * k} points for K={k}")
+    if len(x) < 20:
+        raise ValidationError("need at least 20 points for K=2")
     data_var = float(np.var(x))
-    if data_var == 0 and k > 1:
+    if data_var == 0:
         raise ClinQcError("all data points identical")
     var_floor = max(1e-8 * data_var, 1e-300)
     rng = np.random.default_rng(seed)
@@ -136,21 +117,21 @@ def fit_gmm_em(data: ScalarSeries, n_components: int = 2,
     best: tuple[float, GmmParams, np.ndarray] | None = None
     for restart in range(5):
         scale = float(np.std(x)) if restart > 0 else 0.0
-        jitter = rng.normal(0.0, 0.1 * scale, size=k) if restart > 0 else np.zeros(k)
-        params = _quantile_init(x, k, jitter)
+        jitter = rng.normal(0.0, 0.1 * scale, size=2) if restart > 0 else np.zeros(2)
+        params = _quantile_init(x, jitter)
         prev_ll = -np.inf
         for _ in range(500):
             # BLAS picks its summation order from the operand layout, so the
-            # responsibilities live in a C-ordered (T, K) array and the E-M
-            # works on its (K, T) transpose.
-            resp_tk = np.empty((len(x), k))
+            # responsibilities live in a C-ordered (T, 2) array and the E-M
+            # works on its (2, T) transpose.
+            resp_tk = np.empty((len(x), 2))
             log_norm, resp = _normalize(_log_responsibilities(params, x), out=resp_tk.T)
             ll = float(np.sum(log_norm))
             if ll < prev_ll - 1e-9 * max(abs(prev_ll), 1.0):
                 raise ClinQcError("E-M log-likelihood decreased")
 
             nk = _sum_over_points(resp)
-            if np.any((nk / len(x)) < 1e-6) and k > 1:
+            if np.any((nk / len(x)) < 1e-6):
                 raise ClinQcError("component weight collapsed")
             means = resp_tk.T @ x / nk
             variances = _sum_over_points(resp * (x - means[:, None]) ** 2) / nk
@@ -207,8 +188,6 @@ def mean_rule_adherence(params: GmmParams, smoothed: StateSequence,
     Walking and voice tests: the larger-mean component is adherence. Balance
     tests: the larger-mean component is violation.
     """
-    if params.n_components != 2:
-        raise ValidationError("adherence orientation requires exactly 2 components")
     mu = params.means
     if abs(mu[0] - mu[1]) < 1e-9:
         raise ClinQcError("component means coincide; cannot orient labels")

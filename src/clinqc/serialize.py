@@ -163,13 +163,20 @@ def write_scalar_csv(path: Path, series: ScalarSeries,
     write_table(path, "t,v", rows, meta)
 
 
+def _rate_of(path: Path, t: np.ndarray) -> float:
+    """Sampling rate from the median step of the time column ``t``."""
+    step = float(np.median(np.diff(t)))
+    if not 0 < step < np.inf:
+        raise ValidationError(
+            f"{path}: the time column must advance; its median step is {step:g}")
+    return 1.0 / step
+
+
 def read_scalar_csv(path: Path) -> ScalarSeries:
     data = _read_table(path, 2)
-    t = data[:, 0]
-    if len(t) < 2:
+    if len(data) < 2:
         raise ValidationError(f"{path}: need at least 2 samples")
-    rate = 1.0 / float(np.median(np.diff(t)))
-    return ScalarSeries(rate=rate, values=data[:, 1])
+    return ScalarSeries(rate=_rate_of(path, data[:, 0]), values=data[:, 1])
 
 
 def write_spectrum_csv(path: Path, spectrum: SpectrumEstimate,
@@ -191,8 +198,7 @@ def write_labels_csv(path: Path, labels: AdherenceLabels,
 
 def read_labels_csv(path: Path) -> AdherenceLabels:
     data = _read_table(path, 2)
-    t = data[:, 0]
-    rate = 1.0 / float(np.median(np.diff(t))) if len(t) > 1 else 1.0
+    rate = _rate_of(path, data[:, 0]) if len(data) > 1 else 1.0
     return AdherenceLabels(rate=rate, labels=data[:, 1].astype(int))
 
 

@@ -17,6 +17,12 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _check_rate(rate: float) -> None:
+    """Raise ``ValidationError`` unless ``rate`` is finite and positive."""
+    if not 0 < rate < np.inf:
+        raise ValidationError(f"rate must be finite and positive, got {rate!r}")
+
+
 def check_simplex(probs: np.ndarray, message: str) -> None:
     """Raise ``ValidationError(message)`` unless ``probs`` holds probabilities.
 
@@ -57,18 +63,13 @@ class TriaxialSeries:
     samples: np.ndarray     # (T, 3) in m/s^2
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValidationError("rate must be positive")
+        _check_rate(self.rate)
         self.samples = _as_float_array(self.samples, "samples", 2)
         if self.samples.shape[1] != 3:
             raise ValidationError("samples must have 3 columns")
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.samples)) / self.rate
 
 
 @dataclass
@@ -79,8 +80,7 @@ class ScalarSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValidationError("rate must be positive")
+        _check_rate(self.rate)
         self.values = _as_float_array(self.values, "values", 1)
 
     def __len__(self) -> int:
@@ -128,8 +128,7 @@ class AdherenceLabels:
     labels: np.ndarray  # integers in {1, 2}
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValidationError("rate must be positive")
+        _check_rate(self.rate)
         self.labels = np.asarray(self.labels, dtype=int)
         if self.labels.ndim != 1:
             raise ValidationError("labels must be one-dimensional")

@@ -125,7 +125,7 @@ class SwArFit:
     model: SwitchingArModel
     states: StateSequence          # point estimate, full length T
     loglik_trace: np.ndarray       # complete-data log-likelihood per sweep
-    occupied_trace: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    occupied_trace: np.ndarray     # K+ of the sampled chain per sweep
 
     @property
     def occupied(self) -> int:
@@ -141,21 +141,20 @@ class SwArFit:
         return int(values[np.argmax(counts)])
 
 
-def ar_psd(state: ArState, freqs: np.ndarray, rate: float = 1.0) -> SpectrumEstimate:
+def ar_psd(state: ArState, freqs: np.ndarray) -> SpectrumEstimate:
     """Closed-form AR power spectral density on a frequency grid.
 
-    ``freqs`` are in Hz with respect to ``rate``; the density is two-sided,
-    S(f) = variance / |1 - sum_j A_j exp(-i 2 pi f j / rate)|^2, expressed
+    ``freqs`` are normalized frequencies, in cycles per sample; the density
+    is two-sided, S(f) = variance / |1 - sum_j A_j exp(-i 2 pi f j)|^2,
     per unit of normalized frequency.
     """
     freqs = np.asarray(freqs, dtype=float)
-    f_norm = freqs / rate
     if state.order:
         lags = np.arange(1, state.order + 1)
-        phase = np.exp(-1j * 2.0 * np.pi * np.outer(f_norm, lags))
+        phase = np.exp(-1j * 2.0 * np.pi * np.outer(freqs, lags))
         transfer = 1.0 - phase @ state.coefficients.astype(complex)
     else:
-        transfer = np.ones(len(f_norm), dtype=complex)
+        transfer = np.ones(len(freqs), dtype=complex)
     power = state.variance / np.abs(transfer) ** 2
     return SpectrumEstimate(frequencies=freqs, power=power)
 
@@ -245,9 +244,11 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     pi = model.transitions
     messages = _backward_messages(lik, pi)
     uniforms = rng.random(n)
-    state = _sample_categorical(model.beta * lik[0] * messages[0], uniforms[0])
-    path = [state]
     weights = lik * messages
+    state = _draw_column(weights[:1], model.beta, uniforms[:1])[0]
+    if state < 0:
+        raise ClinQcError("all state probabilities underflowed")
+    path = [state]
     for start in range(1, n, _BLOCK):
         block = slice(start, min(start + _BLOCK, n))
         block_weights, block_uniforms = weights[block], uniforms[block]
@@ -360,14 +361,6 @@ def _draw_column(weights: np.ndarray, row: np.ndarray,
     picks = (cum[:, :last] <= (uniforms * total)[:, None]).sum(axis=1)
     picks[~((total > 0) & (total < np.inf))] = -1
     return picks.tolist()
-
-
-def _sample_categorical(weights: np.ndarray, u: float) -> int:
-    total = weights.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise ClinQcError("all state probabilities underflowed")
-    cum = np.cumsum(weights)
-    return int(np.searchsorted(cum, u * total, side="right").clip(0, len(weights) - 1))
 
 
 def _transition_counts(z: np.ndarray, L: int) -> np.ndarray:
@@ -534,12 +527,6 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
     X, y = _design(data.values, r)
     n = len(y)
     L = config.truncation
-
-    if config.sweeps == 0:
-        z_init = np.zeros(n, dtype=int)
-        return SwArFit(model=model,
-                       states=_expand_chain(z_init, r, None),
-                       loglik_trace=np.empty(0))
 
     loglik = _loglik_matrix(model, X, y)
     best_ll = -np.inf

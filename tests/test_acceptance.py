@@ -206,7 +206,7 @@ def test_criterion_6_gmm_path():
                                RegimeInterval(1, 50.0, 90.0),
                                RegimeInterval(0, 90.0, 120.0)])
     series, truth = synth.gen_two_cluster(spec)
-    params, _ = gmm.fit_gmm_em(series, n_components=2, seed=0)
+    params, _ = gmm.fit_gmm_em(series, seed=0)
     assigned = gmm.map_assign(params, series)
     smoothed = gmm.median_smooth_to_convergence(assigned, 61)
     labels = gmm.mean_rule_adherence(params, smoothed, gmm.TestKind.VOICE,
@@ -260,7 +260,7 @@ def test_criterion_7_end_to_end_pipelines():
                            schedule=[RegimeInterval(0, 0.0, 60.0),
                                      RegimeInterval(1, 60.0, 120.0)])
     voice_series, voice_truth = synth.gen_two_cluster(voice_spec)
-    params, _ = gmm.fit_gmm_em(voice_series, n_components=2, seed=0)
+    params, _ = gmm.fit_gmm_em(voice_series, seed=0)
     smoothed = gmm.median_smooth_to_convergence(
         gmm.map_assign(params, voice_series), 61)
     voice_labels = gmm.mean_rule_adherence(params, smoothed, gmm.TestKind.VOICE,

@@ -210,7 +210,7 @@ class TestReproducibility:
         cfg = tmp_path / "cfg.json"
         # null for lam and an int for a float field are valid values
         cfg.write_text(json.dumps({"kind": "balance", "seed": 9, "lam": None,
-                                   "cutoff": 15}))
+                                   "smoothing": 1}))
         raw_dir = tmp_path / "raw"
         run(["synth", "--scenario", "gravity-drift", "--duration", "4",
              "--rate", "120", "--out", raw_dir])
@@ -272,6 +272,13 @@ class TestExitCodes:
         ('{"sweeps": "10"}', "sweeps"),
         ('{"kind": "jogging"}', "kind"),
         ('{"lam": "auto"}', "lam"),
+        # recipe constants, not settings
+        ('{"target_rate": 120.0}', "unknown config key(s) target_rate"),
+        ('{"cutoff": 15.0}', "unknown config key(s) cutoff"),
+        ('{"decimation": 4}', "unknown config key(s) decimation"),
+        ('{"energy_window": 441}', "unknown config key(s) energy_window"),
+        ('{"alpha": 1.0}', "unknown config key(s) alpha"),
+        ('{"gamma": 1.0}', "unknown config key(s) gamma"),
     ])
     def test_bad_config_file_exit_2(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
@@ -326,6 +333,44 @@ class TestExitCodes:
         assert run(["preprocess", raw_dir / "raw.csv", "--kind", "walking",
                     "--lambda", value, "--out", tmp_path / "feat"]) == 2
         assert "lambda must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_classify_rate_exit_2(self, tmp_path, capsys, value):
+        counts, labels = tmp_path / "counts.csv", tmp_path / "labels.csv"
+        np.savetxt(counts, [[3, 0], [0, 3], [2, 1], [1, 2]], delimiter=",", fmt="%d")
+        labels.write_text("t,u\n0,1\n1,2\n2,1\n3,2\n")
+        assert run(["train-nb", counts, labels, "--out", tmp_path]) == 0
+        capsys.readouterr()
+        assert run(["classify", tmp_path / "nb.json", counts, "--rate", value,
+                    "--out", tmp_path / "pred"]) == 2
+        assert "rate must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+    def test_infinite_audio_rate_exit_2(self, tmp_path, capsys):
+        audio = tmp_path / "audio.csv"
+        audio.write_text("t,v\n" + "".join(f"{i / 44_100},{(-1) ** i * 0.1}\n"
+                                             for i in range(4410)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"audio_rate": float("inf")}))
+        assert "Infinity" in cfg.read_text()
+        assert run(["preprocess", audio, "--kind", "voice", "--config", cfg,
+                    "--out", tmp_path / "feat"]) == 2
+        assert "rate must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "feat" / "feature.csv").exists()
+
+    @pytest.mark.parametrize("command", ["segment-gmm", "spectrum", "train-nb"])
+    def test_time_column_not_advancing_exit_2(self, tmp_path, capsys, command):
+        # a constant time column: the median step is 0
+        table = tmp_path / "table.csv"
+        table.write_text("t,v\n" + "".join(f"0,{i % 2 + 1}\n" for i in range(100)))
+        counts = tmp_path / "counts.csv"
+        np.savetxt(counts, np.ones((100, 2)), delimiter=",", fmt="%d")
+        args = {"segment-gmm": [table, "--kind", "voice"], "spectrum": [table],
+                "train-nb": [counts, table]}[command]
+        assert run([command, *args, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"{table}: the time column must advance" in err
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         feature = tmp_path / "feature.csv"

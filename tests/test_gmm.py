@@ -21,9 +21,10 @@ def two_gaussians(seed=0, n=500, means=(0.0, 10.0)):
     return values[order], truth[order]
 
 
-def three_gaussians(seed, n):
+def gaussians(seed, n, sources=3):
+    """n draws from a mixture of the first ``sources`` of three Gaussians."""
     rng = np.random.default_rng(seed)
-    component = rng.choice(3, size=n, p=rng.dirichlet(np.full(3, 4.0)))
+    component = rng.choice(sources, size=n, p=rng.dirichlet(np.full(sources, 4.0)))
     return (np.array([0.0, 4.0, 9.0])[component]
             + np.array([1.0, 0.7, 1.5])[component] * rng.normal(size=n))
 
@@ -68,31 +69,34 @@ def reference_log_responsibilities(params, x):
             - 0.5 * diff ** 2 / params.variances[None, :])
 
 
-def reference_fit_gmm_em(x, k, seed):
-    """fit_gmm_em on (T, K) arrays. Also returns the parameters entering each
+def reference_fit_gmm_em(x, seed):
+    """fit_gmm_em on (T, 2) arrays. Also returns the parameters entering each
     E-step, the iteration count of each restart and the winning restart."""
-    if len(x) < 10 * k:
-        raise ValidationError(f"need at least {10 * k} points for K={k}")
+    k = 2
     var_floor = max(1e-8 * float(np.var(x)), 1e-300)
     rng = np.random.default_rng(seed)
     best, history, iterations = None, [], []
     for restart in range(5):
         scale = float(np.std(x)) if restart > 0 else 0.0
         jitter = rng.normal(0.0, 0.1 * scale, size=k) if restart > 0 else np.zeros(k)
-        params = gmm._quantile_init(x, k, jitter)
+        params = gmm._quantile_init(x, jitter)
         prev_ll = -np.inf
         for it in range(500):
             history.append(params)
             lr = reference_log_responsibilities(params, x)
-            m = lr.max(axis=1)
-            ll = float(np.sum(m + np.log(np.sum(np.exp(lr - m[:, None]), axis=1))))
+            # max and sum over the two components, column by column: exactly
+            # what a reduction along axis 1 gives, but without its slow
+            # walk along a length-2 axis
+            m = np.maximum(lr[:, 0], lr[:, 1])
+            resp = np.exp(lr - m[:, None])
+            total = resp[:, 0] + resp[:, 1]
+            ll = float(np.sum(m + np.log(total)))
             if ll < prev_ll - 1e-9 * max(abs(prev_ll), 1.0):
                 raise ClinQcError("E-M log-likelihood decreased")
-            resp = np.exp(lr - lr.max(axis=1)[:, None])
-            resp /= resp.sum(axis=1)[:, None]
+            resp /= total[:, None]
 
             nk = resp.sum(axis=0)
-            if np.any((nk / len(x)) < 1e-6) and k > 1:
+            if np.any((nk / len(x)) < 1e-6):
                 raise ClinQcError("component weight collapsed")
             means = resp.T @ x / nk
             variances = (resp * (x[:, None] - means[None, :]) ** 2).sum(axis=0) / nk
@@ -123,28 +127,26 @@ def assert_params_equal(a, b):
 class TestFitGmmEm:
     def test_recovers_separated_components(self):
         values, truth = two_gaussians(seed=1)
-        params, resp = gmm.fit_gmm_em(scalar(values), 2, seed=0)
+        params, resp = gmm.fit_gmm_em(scalar(values), seed=0)
         means = np.sort(params.means)
         assert abs(means[0] - 0.0) < 0.2
         assert abs(means[1] - 10.0) < 0.2
         assert np.all(np.abs(params.weights - 0.5) < 0.05)
         assert np.allclose(resp.sum(axis=1), 1.0)
 
-    def test_single_component_closed_form(self):
-        rng = np.random.default_rng(5)
-        values = rng.normal(2.0, 3.0, 200)
-        params, _ = gmm.fit_gmm_em(scalar(values), 1, seed=0)
-        assert params.means[0] == pytest.approx(values.mean(), abs=1e-9)
-        assert params.variances[0] == pytest.approx(values.var(), abs=1e-9)
+    def test_seed_is_keyword_only(self):
+        # fit_gmm_em(x, 2) must not run silently with seed 2
+        with pytest.raises(TypeError):
+            gmm.fit_gmm_em(scalar(np.arange(40.0)), 2)
 
     def test_identical_data_degenerate(self):
         with pytest.raises(ClinQcError, match="all data points identical") as info:
-            gmm.fit_gmm_em(scalar(np.full(100, 3.0)), 2, seed=0)
+            gmm.fit_gmm_em(scalar(np.full(100, 3.0)), seed=0)
         assert not isinstance(info.value, ValidationError)
 
     def test_too_few_points(self):
         with pytest.raises(ValidationError, match="need at least 20 points for K=2"):
-            gmm.fit_gmm_em(scalar(np.arange(15.0)), 2, seed=0)
+            gmm.fit_gmm_em(scalar(np.arange(15.0)), seed=0)
 
     def test_decreasing_likelihood_is_runtime_error(self, monkeypatch):
         exact = gmm._log_responsibilities
@@ -153,7 +155,7 @@ class TestFitGmmEm:
                             lambda params, x: exact(params, x) - 10.0 * next(calls))
         values, _ = two_gaussians(seed=1, n=50)
         with pytest.raises(ClinQcError, match="decreased") as info:
-            gmm.fit_gmm_em(scalar(values), 2, seed=0)
+            gmm.fit_gmm_em(scalar(values), seed=0)
         assert not isinstance(info.value, ValidationError)
 
 
@@ -171,6 +173,14 @@ class TestGmmParams:
         with pytest.raises(ValidationError, match="means and variances must be finite"):
             gmm.GmmParams(**values, weights=[0.5, 0.5])
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_exactly_two_components(self, k):
+        with pytest.raises(ValidationError, match="need 2 means, variances and weights"):
+            gmm.GmmParams(means=np.arange(k), variances=np.ones(k),
+                          weights=np.full(k, 1.0 / k))
+        with pytest.raises(ValidationError, match="need 2 means, variances and weights"):
+            gmm.GmmParams(means=[0.0, 1.0], variances=np.ones(k), weights=[0.5, 0.5])
+
 
 class TestMapAssign:
     def test_point_at_component_mean(self):
@@ -187,7 +197,7 @@ class TestMapAssign:
 
     def test_agreement_with_generator(self):
         values, truth = two_gaussians(seed=2)
-        params, _ = gmm.fit_gmm_em(scalar(values), 2, seed=0)
+        params, _ = gmm.fit_gmm_em(scalar(values), seed=0)
         states = gmm.map_assign(params, scalar(values))
         # align component order with the generator order
         z = states.indicators
@@ -197,7 +207,7 @@ class TestMapAssign:
 
     def test_relabelling_invariance(self):
         values, _ = two_gaussians(seed=3, n=100)
-        params, _ = gmm.fit_gmm_em(scalar(values), 2, seed=0)
+        params, _ = gmm.fit_gmm_em(scalar(values), seed=0)
         swapped = gmm.GmmParams(means=params.means[::-1],
                                 variances=params.variances[::-1],
                                 weights=params.weights[::-1])
@@ -266,7 +276,7 @@ class TestFullGmmPath:
         truth = np.repeat([ADHERENCE, VIOLATION, ADHERENCE, VIOLATION], block)
         values = np.where(truth == ADHERENCE, 6.0, 0.0) + rng.normal(size=len(truth))
         series = scalar(values, rate=10.0)
-        params, _ = gmm.fit_gmm_em(series, 2, seed=0)
+        params, _ = gmm.fit_gmm_em(series, seed=0)
         states = gmm.map_assign(params, series)
         smoothed = gmm.median_smooth_to_convergence(states, 21)
         labels = gmm.mean_rule_adherence(params, smoothed, gmm.TestKind.VOICE,
@@ -277,15 +287,15 @@ class TestFullGmmPath:
 
 
 class TestReferenceEquality:
-    """The component-major E-M and MAP assignment give the (T, K)
+    """The component-major E-M and MAP assignment give the (T, 2)
     reference's results bit for bit."""
 
-    def check_fit(self, monkeypatch, x, k, seed):
+    def check_fit(self, monkeypatch, x, seed):
         try:
-            expected = reference_fit_gmm_em(x, k, seed)
+            expected = reference_fit_gmm_em(x, seed)
         except ClinQcError as exc:
             with pytest.raises(type(exc), match=str(exc)):
-                gmm.fit_gmm_em(scalar(x), k, seed=seed)
+                gmm.fit_gmm_em(scalar(x), seed=seed)
             return None
         entered, restarts = [], []
         exact_lr, exact_init = gmm._log_responsibilities, gmm._quantile_init
@@ -300,52 +310,50 @@ class TestReferenceEquality:
 
         monkeypatch.setattr(gmm, "_log_responsibilities", recorded_lr)
         monkeypatch.setattr(gmm, "_quantile_init", recorded_init)
-        params, resp = gmm.fit_gmm_em(scalar(x), k, seed=seed)
+        params, resp = gmm.fit_gmm_em(scalar(x), seed=seed)
         ref_params, ref_resp, history, iterations, winner = expected
         assert np.diff(restarts + [len(entered)]).tolist() == iterations
         assert len(entered) == len(history)
         for got, want in zip(entered, history):
             assert_params_equal(got, want)
         assert_params_equal(params, ref_params)
-        assert resp.shape == (len(x), k)
+        assert resp.shape == (len(x), 2)
         assert np.array_equal(resp, ref_resp)
         return winner
 
     @pytest.mark.parametrize("T", [20, 1000, 18_000])
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("sources", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(5))
-    def test_fit_mixture(self, monkeypatch, seed, k, T):
-        self.check_fit(monkeypatch, three_gaussians(seed, T), k, seed)
+    def test_fit_mixture(self, monkeypatch, seed, sources, T):
+        self.check_fit(monkeypatch, gaussians(seed, T, sources), seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fit_walking_like(self, monkeypatch, seed):
-        self.check_fit(monkeypatch, walking_like(seed), 2, seed)
+        self.check_fit(monkeypatch, walking_like(seed), seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fit_voice_like(self, monkeypatch, seed):
-        self.check_fit(monkeypatch, voice_like(seed), 2, seed)
+        self.check_fit(monkeypatch, voice_like(seed), seed)
 
     def test_winner_is_not_always_the_first_restart(self, monkeypatch):
-        winners = {self.check_fit(monkeypatch, three_gaussians(seed, 1000), 3, seed)
+        winners = {self.check_fit(monkeypatch, gaussians(seed, 1000), seed)
                    for seed in range(5)}
         assert winners - {0, None}
 
     @pytest.mark.parametrize("source", ["mixture", "walking", "voice"])
     def test_map_assign_fitted(self, source):
-        x = {"mixture": lambda: three_gaussians(0, 1000),
+        x = {"mixture": lambda: gaussians(0, 1000),
              "walking": lambda: walking_like(0),
              "voice": lambda: voice_like(0)}[source]()
-        params, _ = gmm.fit_gmm_em(scalar(x), 2, seed=0)
+        params, _ = gmm.fit_gmm_em(scalar(x), seed=0)
         self.check_map_assign(params, x)
 
     @pytest.mark.parametrize("means, variances, weights, x, expected", [
-        # x = 5 ties the two components; x = 5 and 15 tie neighbours of three
+        # x = 5 ties the two components, whichever of them has the larger mean
         ((0.0, 10.0), (1.0, 1.0), (0.5, 0.5), [5.0, 0.0, 5.0, 10.0], [0, 0, 0, 1]),
-        ((0.0, 10.0, 20.0), (1.0, 1.0, 1.0), (1 / 3, 1 / 3, 1 / 3), [5.0, 15.0, 12.0],
-         [0, 1, 1]),
+        ((10.0, 0.0), (1.0, 1.0), (0.5, 0.5), [5.0, 0.0, 5.0, 10.0], [0, 1, 0, 0]),
         # identical components tie everywhere
-        ((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1 / 3, 1 / 3, 1 / 3), [0.0, 1.0, 7.0],
-         [0, 0, 0]),
+        ((1.0, 1.0), (2.0, 2.0), (0.5, 0.5), [0.0, 1.0, 7.0], [0, 0, 0]),
     ], ids=["two-way", "neighbours", "three-way"])
     def test_map_assign_ties(self, means, variances, weights, x, expected):
         params = gmm.GmmParams(means=means, variances=variances, weights=weights)

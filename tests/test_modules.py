@@ -29,3 +29,11 @@ def test_no_private_names_across_modules():
     found = [f"{path.name}:{use}" for path in SOURCES
              for use in private_uses_across_modules(ast.parse(path.read_text()))]
     assert not found, "private names used across modules:\n" + "\n".join(found)
+
+
+def test_no_assert_statements():
+    # assert vanishes under python -O, so it cannot guard a reachable path
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/clinqc:\n" + "\n".join(found)

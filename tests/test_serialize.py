@@ -238,6 +238,18 @@ class TestModelArtifacts:
         assert np.allclose(back.variances, params.variances)
         assert np.allclose(back.weights, params.weights)
 
+    def test_gmm_three_components_rejected(self, tmp_path):
+        params = GmmParams(means=np.array([0.0, 3.0]), variances=np.array([1.0, 0.5]),
+                           weights=np.array([0.7, 0.3]))
+        path = tmp_path / "gmm.json"
+        serialize.save_model(path, params)
+        doc = json.loads(path.read_text())
+        doc["payload"] = {"means": [0.0, 3.0, 6.0], "variances": [1.0, 0.5, 2.0],
+                          "weights": [0.5, 0.3, 0.2]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="need 2 means, variances and weights"):
+            serialize.load_model(path)
+
     def test_naive_bayes_roundtrip(self, tmp_path):
         model = NaiveBayesModel(
             attribute_probs=np.array([[0.75, 0.25], [1 / 6, 5 / 6]]),
@@ -253,10 +265,10 @@ class TestModelArtifacts:
         assert back.smoothing == 1.0
 
     def test_artifact_metadata(self, tmp_path):
-        params = GmmParams(means=np.array([0.0]), variances=np.array([1.0]),
-                           weights=np.array([1.0]))
+        params = GmmParams(means=np.array([0.0, 3.0]), variances=np.array([1.0, 1.0]),
+                           weights=np.array([0.5, 0.5]))
         path = tmp_path / "gmm.json"
-        config = {"components": 1, "seed": 5}
+        config = {"kind": "voice", "seed": 5}
         serialize.save_model(path, params, config=config, seed=5)
         doc = json.loads(path.read_text())
         assert doc["format"] == "clinqc-model"
@@ -270,8 +282,8 @@ class TestModelArtifacts:
             serialize.load_model(path)
 
     def test_rejects_future_version(self, tmp_path):
-        params = GmmParams(means=np.array([0.0]), variances=np.array([1.0]),
-                           weights=np.array([1.0]))
+        params = GmmParams(means=np.array([0.0, 3.0]), variances=np.array([1.0, 1.0]),
+                           weights=np.array([0.5, 0.5]))
         path = tmp_path / "gmm.json"
         serialize.save_model(path, params)
         doc = json.loads(path.read_text())

@@ -313,6 +313,14 @@ def reference_messages(pi, lik):
     return messages
 
 
+def reference_sample_categorical(weights, u):
+    total = weights.sum()
+    if total <= 0 or not np.isfinite(total):
+        raise ClinQcError("all state probabilities underflowed")
+    cum = np.cumsum(weights)
+    return int(np.searchsorted(cum, u * total, side="right").clip(0, len(weights) - 1))
+
+
 def reference_sample_states(model, loglik, rng):
     n, L = loglik.shape
     shift = loglik.max(axis=1, keepdims=True)
@@ -323,7 +331,7 @@ def reference_sample_states(model, loglik, rng):
     messages = reference_messages(pi, lik)
     uniforms = rng.random(n)
     z = np.empty(n, dtype=int)
-    z[0] = swar._sample_categorical(model.beta * lik[0] * messages[0], uniforms[0])
+    z[0] = reference_sample_categorical(model.beta * lik[0] * messages[0], uniforms[0])
     cum = np.cumsum(lik[:, None, :] * messages[:, None, :] * pi[None, :, :], axis=2)
     for t in range(1, n):
         row = cum[t, z[t - 1]]
