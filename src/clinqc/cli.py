@@ -134,7 +134,7 @@ def _odd_window(seconds: float, series: ScalarSeries) -> int:
 def _segment_gmm(series: ScalarSeries, config: PipelineConfig
                  ) -> tuple[AdherenceLabels, gmm.GmmParams]:
     window = _odd_window(config.window_seconds, series)
-    params, _ = gmm.fit_gmm_em(series, seed=config.seed)
+    params = gmm.fit_gmm_em(series, seed=config.seed)
     assigned = gmm.map_assign(params, series)
     smoothed = gmm.median_smooth_to_convergence(assigned, window)
     labels = gmm.mean_rule_adherence(params, smoothed,
@@ -147,7 +147,7 @@ def _segment_gmm(series: ScalarSeries, config: PipelineConfig
 def _cmd_preprocess(args) -> int:
     config = _load_config(args)
     series = preprocess_recipe(config.kind, Path(args.input), config)
-    out = _out_dir(args) / (args.name or "feature.csv")
+    out = _out_dir(args) / "feature.csv"
     serialize.write_scalar_csv(out, series, _meta(config))
     print(f"wrote {out} ({len(series)} samples at {series.rate:g} Hz)")
     return 0
@@ -157,7 +157,7 @@ def _cmd_spectrum(args) -> int:
     config = _load_config(args)
     series = serialize.read_scalar_csv(Path(args.input))
     spectrum = preprocess.power_spectrum(series)
-    out = _out_dir(args) / (args.name or "spectrum.csv")
+    out = _out_dir(args) / "spectrum.csv"
     serialize.write_spectrum_csv(out, spectrum, _meta(config))
     print(f"wrote {out} (peak at {spectrum.peak_frequency():g} Hz)")
     return 0
@@ -186,9 +186,8 @@ def _cmd_segment_ar(args) -> int:
                          asdict(config), config.seed)
     rows = np.column_stack([series.times, result.states.indicators])
     serialize.write_table(out_dir / "states.csv", "t,z", rows, _meta(config))
-    if result.states.posteriors is not None:
-        np.savetxt(out_dir / "posteriors.csv", result.states.posteriors,
-                   delimiter=",", fmt="%.12g")
+    np.savetxt(out_dir / "posteriors.csv", result.states.posteriors,
+               delimiter=",", fmt="%.12g")
     print(f"wrote {out_dir / 'swar.json'}; occupied states K+ = {result.occupied}")
     return 0
 
@@ -198,7 +197,7 @@ def _cmd_train_nb(args) -> int:
     counts = serialize.read_counts_csv(Path(args.counts))
     labels = serialize.read_labels_csv(Path(args.labels))
     model = context.nb_train(counts, labels, smoothing=config.smoothing)
-    out = _out_dir(args) / (args.name or "nb.json")
+    out = _out_dir(args) / "nb.json"
     serialize.save_model(out, model, asdict(config), config.seed)
     print(f"wrote {out}")
     return 0
@@ -212,7 +211,7 @@ def _cmd_classify(args) -> int:
     counts = serialize.read_counts_csv(Path(args.counts))
     predictions, confidence = context.nb_predict(model, counts)
     labels = AdherenceLabels(rate=args.rate, labels=predictions)
-    out = _out_dir(args) / (args.name or "predictions.csv")
+    out = _out_dir(args) / "predictions.csv"
     serialize.write_labels_csv(out, labels, confidence=confidence.max(axis=1),
                                meta=_meta(config))
     print(f"wrote {out}")
@@ -300,13 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--kind", choices=KINDS, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--name", default=None)
     common(p)
     p.set_defaults(handler=_cmd_preprocess)
 
     p = sub.add_parser("spectrum", help="Welch power spectrum of a feature CSV")
     p.add_argument("input")
-    p.add_argument("--name", default=None)
     common(p)
     p.set_defaults(handler=_cmd_spectrum)
 
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("counts")
     p.add_argument("labels")
     p.add_argument("--smoothing", type=float, default=None)
-    p.add_argument("--name", default=None)
     common(p)
     p.set_defaults(handler=_cmd_train_nb)
 
@@ -340,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("counts")
     p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--name", default=None)
     common(p)
     p.set_defaults(handler=_cmd_classify)
 

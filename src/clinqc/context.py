@@ -74,8 +74,11 @@ def nb_train(counts: np.ndarray, labels: AdherenceLabels,
     """Estimate per-class attribute probabilities from count vectors.
 
     pi_{k,c} = (smoothing + class counts for k) / (K * smoothing + class
-    total); priors are the empirical class frequencies.
+    total); priors are the empirical class frequencies. ``smoothing`` must
+    be finite and positive.
     """
+    if not (np.isfinite(smoothing) and smoothing > 0):
+        raise ValidationError(f"smoothing must be finite and positive, got {smoothing!r}")
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or len(counts) != len(labels):
         raise ValidationError("counts must be (T, K) matching labels")

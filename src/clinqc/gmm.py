@@ -63,16 +63,14 @@ def _log_responsibilities(params: GmmParams, x: np.ndarray) -> np.ndarray:
             - 0.5 * diff ** 2 / params.variances[:, None])
 
 
-def _normalize(lr: np.ndarray, out: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point log normalizer (T,) and responsibilities (2, T) of ``lr``.
-
-    The responsibilities are written to ``out`` when it is given.
-    """
+def _normalize(lr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-point log normalizer (T,) of ``lr``; writes the responsibilities
+    (2, T) to ``out``."""
     m = lr.max(axis=0)
     e = np.exp(lr - m)
     total = e.sum(axis=0)
-    return m + np.log(total), np.divide(e, total, out=out)
+    np.divide(e, total, out=out)
+    return m + np.log(total)
 
 
 def _sum_over_points(a: np.ndarray) -> np.ndarray:
@@ -89,21 +87,21 @@ def _quantile_init(x: np.ndarray, jitter: np.ndarray) -> GmmParams:
     return GmmParams(means=means, variances=np.full(2, var), weights=np.full(2, 0.5))
 
 
-def fit_gmm_em(data: ScalarSeries, *, seed: int = 0) -> tuple[GmmParams, np.ndarray]:
+def fit_gmm_em(data: ScalarSeries, *, seed: int = 0) -> GmmParams:
     """Fit a two-component 1-D GMM by expectation-maximization.
 
     Runs five restarts of at most 500 iterations each, stopping a restart
     when the log-likelihood gains less than 1e-8 of its magnitude; ``seed``
-    draws the jitter of restarts 1-4. Returns the parameters and the (T, 2)
-    responsibility matrix of the best restart. The log-likelihood is
-    checked to be non-decreasing on every iteration.
+    draws the jitter of restarts 1-4. Returns the parameters of the restart
+    with the highest log-likelihood, which is checked to be non-decreasing
+    on every iteration.
 
-    Each iteration writes the responsibilities into a C-ordered (T, 2)
-    array and works on its (2, T) transpose: the E-step takes the max, the
-    ``exp`` and the sum over components once and uses them for both the
-    log-likelihood and the responsibilities; the M-step sums over T
-    sequentially (``_sum_over_points``) and hands the (T, 2) array,
-    transposed, to BLAS for the means.
+    Every iteration writes the responsibilities into one C-ordered (T, 2)
+    buffer, allocated once per fit, and works on its (2, T) transpose: the
+    E-step takes the max, the ``exp`` and the sum over components once and
+    uses them for both the log-likelihood and the responsibilities; the
+    M-step sums over T sequentially (``_sum_over_points``) and hands the
+    (T, 2) buffer, transposed, to BLAS for the means.
     """
     x = data.values
     if len(x) < 20:
@@ -113,27 +111,26 @@ def fit_gmm_em(data: ScalarSeries, *, seed: int = 0) -> tuple[GmmParams, np.ndar
         raise ClinQcError("all data points identical")
     var_floor = max(1e-8 * data_var, 1e-300)
     rng = np.random.default_rng(seed)
+    # BLAS picks its summation order from the operand layout, so the
+    # responsibilities live in a C-ordered (T, 2) array and the E-M works
+    # on its (2, T) transpose.
+    resp = np.empty((len(x), 2)).T
 
-    best: tuple[float, GmmParams, np.ndarray] | None = None
+    best: tuple[float, GmmParams] | None = None
     for restart in range(5):
         scale = float(np.std(x)) if restart > 0 else 0.0
         jitter = rng.normal(0.0, 0.1 * scale, size=2) if restart > 0 else np.zeros(2)
         params = _quantile_init(x, jitter)
         prev_ll = -np.inf
         for _ in range(500):
-            # BLAS picks its summation order from the operand layout, so the
-            # responsibilities live in a C-ordered (T, 2) array and the E-M
-            # works on its (2, T) transpose.
-            resp_tk = np.empty((len(x), 2))
-            log_norm, resp = _normalize(_log_responsibilities(params, x), out=resp_tk.T)
-            ll = float(np.sum(log_norm))
+            ll = float(np.sum(_normalize(_log_responsibilities(params, x), resp)))
             if ll < prev_ll - 1e-9 * max(abs(prev_ll), 1.0):
                 raise ClinQcError("E-M log-likelihood decreased")
 
             nk = _sum_over_points(resp)
             if np.any((nk / len(x)) < 1e-6):
                 raise ClinQcError("component weight collapsed")
-            means = resp_tk.T @ x / nk
+            means = resp @ x / nk
             variances = _sum_over_points(resp * (x - means[:, None]) ** 2) / nk
             variances = np.maximum(variances, var_floor)
             params = GmmParams(means=means, variances=variances, weights=nk / len(x))
@@ -142,18 +139,18 @@ def fit_gmm_em(data: ScalarSeries, *, seed: int = 0) -> tuple[GmmParams, np.ndar
                 break
             prev_ll = ll
         if best is None or prev_ll > best[0]:
-            best = (prev_ll, params, resp_tk)
-    return best[1], best[2]
+            best = (prev_ll, params)
+    return best[1]
 
 
 def map_assign(params: GmmParams, data: ScalarSeries) -> StateSequence:
     """Assign each point to its most probable component.
 
-    Ties break toward the lower component index (argmax on exact equality).
+    Returns the indicators only, without posteriors. Ties break toward the
+    lower component index (argmax on exact equality).
     """
     lr = _log_responsibilities(params, data.values)
-    _, post = _normalize(lr)
-    return StateSequence(indicators=np.argmax(lr, axis=0), posteriors=post.T)
+    return StateSequence(indicators=np.argmax(lr, axis=0))
 
 
 def _median_pass(values: np.ndarray, window: int) -> np.ndarray:

@@ -100,12 +100,15 @@ class SwitchingArModel:
 
 @dataclass
 class SwArConfig:
-    """Fit configuration; defaults follow the preprocessing recipe scale."""
+    """Fit configuration; defaults follow the preprocessing recipe scale.
+
+    The first ``burn_in`` of the ``sweeps`` Gibbs sweeps are discarded, and
+    at least one sweep must be kept: ``0 <= burn_in < sweeps``. The model's
+    concentrations stay at alpha = gamma = 1.
+    """
 
     order: int = 4
     truncation: int = 20
-    alpha: float = 1.0
-    gamma: float = 1.0
     kappa: float = 0.0
     sweeps: int = 500
     burn_in: int = 250
@@ -114,8 +117,10 @@ class SwArConfig:
     def __post_init__(self):
         if self.order < 0:
             raise ValidationError("order must be >= 0")
-        if not 0 <= self.burn_in <= self.sweeps:
-            raise ValidationError("burn_in must lie in [0, sweeps]")
+        if not 0 <= self.burn_in < self.sweeps:
+            raise ValidationError(
+                f"burn_in must lie in [0, sweeps), got burn_in={self.burn_in} "
+                f"with sweeps={self.sweeps}")
 
 
 @dataclass
@@ -506,17 +511,16 @@ def initial_model(data: ScalarSeries, config: SwArConfig) -> SwitchingArModel:
     beta = np.full(L, 1.0 / L)
     return SwitchingArModel(order=config.order, truncation=L, states=states,
                             transitions=transitions, beta=beta,
-                            alpha=config.alpha, gamma=config.gamma,
                             kappa=config.kappa, seed=config.seed, prior=prior)
 
 
 def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
     """Run the blocked Gibbs sampler and return a point estimate.
 
-    The point estimate is the post-burn-in sample with the highest
-    complete-data log-likelihood; per-time posteriors are post-burn-in
-    empirical state frequencies. The first r outputs inherit the first
-    sampled state for continuity.
+    The point estimate is the kept (post-burn-in) sweep's model and chain
+    with the highest complete-data log-likelihood; the per-time posteriors,
+    always present, are the kept sweeps' empirical state frequencies. The
+    first r outputs inherit the first sampled state for continuity.
     """
     config = config or SwArConfig()
     r = config.order
@@ -529,11 +533,8 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
     L = config.truncation
 
     loglik = _loglik_matrix(model, X, y)
-    best_ll = -np.inf
-    best_model = model
-    best_z = np.zeros(n, dtype=int)
+    best = None
     freq = np.zeros((n, L))
-    kept = 0
     trace = np.empty(config.sweeps)
     occupied_trace = np.empty(config.sweeps, dtype=int)
     for sweep in range(config.sweeps):
@@ -544,23 +545,18 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
         occupied_trace[sweep] = len(np.unique(z))
         if sweep >= config.burn_in:
             freq[np.arange(n), z] += 1.0
-            kept += 1
-            if ll > best_ll:
-                best_ll = ll
-                best_model = model
-                best_z = z
-    posteriors = freq / kept if kept else None
+            if best is None or ll > best[0]:
+                best = (ll, model, z)
+    _, best_model, best_z = best
+    posteriors = freq / (config.sweeps - config.burn_in)
     states = _expand_chain(best_z, r, posteriors)
     return SwArFit(model=best_model, states=states, loglik_trace=trace,
                    occupied_trace=occupied_trace)
 
 
-def _expand_chain(z: np.ndarray, order: int,
-                  posteriors: np.ndarray | None) -> StateSequence:
-    """Prepend the first chain state over the r conditioned-on points."""
+def _expand_chain(z: np.ndarray, order: int, posteriors: np.ndarray) -> StateSequence:
+    """Prepend the first chain state and its posteriors over the r
+    conditioned-on points."""
     full = np.concatenate([np.full(order, z[0], dtype=int), z])
-    full_post = None
-    if posteriors is not None:
-        head = np.tile(posteriors[0], (order, 1))
-        full_post = np.vstack([head, posteriors])
+    full_post = np.vstack([np.tile(posteriors[0], (order, 1)), posteriors])
     return StateSequence(indicators=full, posteriors=full_post)

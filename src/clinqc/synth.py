@@ -82,17 +82,12 @@ class SynthSpec:
         return z
 
 
-def default_ar_states(order: int = 1) -> list[ArState]:
-    """Three well-separated AR regimes used by the scenario presets."""
-    def pad(coeffs):
-        out = np.zeros(order)
-        out[: len(coeffs)] = coeffs[:order]
-        return out
-
+def default_ar_states() -> list[ArState]:
+    """Three well-separated AR(1) regimes used by the scenario presets."""
     return [
-        ArState(coefficients=pad([0.95]), mean=0.0, variance=0.05),
-        ArState(coefficients=pad([-0.9]), mean=0.0, variance=1.0),
-        ArState(coefficients=pad([0.0]), mean=3.0, variance=0.2),
+        ArState(coefficients=[0.95], mean=0.0, variance=0.05),
+        ArState(coefficients=[-0.9], mean=0.0, variance=1.0),
+        ArState(coefficients=[0.0], mean=3.0, variance=0.2),
     ]
 
 

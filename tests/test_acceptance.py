@@ -184,7 +184,7 @@ def test_criterion_5_switching_ar_recovery():
     start = time.time()
     spec = three_regime_spec(duration=200.0, rate=30.0, seed=0)
     series, truth = synth.gen_switching_ar(spec)
-    config = swar.SwArConfig(order=1, truncation=10, kappa=20.0, gamma=1.0,
+    config = swar.SwArConfig(order=1, truncation=10, kappa=20.0,
                              sweeps=500, burn_in=250, seed=0)
     fit = swar.fit(series, config)
     ari = adjusted_rand(fit.states.indicators, truth.indicators)
@@ -206,7 +206,7 @@ def test_criterion_6_gmm_path():
                                RegimeInterval(1, 50.0, 90.0),
                                RegimeInterval(0, 90.0, 120.0)])
     series, truth = synth.gen_two_cluster(spec)
-    params, _ = gmm.fit_gmm_em(series, seed=0)
+    params = gmm.fit_gmm_em(series, seed=0)
     assigned = gmm.map_assign(params, series)
     smoothed = gmm.median_smooth_to_convergence(assigned, 61)
     labels = gmm.mean_rule_adherence(params, smoothed, gmm.TestKind.VOICE,
@@ -237,7 +237,7 @@ def test_criterion_7_end_to_end_pipelines():
     spec = SynthSpec(scenario="switching-ar", duration=duration, rate=rate,
                      seed=1, schedule=schedule)
     series, truth = synth.gen_switching_ar(spec)
-    config = swar.SwArConfig(order=1, truncation=10, kappa=20.0, gamma=1.0,
+    config = swar.SwArConfig(order=1, truncation=10, kappa=20.0,
                              sweeps=500, burn_in=250, seed=1)
     fit = swar.fit(series, config)
     counts = context.posterior_counts(fit.states)
@@ -260,7 +260,7 @@ def test_criterion_7_end_to_end_pipelines():
                            schedule=[RegimeInterval(0, 0.0, 60.0),
                                      RegimeInterval(1, 60.0, 120.0)])
     voice_series, voice_truth = synth.gen_two_cluster(voice_spec)
-    params, _ = gmm.fit_gmm_em(voice_series, seed=0)
+    params = gmm.fit_gmm_em(voice_series, seed=0)
     smoothed = gmm.median_smooth_to_convergence(
         gmm.map_assign(params, voice_series), 61)
     voice_labels = gmm.mean_rule_adherence(params, smoothed, gmm.TestKind.VOICE,

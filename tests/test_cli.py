@@ -182,6 +182,23 @@ class TestClassifierCommands:
         assert doc["baseline"] == "shuffled"
         assert doc["metrics"]["mean"]["ba"] < 0.8
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_smoothing_exit_2(self, tmp_path, capsys, value):
+        counts_path, labels_path = self.prepare(tmp_path)
+        assert run(["train-nb", counts_path, labels_path, "--smoothing", value,
+                    "--out", tmp_path / "model"]) == 2
+        assert "smoothing must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "model" / "nb.json").exists()
+
+    def test_infinite_smoothing_in_config_exit_2(self, tmp_path, capsys):
+        counts_path, labels_path = self.prepare(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"smoothing": Infinity}')
+        assert run(["evaluate", counts_path, labels_path, "--folds", "5",
+                    "--config", config, "--out", tmp_path / "eval"]) == 2
+        assert "smoothing must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
     @pytest.mark.parametrize("command", ["train-nb", "classify", "evaluate"])
     def test_corrupt_counts_exit_2(self, tmp_path, capsys, command):
         counts_path, labels_path = self.prepare(tmp_path)
@@ -399,6 +416,17 @@ class TestExitCodes:
         assert "need finite alpha > 0, gamma > 0, kappa >= 0" in capsys.readouterr().err
         assert not (tmp_path / "seg" / "swar.json").exists()
 
+    @pytest.mark.parametrize("sweeps", ["10", "0"])
+    def test_no_kept_sweep_exit_2(self, tmp_path, capsys, sweeps):
+        run(["synth", "--scenario", "switching-ar", "--duration", "10",
+             "--rate", "30", "--out", tmp_path / "data"])
+        capsys.readouterr()
+        assert run(["segment-ar", tmp_path / "data" / "feature.csv", "--order", "1",
+                    "--truncation", "2", "--sweeps", sweeps, "--burn-in", sweeps,
+                    "--out", tmp_path / "seg"]) == 2
+        assert "burn_in must lie in [0, sweeps)" in capsys.readouterr().err
+        assert not (tmp_path / "seg").exists()
+
     @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--rate", "nan"],
                                        ["--rate", "inf"]],
                              ids=["duration-nan", "rate-nan", "rate-inf"])
@@ -447,14 +475,55 @@ class TestExitCodes:
         assert "runtime error: backward message underflowed" in err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported on first use, so commands that never resample,
-    # filter or trend-filter do not pay for it at start-up
-    code = ("import sys, clinqc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def scipy_modules_after(code, *args):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(clinqc.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, check=True, env=env)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported on first use, so commands that never resample,
+    # filter or trend-filter do not pay for it at start-up
+    assert scipy_modules_after("import sys, clinqc.cli") == "[]"
+
+
+def test_voice_and_field_pipelines_load_no_scipy(tmp_path):
+    # a cold scipy import costs start-up time and tens of MB of peak memory,
+    # so the voice and switching-AR paths keep to numpy
+    rate = 44_100
+    t = np.arange(3 * rate) / rate
+    audio = np.random.default_rng(0).normal(0.0, 0.01, size=len(t))
+    audio[rate:2 * rate] += np.sin(2 * np.pi * 220 * t[rate:2 * rate])
+    np.savetxt(tmp_path / "audio.csv", np.column_stack([t, audio]),
+               delimiter=",", header="t,v", comments="")
+    run(["synth", "--scenario", "switching-ar", "--duration", "20",
+         "--rate", "30", "--out", tmp_path])
+    truth = serialize._read_table(tmp_path / "truth.csv", 2)
+    labels = np.where(truth[:, 1] == 1, 2, 1)
+    np.savetxt(tmp_path / "labels.csv", np.column_stack([truth[:, 0], labels]),
+               delimiter=",", fmt=["%.6f", "%d"], header="t,u", comments="")
+    code = """
+import sys
+import numpy as np
+from clinqc import cli, context
+d = sys.argv[1]
+for argv in (["preprocess", d + "/audio.csv", "--kind", "voice", "--out", d + "/voice"],
+             ["segment-gmm", d + "/voice/feature.csv", "--kind", "voice",
+              "--out", d + "/voice"],
+             ["segment-ar", d + "/feature.csv", "--order", "1", "--truncation", "4",
+              "--sweeps", "4", "--burn-in", "2", "--out", d + "/ar"]):
+    assert cli.main(argv) == 0, argv
+posteriors = np.loadtxt(d + "/ar/posteriors.csv", delimiter=",")
+np.savetxt(d + "/counts.csv", context.rescale_to_counts(posteriors), fmt="%d",
+           delimiter=",")
+assert cli.main(["evaluate", d + "/counts.csv", d + "/labels.csv", "--folds", "2",
+                 "--out", d + "/eval"]) == 0
+"""
+    assert scipy_modules_after(code, tmp_path) == "[]"
+    assert (tmp_path / "voice" / "labels.csv").exists()
+    assert (tmp_path / "eval" / "report.json").exists()

@@ -47,10 +47,16 @@ class TestNbTrain:
         assert model.attribute_probs[1, 0] == pytest.approx(2 / 12)
         assert model.attribute_probs[1, 1] == pytest.approx(10 / 12)
 
-    def test_single_attribute_zero_smoothing_degenerate(self):
+    def test_single_attribute_degenerate(self):
         counts = np.array([[9.0], [1.0]])
-        model = context.nb_train(counts, labels([ADHERENCE, VIOLATION]), smoothing=0.0)
+        model = context.nb_train(counts, labels([ADHERENCE, VIOLATION]), smoothing=1.0)
         assert np.allclose(model.attribute_probs, 1.0)
+
+    @pytest.mark.parametrize("smoothing", [0.0, -1.0, np.nan, np.inf])
+    def test_smoothing_must_be_finite_and_positive(self, smoothing):
+        counts = np.array([[9.0], [1.0]])
+        with pytest.raises(ValidationError, match="smoothing must be finite and positive"):
+            context.nb_train(counts, labels([ADHERENCE, VIOLATION]), smoothing=smoothing)
 
     def test_rows_are_simplexes(self):
         rng = np.random.default_rng(0)

@@ -152,7 +152,7 @@ class TestGibbsSweep:
     def test_simplex_invariants_after_sweeps(self):
         series, _ = swar.simulate(two_state_model(), 400, seed=3)
         data = ScalarSeries(rate=1.0, values=series.values)
-        cfg = swar.SwArConfig(order=1, truncation=6, sweeps=0, burn_in=0, seed=0)
+        cfg = swar.SwArConfig(order=1, truncation=6, sweeps=1, burn_in=0, seed=0)
         model = swar.initial_model(data, cfg)
         X, y = swar._design(data.values, cfg.order)
         rng = np.random.default_rng(0)
@@ -172,14 +172,20 @@ class TestGibbsSweep:
         fit = swar.fit(data, cfg)
         assert fit.occupied_mode(100) == 1
 
-    def test_zero_sweeps_noop(self):
+    @pytest.mark.parametrize("sweeps, burn_in", [(0, 0), (10, 10), (10, 11), (10, -1)])
+    def test_burn_in_must_leave_a_kept_sweep(self, sweeps, burn_in):
+        with pytest.raises(ValidationError, match=r"burn_in must lie in \[0, sweeps\)"):
+            swar.SwArConfig(sweeps=sweeps, burn_in=burn_in)
+
+    def test_one_kept_sweep_is_the_estimate(self):
         rng = np.random.default_rng(1)
         data = ScalarSeries(rate=1.0, values=rng.normal(size=200))
-        cfg = swar.SwArConfig(order=1, truncation=4, sweeps=0, burn_in=0, seed=0)
-        fit = swar.fit(data, cfg)
-        assert len(fit.loglik_trace) == 0
-        assert np.all(fit.states.indicators == 0)
-        assert fit.occupied == fit.states.occupied == 1
+        fit = swar.fit(data, swar.SwArConfig(order=1, truncation=4, sweeps=3,
+                                             burn_in=2, seed=0))
+        posteriors = fit.states.posteriors
+        assert posteriors.shape == (200, 4)
+        # one kept sweep: the posteriors are the estimate's one-hot rows
+        assert np.array_equal(posteriors, np.eye(4)[fit.states.indicators])
 
     def test_truncation_saturation(self):
         # 3-state data with L = 2: both slots get used, no error
