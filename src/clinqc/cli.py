@@ -186,7 +186,7 @@ def _cmd_segment_ar(args) -> int:
                          asdict(config), config.seed)
     rows = np.column_stack([series.times, result.states.indicators])
     serialize.write_table(out_dir / "states.csv", "t,z", rows, _meta(config))
-    np.savetxt(out_dir / "posteriors.csv", result.states.posteriors,
+    np.savetxt(out_dir / "posteriors.csv", result.posteriors,
                delimiter=",", fmt="%.12g")
     print(f"wrote {out_dir / 'swar.json'}; occupied states K+ = {result.occupied}")
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .series import ADHERENCE, VIOLATION, AdherenceLabels, StateSequence, check_simplex
+from .series import ADHERENCE, VIOLATION, AdherenceLabels, check_simplex
 
 CLASSES = (ADHERENCE, VIOLATION)
 
@@ -64,10 +64,6 @@ class NaiveBayesModel:
         check_simplex(self.attribute_probs, "attribute rows must sum to 1")
         check_simplex(self.priors, "priors must sum to 1")
 
-    @property
-    def n_attributes(self) -> int:
-        return self.attribute_probs.shape[1]
-
 
 def nb_train(counts: np.ndarray, labels: AdherenceLabels,
              smoothing: float = 1.0) -> NaiveBayesModel:
@@ -97,36 +93,27 @@ def nb_train(counts: np.ndarray, labels: AdherenceLabels,
                            smoothing=smoothing)
 
 
-def nb_scores(model: NaiveBayesModel, counts: np.ndarray) -> np.ndarray:
-    """Per-class log-scores log P(c) + sum_k p_k log pi_{k,c}, shape (T, 2).
-
-    Mass on unseen attributes contributes through the pseudo-attribute.
-    """
-    counts = np.atleast_2d(np.asarray(counts, dtype=float))
-    if counts.shape[1] != model.n_attributes:
-        raise ValidationError("count width does not match the trained model")
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(model.attribute_probs)
-        log_priors = np.log(model.priors)
-    seen = model.seen
-    scores = log_priors[None, :] + counts[:, seen] @ log_probs[:, seen].T
-    unseen_mass = counts[:, ~seen].sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        penalty = np.where(unseen_mass[:, None] > 0,
-                           unseen_mass[:, None] * UNSEEN_LOGPROB[None, :],
-                           0.0)
-    return scores + penalty
-
-
 def nb_predict(model: NaiveBayesModel, counts: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Classify count vectors; returns labels and per-class probabilities.
 
-    Ties break toward adherence (the lower class code). The probabilities
-    are the normalized exponentiated log-scores.
+    Each class scores log P(c) + sum_k p_k log pi_{k,c}, mass on unseen
+    attributes contributing through the pseudo-attribute. Ties break toward
+    adherence (the lower class code). The probabilities are the normalized
+    exponentiated scores.
     """
     counts = np.atleast_2d(np.asarray(counts, dtype=float))
-    scores = nb_scores(model, counts)
+    seen = model.seen
+    if counts.shape[1] != len(seen):
+        raise ValidationError("count width does not match the trained model")
+    with np.errstate(divide="ignore"):
+        log_probs = np.log(model.attribute_probs)
+        log_priors = np.log(model.priors)
+    scores = log_priors[None, :] + counts[:, seen] @ log_probs[:, seen].T
+    unseen_mass = counts[:, ~seen].sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        scores += np.where(unseen_mass[:, None] > 0,
+                           unseen_mass[:, None] * UNSEEN_LOGPROB[None, :], 0.0)
     pred = np.where(scores[:, 0] >= scores[:, 1], ADHERENCE, VIOLATION)
     shifted = scores - np.nanmax(np.where(np.isfinite(scores), scores, -np.inf),
                                  axis=1, keepdims=True)
@@ -135,10 +122,3 @@ def nb_predict(model: NaiveBayesModel, counts: np.ndarray
     totals = conf.sum(axis=1, keepdims=True)
     totals[totals == 0] = 1.0
     return pred, conf / totals
-
-
-def posterior_counts(states: StateSequence) -> np.ndarray:
-    """Posterior state probabilities as integer frequencies out of 100."""
-    if states.posteriors is None:
-        raise ValidationError("state sequence carries no posteriors")
-    return rescale_to_counts(states.posteriors)

@@ -146,8 +146,7 @@ def fit_gmm_em(data: ScalarSeries, *, seed: int = 0) -> GmmParams:
 def map_assign(params: GmmParams, data: ScalarSeries) -> StateSequence:
     """Assign each point to its most probable component.
 
-    Returns the indicators only, without posteriors. Ties break toward the
-    lower component index (argmax on exact equality).
+    Ties break toward the lower component index (argmax on exact equality).
     """
     lr = _log_responsibilities(params, data.values)
     return StateSequence(indicators=np.argmax(lr, axis=0))

@@ -8,7 +8,7 @@ recall-style normalization by true-class counts is available via
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,9 +24,6 @@ class FoldMetrics:
     tp: float | None
     tn: float | None
     ba: float | None
-
-    def defined(self) -> bool:
-        return self.tp is not None and self.tn is not None
 
 
 @dataclass
@@ -90,22 +87,6 @@ def tp_tn_ba(predicted: np.ndarray, truth: np.ndarray,
     return FoldMetrics(tp=tp, tn=tn, ba=ba)
 
 
-@dataclass
-class FoldPlan:
-    """Partition of 0..n-1 into k folds of contiguous blocks."""
-
-    n: int
-    k: int
-    folds: list[np.ndarray] = field(init=False)
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValidationError("need at least 2 folds")
-        if self.n < self.k:
-            raise ValidationError("fewer points than folds")
-        self.folds = np.array_split(np.arange(self.n), self.k)
-
-
 TrainFn = Callable[[np.ndarray, AdherenceLabels], object]
 PredictFn = Callable[[object, np.ndarray], np.ndarray]
 
@@ -115,17 +96,22 @@ def kfold_cv(inputs: np.ndarray, labels: AdherenceLabels, k: int,
              mode: str = "printed") -> MetricsReport:
     """Cross-validate a train/predict pair.
 
-    Folds are contiguous time blocks, preventing temporal leakage between
-    train and test in autocorrelated series.
+    The k folds are contiguous time blocks of 0..n-1 (``np.array_split``),
+    preventing temporal leakage between train and test in autocorrelated
+    series.
     """
     inputs = np.asarray(inputs)
-    if len(inputs) != len(labels):
+    n = len(inputs)
+    if n != len(labels):
         raise ValidationError("inputs and labels must have equal length")
-    plan = FoldPlan(n=len(inputs), k=k)
+    if k < 2:
+        raise ValidationError("need at least 2 folds")
+    if n < k:
+        raise ValidationError("fewer points than folds")
     u = labels.labels
     folds = []
-    for held_out in plan.folds:
-        train_mask = np.ones(plan.n, dtype=bool)
+    for held_out in np.array_split(np.arange(n), k):
+        train_mask = np.ones(n, dtype=bool)
         train_mask[held_out] = False
         train_labels = u[train_mask]
         if len(set(train_labels)) < 2:

@@ -146,7 +146,7 @@ def read_accelerometer_csv(path: Path) -> TimestampedTriaxial:
     return TimestampedTriaxial(timestamps=data[:, 0], samples=data[:, 1:])
 
 
-def read_audio_csv(path: Path, rate: float = 44_100.0) -> ScalarSeries:
+def read_audio_csv(path: Path, *, rate: float) -> ScalarSeries:
     """Read ``t,v`` audio samples; the time column fixes nothing beyond order."""
     data = _read_table(path, 2)
     return ScalarSeries(rate=rate, values=data[:, 1])

@@ -142,10 +142,9 @@ class AdherenceLabels:
 
 @dataclass
 class StateSequence:
-    """Discrete per-time state indicators with optional posterior probabilities."""
+    """Discrete per-time state indicators."""
 
     indicators: np.ndarray                  # (T,) integers >= 0
-    posteriors: np.ndarray | None = None    # (T, L) rows >= 0 summing to 1 within 1e-6
 
     def __post_init__(self):
         self.indicators = np.asarray(self.indicators, dtype=int)
@@ -153,13 +152,6 @@ class StateSequence:
             raise ValidationError("indicators must be one-dimensional")
         if np.any(self.indicators < 0):
             raise ValidationError("indicators must be non-negative")
-        if self.posteriors is not None:
-            self.posteriors = _as_float_array(self.posteriors, "posteriors", 2)
-            if len(self.posteriors) != len(self.indicators):
-                raise ValidationError("posteriors and indicators must have equal length")
-            sums = self.posteriors.sum(axis=1)
-            if np.any(self.posteriors < 0) or np.any(np.abs(sums - 1.0) > 1e-6):
-                raise ValidationError("posterior rows must be non-negative and sum to 1")
 
     def __len__(self) -> int:
         return len(self.indicators)

@@ -79,9 +79,12 @@ class SwitchingArModel:
     def __post_init__(self):
         if self.truncation < 2:
             raise ValidationError("truncation must be >= 2")
-        if not (np.all(np.isfinite([self.alpha, self.gamma, self.kappa]))
-                and self.alpha > 0 and self.gamma > 0 and self.kappa >= 0):
-            raise ValidationError("need finite alpha > 0, gamma > 0, kappa >= 0")
+        for name in ("alpha", "gamma"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0 <= self.kappa < np.inf:
+            raise ValidationError(f"kappa must be finite and >= 0, got {self.kappa!r}")
         if len(self.states) != self.truncation:
             raise ValidationError("need one ArState per truncation slot")
         for s in self.states:
@@ -125,10 +128,12 @@ class SwArConfig:
 
 @dataclass
 class SwArFit:
-    """Result of a switching-AR fit."""
+    """Result of a switching-AR fit: the point estimate, the kept sweeps'
+    per-time state frequencies (``posteriors``) and per-sweep traces."""
 
     model: SwitchingArModel
     states: StateSequence          # point estimate, full length T
+    posteriors: np.ndarray         # (T, L) kept sweeps' state frequencies
     loglik_trace: np.ndarray       # complete-data log-likelihood per sweep
     occupied_trace: np.ndarray     # K+ of the sampled chain per sweep
 
@@ -136,14 +141,6 @@ class SwArFit:
     def occupied(self) -> int:
         """K+ of the point estimate."""
         return self.states.occupied
-
-    def occupied_mode(self, burn_in: int = 0) -> int:
-        """Most frequent K+ over post-burn-in sweeps."""
-        trace = self.occupied_trace[burn_in:]
-        if len(trace) == 0:
-            return self.occupied
-        values, counts = np.unique(trace, return_counts=True)
-        return int(values[np.argmax(counts)])
 
 
 def ar_psd(state: ArState, freqs: np.ndarray) -> SpectrumEstimate:
@@ -518,9 +515,9 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
     """Run the blocked Gibbs sampler and return a point estimate.
 
     The point estimate is the kept (post-burn-in) sweep's model and chain
-    with the highest complete-data log-likelihood; the per-time posteriors,
-    always present, are the kept sweeps' empirical state frequencies. The
-    first r outputs inherit the first sampled state for continuity.
+    with the highest complete-data log-likelihood; row t of the posteriors
+    is the share of kept sweeps in each state at time t. The chain covers
+    t = r .. T-1, so the first r indicators and rows repeat those at t = r.
     """
     config = config or SwArConfig()
     r = config.order
@@ -548,15 +545,7 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
             if best is None or ll > best[0]:
                 best = (ll, model, z)
     _, best_model, best_z = best
-    posteriors = freq / (config.sweeps - config.burn_in)
-    states = _expand_chain(best_z, r, posteriors)
-    return SwArFit(model=best_model, states=states, loglik_trace=trace,
-                   occupied_trace=occupied_trace)
-
-
-def _expand_chain(z: np.ndarray, order: int, posteriors: np.ndarray) -> StateSequence:
-    """Prepend the first chain state and its posteriors over the r
-    conditioned-on points."""
-    full = np.concatenate([np.full(order, z[0], dtype=int), z])
-    full_post = np.vstack([np.tile(posteriors[0], (order, 1)), posteriors])
-    return StateSequence(indicators=full, posteriors=full_post)
+    expand = np.concatenate([np.zeros(r, dtype=int), np.arange(n)])
+    return SwArFit(model=best_model, states=StateSequence(indicators=best_z[expand]),
+                   posteriors=freq[expand] / (config.sweeps - config.burn_in),
+                   loglik_trace=trace, occupied_trace=occupied_trace)

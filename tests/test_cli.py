@@ -413,7 +413,7 @@ class TestExitCodes:
         assert run(["segment-ar", tmp_path / "data" / "feature.csv", "--order", "1",
                     "--truncation", "2", "--sweeps", "2", "--burn-in", "1",
                     "--kappa", "nan", "--out", tmp_path / "seg"]) == 2
-        assert "need finite alpha > 0, gamma > 0, kappa >= 0" in capsys.readouterr().err
+        assert "kappa must be finite and >= 0, got nan" in capsys.readouterr().err
         assert not (tmp_path / "seg" / "swar.json").exists()
 
     @pytest.mark.parametrize("sweeps", ["10", "0"])

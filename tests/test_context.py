@@ -3,12 +3,7 @@ import pytest
 
 from clinqc import context
 from clinqc.errors import ValidationError
-from clinqc.series import ADHERENCE, VIOLATION, AdherenceLabels, StateSequence
-
-
-def seq(indicators, posteriors=None):
-    return StateSequence(indicators=np.asarray(indicators, dtype=int),
-                         posteriors=posteriors)
+from clinqc.series import ADHERENCE, VIOLATION, AdherenceLabels
 
 
 def labels(values):
@@ -151,21 +146,6 @@ class TestNbPredict:
 
 class TestCountEncodings:
     def test_posterior_counts(self):
+        # the default scale turns posteriors into counts out of 100
         post = np.array([[0.25, 0.75], [0.996, 0.004]])
-        states = seq([1, 0], posteriors=post)
-        out = context.posterior_counts(states)
-        assert out.tolist() == [[25, 75], [100, 0]]
-
-    def test_posterior_counts_requires_posteriors(self):
-        with pytest.raises(ValidationError):
-            context.posterior_counts(seq([0, 1]))
-
-    @pytest.mark.parametrize("post", [[[1.5, -0.5], [0.5, 0.5]],
-                                      [[0.5, 0.5], [1.0 + 1e-7, -1e-7]]])
-    def test_negative_posteriors_rejected(self, post):
-        with pytest.raises(ValidationError, match="non-negative"):
-            seq([0, 1], posteriors=post)
-
-    def test_posterior_row_sums_within_tolerance_accepted(self):
-        post = np.array([[0.5, 0.5 + 5e-7], [0.0, 1.0 - 5e-7]])
-        assert np.array_equal(seq([0, 1], posteriors=post).posteriors, post)
+        assert context.rescale_to_counts(post).tolist() == [[25, 75], [100, 0]]

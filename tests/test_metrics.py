@@ -45,7 +45,6 @@ class TestTpTnBa:
         assert out.tp == pytest.approx(2 / 3)
         assert out.tn is None
         assert out.ba is None
-        assert not out.defined()
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -81,21 +80,33 @@ class TestMetricsReport:
 
 
 class TestFoldPlan:
+    """The folds ``kfold_cv`` holds out, seen by a recording ``predict``."""
+
+    @staticmethod
+    def held_out(n, k):
+        seen = []
+
+        def predict(model, inputs):
+            seen.append(inputs)
+            return np.ones(len(inputs), dtype=int)
+
+        metrics.kfold_cv(np.arange(n), labels(np.arange(n) % 2 + 1), k,
+                         lambda inputs, u: None, predict)
+        return seen
+
     def test_block_fold_sizes(self):
-        plan = metrics.FoldPlan(n=1000, k=10)
-        sizes = [len(f) for f in plan.folds]
-        assert sizes == [100] * 10
-        joined = np.concatenate(plan.folds)
-        assert np.array_equal(np.sort(joined), np.arange(1000))
+        folds = self.held_out(1000, 10)
+        assert [len(f) for f in folds] == [100] * 10
+        assert np.array_equal(np.concatenate(folds), np.arange(1000))
 
     def test_blocks_are_contiguous(self):
-        plan = metrics.FoldPlan(n=50, k=5)
-        for f in plan.folds:
+        for f in self.held_out(50, 5):
             assert np.array_equal(f, np.arange(f[0], f[-1] + 1))
 
     def test_too_few_points(self):
         with pytest.raises(ValidationError, match="fewer points than folds"):
-            metrics.FoldPlan(n=3, k=5)
+            metrics.kfold_cv(np.arange(3), labels([1, 2, 1]), 5,
+                             lambda inputs, u: None, lambda model, inputs: inputs)
 
 
 def oracle_train(inputs, labs):

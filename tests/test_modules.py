@@ -1,10 +1,16 @@
-"""Static checks on the package source."""
+"""Static checks on the package source, and on the names the benchmark
+tracer reaches into."""
 import ast
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import clinqc
+from clinqc import swar, trend
 
 SOURCES = sorted(Path(clinqc.__file__).parent.glob("*.py"))
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def private_uses_across_modules(tree: ast.Module) -> list[str]:
@@ -37,3 +43,18 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements in src/clinqc:\n" + "\n".join(found)
+
+
+def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
+    # the tracer getattr()s every name it wraps on entry and puts them back
+    # on exit, so a renamed or deleted public function fails here
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    spec.loader.exec_module(tracing)
+    fit = swar.fit
+    with tracing.Tracer().installed():
+        assert swar.fit is not fit
+    assert swar.fit is fit
+    assert "trace_out" in inspect.signature(trend.l1_trend_filter).parameters
+    assert isinstance(swar.SwArFit.occupied, property)

@@ -111,7 +111,7 @@ class TestStrictReader:
     def test_headerless_numeric_file(self, tmp_path):
         path = tmp_path / "audio.csv"
         path.write_text("0,0.5\n1,0.25\n2,-1\n")
-        series = serialize.read_audio_csv(path)
+        series = serialize.read_audio_csv(path, rate=44_100.0)
         assert series.values.tolist() == [0.5, 0.25, -1.0]
 
     def test_comments_blank_lines_and_header(self, tmp_path):
@@ -223,7 +223,7 @@ class TestModelArtifacts:
         doc = json.loads(path.read_text())
         doc["payload"]["kappa"] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="need finite alpha > 0"):
+        with pytest.raises(ValidationError, match="kappa must be finite and >= 0"):
             serialize.load_model(path)
 
     def test_gmm_roundtrip(self, tmp_path):

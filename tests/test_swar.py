@@ -46,8 +46,9 @@ class TestModelValidation:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["alpha", "gamma", "kappa"])
     def test_non_finite_concentration(self, name, value):
+        bound = ">= 0" if name == "kappa" else "> 0"
         with pytest.raises(ValidationError,
-                           match="need finite alpha > 0, gamma > 0, kappa >= 0"):
+                           match=f"^{name} must be finite and {bound}, got {value}$"):
             swar.SwitchingArModel(order=1, truncation=2,
                                   states=[ar1_state(0.5), ar1_state(0.5)],
                                   transitions=np.eye(2), beta=[0.5, 0.5],
@@ -170,7 +171,7 @@ class TestGibbsSweep:
         cfg = swar.SwArConfig(order=1, truncation=10, sweeps=200, burn_in=100,
                               seed=5, kappa=20.0)
         fit = swar.fit(data, cfg)
-        assert fit.occupied_mode(100) == 1
+        assert np.bincount(fit.occupied_trace[100:]).argmax() == 1
 
     @pytest.mark.parametrize("sweeps, burn_in", [(0, 0), (10, 10), (10, 11), (10, -1)])
     def test_burn_in_must_leave_a_kept_sweep(self, sweeps, burn_in):
@@ -182,10 +183,20 @@ class TestGibbsSweep:
         data = ScalarSeries(rate=1.0, values=rng.normal(size=200))
         fit = swar.fit(data, swar.SwArConfig(order=1, truncation=4, sweeps=3,
                                              burn_in=2, seed=0))
-        posteriors = fit.states.posteriors
-        assert posteriors.shape == (200, 4)
+        assert fit.posteriors.shape == (200, 4)
         # one kept sweep: the posteriors are the estimate's one-hot rows
-        assert np.array_equal(posteriors, np.eye(4)[fit.states.indicators])
+        assert np.array_equal(fit.posteriors, np.eye(4)[fit.states.indicators])
+
+    def test_posteriors_are_kept_sweep_frequencies(self):
+        rng = np.random.default_rng(1)
+        data = ScalarSeries(rate=1.0, values=rng.normal(size=200))
+        fit = swar.fit(data, swar.SwArConfig(order=2, truncation=4, sweeps=5,
+                                             burn_in=2, seed=0))
+        kept = 3 * fit.posteriors
+        assert np.allclose(kept, np.rint(kept))
+        assert np.allclose(fit.posteriors.sum(axis=1), 1.0)
+        # the r = 2 conditioned-on points repeat the chain's first row
+        assert np.array_equal(fit.posteriors[:2], fit.posteriors[[2, 2]])
 
     def test_truncation_saturation(self):
         # 3-state data with L = 2: both slots get used, no error
@@ -501,7 +512,7 @@ class TestReferenceEquality:
         monkeypatch.setattr(swar, "gibbs_sweep", reference_gibbs_sweep)
         ref = swar.fit(series, cfg)
         assert np.array_equal(fit.states.indicators, ref.states.indicators)
-        assert np.array_equal(fit.states.posteriors, ref.states.posteriors)
+        assert np.array_equal(fit.posteriors, ref.posteriors)
         assert np.array_equal(fit.loglik_trace, ref.loglik_trace)
         assert np.array_equal(fit.model.transitions, ref.model.transitions)
         assert np.array_equal(fit.model.beta, ref.model.beta)
