@@ -18,7 +18,7 @@ import numpy as np
 
 from . import context, gmm, metrics, preprocess, serialize, swar, synth, trend
 from .errors import ClinQcError, ValidationError
-from .series import ADHERENCE, AdherenceLabels, ScalarSeries
+from .series import AdherenceLabels, ScalarSeries
 
 DEFAULT_TARGET_RATE = 120.0
 DEFAULT_CUTOFF_HZ = 15.0
@@ -111,13 +111,13 @@ def preprocess_recipe(kind: str, raw_path: Path, config: PipelineConfig
         return preprocess.windowed_energy(audio, DEFAULT_ENERGY_WINDOW)
     raw = serialize.read_accelerometer_csv(raw_path)
     uniform = preprocess.interpolate_uniform(raw, DEFAULT_TARGET_RATE)
-    decomposition = trend.remove_gravity(uniform, tf_config)
+    dynamic = trend.remove_gravity(uniform, tf_config)
     if kind == "walking":
-        feature = preprocess.log_magnitude(decomposition.dynamic)
+        feature = preprocess.log_magnitude(dynamic)
         filtered = preprocess.lowpass_filter(feature, DEFAULT_CUTOFF_HZ)
         return preprocess.downsample(filtered, DEFAULT_DECIMATION)
     if kind == "balance":
-        return preprocess.magnitude(decomposition.dynamic)
+        return preprocess.magnitude(dynamic)
     raise ValidationError(f"unknown test kind {kind!r}")
 
 
@@ -131,21 +131,9 @@ def _odd_window(seconds: float, series: ScalarSeries) -> int:
     return window + 1 if window % 2 == 0 else window
 
 
-def _segment_gmm(series: ScalarSeries, config: PipelineConfig
-                 ) -> tuple[AdherenceLabels, gmm.GmmParams]:
-    window = _odd_window(config.window_seconds, series)
-    params = gmm.fit_gmm_em(series, seed=config.seed)
-    assigned = gmm.map_assign(params, series)
-    smoothed = gmm.median_smooth_to_convergence(assigned, window)
-    labels = gmm.mean_rule_adherence(params, smoothed,
-                                     gmm.TestKind(config.kind), series.rate)
-    return labels, params
-
-
 # -- subcommand handlers ------------------------------------------------------
 
-def _cmd_preprocess(args) -> int:
-    config = _load_config(args)
+def _cmd_preprocess(args, config: PipelineConfig) -> int:
     series = preprocess_recipe(config.kind, Path(args.input), config)
     out = _out_dir(args) / "feature.csv"
     serialize.write_scalar_csv(out, series, _meta(config))
@@ -153,8 +141,7 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    config = _load_config(args)
+def _cmd_spectrum(args, config: PipelineConfig) -> int:
     series = serialize.read_scalar_csv(Path(args.input))
     spectrum = preprocess.power_spectrum(series)
     out = _out_dir(args) / "spectrum.csv"
@@ -163,10 +150,14 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_segment_gmm(args) -> int:
-    config = _load_config(args)
+def _cmd_segment_gmm(args, config: PipelineConfig) -> int:
     series = serialize.read_scalar_csv(Path(args.input))
-    labels, params = _segment_gmm(series, config)
+    window = _odd_window(config.window_seconds, series)
+    params = gmm.fit_gmm_em(series, seed=config.seed)
+    assigned = gmm.map_assign(params, series)
+    smoothed = gmm.median_smooth_to_convergence(assigned, window)
+    labels = gmm.mean_rule_adherence(params, smoothed,
+                                     gmm.TestKind(config.kind), series.rate)
     out_dir = _out_dir(args)
     serialize.write_labels_csv(out_dir / "labels.csv", labels, meta=_meta(config))
     serialize.save_model(out_dir / "gmm.json", params, asdict(config), config.seed)
@@ -174,8 +165,7 @@ def _cmd_segment_gmm(args) -> int:
     return 0
 
 
-def _cmd_segment_ar(args) -> int:
-    config = _load_config(args)
+def _cmd_segment_ar(args, config: PipelineConfig) -> int:
     series = serialize.read_scalar_csv(Path(args.input))
     sw_config = swar.SwArConfig(order=config.order, truncation=config.truncation,
                                 kappa=config.kappa, sweeps=config.sweeps,
@@ -192,8 +182,7 @@ def _cmd_segment_ar(args) -> int:
     return 0
 
 
-def _cmd_train_nb(args) -> int:
-    config = _load_config(args)
+def _cmd_train_nb(args, config: PipelineConfig) -> int:
     counts = serialize.read_counts_csv(Path(args.counts))
     labels = serialize.read_labels_csv(Path(args.labels))
     model = context.nb_train(counts, labels, smoothing=config.smoothing)
@@ -203,8 +192,7 @@ def _cmd_train_nb(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    config = _load_config(args)
+def _cmd_classify(args, config: PipelineConfig) -> int:
     model = serialize.load_model(Path(args.model))
     if not isinstance(model, context.NaiveBayesModel):
         raise ValidationError(f"{args.model}: not a naive-Bayes model artifact")
@@ -218,8 +206,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    config = _load_config(args)
+def _cmd_evaluate(args, config: PipelineConfig) -> int:
     counts = serialize.read_counts_csv(Path(args.counts))
     labels = serialize.read_labels_csv(Path(args.labels))
 
@@ -243,8 +230,7 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
-    config = _load_config(args)
+def _cmd_synth(args, config: PipelineConfig) -> int:
     out_dir = _out_dir(args)
     spec = synth.SynthSpec(scenario=args.scenario, duration=args.duration,
                            rate=args.rate, seed=config.seed,
@@ -270,18 +256,15 @@ def _cmd_synth(args) -> int:
 
 
 def _default_schedule(scenario: str, duration: float) -> list[synth.RegimeInterval]:
-    third = duration / 3.0
-    if scenario == "two-cluster":
-        half = duration / 2.0
-        return [synth.RegimeInterval(0, 0.0, half),
-                synth.RegimeInterval(1, half, duration)]
-    if scenario == "gravity-drift":
-        return [synth.RegimeInterval(0, 0.0, third),
-                synth.RegimeInterval(1, third, 2 * third),
-                synth.RegimeInterval(0, 2 * third, duration)]
-    return [synth.RegimeInterval(0, 0.0, third),
-            synth.RegimeInterval(1, third, 2 * third),
-            synth.RegimeInterval(2, 2 * third, duration)]
+    """Equal intervals over the scenario's state list; edge k is
+    ``k * (duration / n)``, as in ``np.linspace``, which warns on the
+    infinite durations that ``SynthSpec`` rejects."""
+    states = {"switching-ar": [0, 1, 2], "gravity-drift": [0, 1, 0],
+              "two-cluster": [0, 1]}[scenario]
+    step = duration / len(states)
+    edges = [k * step for k in range(len(states))] + [duration]
+    return [synth.RegimeInterval(state, start, end)
+            for state, start, end in zip(states, edges, edges[1:])]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, _load_config(args))
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

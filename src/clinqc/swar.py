@@ -103,18 +103,18 @@ class SwitchingArModel:
 
 @dataclass
 class SwArConfig:
-    """Fit configuration; defaults follow the preprocessing recipe scale.
+    """Fit configuration.
 
     The first ``burn_in`` of the ``sweeps`` Gibbs sweeps are discarded, and
     at least one sweep must be kept: ``0 <= burn_in < sweeps``. The model's
     concentrations stay at alpha = gamma = 1.
     """
 
-    order: int = 4
-    truncation: int = 20
+    order: int
+    truncation: int
+    sweeps: int
+    burn_in: int
     kappa: float = 0.0
-    sweeps: int = 500
-    burn_in: int = 250
     seed: int = 0
 
     def __post_init__(self):
@@ -161,37 +161,36 @@ def ar_psd(state: ArState, freqs: np.ndarray) -> SpectrumEstimate:
     return SpectrumEstimate(frequencies=freqs, power=power)
 
 
-def simulate(model: SwitchingArModel, length: int, seed: int = 0,
-             z_fixed: np.ndarray | None = None) -> tuple[ScalarSeries, StateSequence]:
-    """Draw a path from the generative model.
-
-    The state sequence follows the Markov chain started from ``beta`` (or is
-    fixed to ``z_fixed``); observations follow the per-state AR recursion
-    with missing lags before t = r treated as zeros.
-    """
-    if length <= model.order:
-        raise ValidationError("length must exceed the AR order")
-    rng = np.random.default_rng(seed)
-    L = model.truncation
-    if z_fixed is not None:
-        z = np.asarray(z_fixed, dtype=int)
-        if len(z) != length:
-            raise ValidationError("z_fixed must have the requested length")
-    else:
-        z = np.empty(length, dtype=int)
-        z[0] = rng.choice(L, p=model.beta)
-        for t in range(1, length):
-            z[t] = rng.choice(L, p=model.transitions[z[t - 1]])
-    x = np.zeros(length)
-    noise = rng.standard_normal(length)
-    for t in range(length):
-        st = model.states[z[t]]
+def ar_path(states: list[ArState], z: np.ndarray,
+            rng: np.random.Generator) -> np.ndarray:
+    """The per-state AR recursion along the state path ``z``, driven by one
+    ``standard_normal(len(z))``; missing lags before t = r count as zeros."""
+    x = np.zeros(len(z))
+    noise = rng.standard_normal(len(z))
+    for t in range(len(z)):
+        st = states[z[t]]
         pred = st.mean
         for j in range(1, st.order + 1):
             if t - j >= 0:
                 pred += st.coefficients[j - 1] * x[t - j]
         x[t] = pred + np.sqrt(st.variance) * noise[t]
-    return ScalarSeries(rate=1.0, values=x), StateSequence(indicators=z)
+    return x
+
+
+def simulate(model: SwitchingArModel, length: int, seed: int = 0
+             ) -> tuple[ScalarSeries, StateSequence]:
+    """Draw a path from the generative model: the Markov chain started from
+    ``beta``, then ``ar_path``."""
+    if length <= model.order:
+        raise ValidationError("length must exceed the AR order")
+    rng = np.random.default_rng(seed)
+    L = model.truncation
+    z = np.empty(length, dtype=int)
+    z[0] = rng.choice(L, p=model.beta)
+    for t in range(1, length):
+        z[t] = rng.choice(L, p=model.transitions[z[t - 1]])
+    return (ScalarSeries(rate=1.0, values=ar_path(model.states, z, rng)),
+            StateSequence(indicators=z))
 
 
 def _design(values: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -458,8 +457,7 @@ def gibbs_sweep(model: SwitchingArModel, X: np.ndarray, y: np.ndarray,
 
     counts = _transition_counts(z, L)
     conc = model.alpha * model.beta + counts
-    if model.kappa > 0:
-        conc[np.diag_indices(L)] += model.kappa
+    conc[np.diag_indices(L)] += model.kappa
     transitions = _sample_dirichlet(conc, rng)
 
     tables = _sample_tables(counts, model, rng)
@@ -511,7 +509,7 @@ def initial_model(data: ScalarSeries, config: SwArConfig) -> SwitchingArModel:
                             kappa=config.kappa, seed=config.seed, prior=prior)
 
 
-def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
+def fit(data: ScalarSeries, config: SwArConfig) -> SwArFit:
     """Run the blocked Gibbs sampler and return a point estimate.
 
     The point estimate is the kept (post-burn-in) sweep's model and chain
@@ -519,7 +517,6 @@ def fit(data: ScalarSeries, config: SwArConfig | None = None) -> SwArFit:
     is the share of kept sweeps in each state at time t. The chain covers
     t = r .. T-1, so the first r indicators and rows repeat those at t = r.
     """
-    config = config or SwArConfig()
     r = config.order
     if len(data) < max(50 * max(r, 1), r + 2):
         raise ValidationError(f"need at least {50 * max(r, 1)} points for order {r}")

@@ -19,9 +19,8 @@ from .series import (
     ScalarSeries,
     StateSequence,
     TimestampedTriaxial,
-    TriaxialSeries,
 )
-from .swar import ArState, SwitchingArModel, simulate
+from .swar import ArState, ar_path
 
 GRAVITY = 9.81
 
@@ -93,22 +92,18 @@ def default_ar_states() -> list[ArState]:
 
 def gen_switching_ar(spec: SynthSpec, states: list[ArState] | None = None
                      ) -> tuple[ScalarSeries, StateSequence]:
-    """Switching-AR path with scheduled (not random) regime switches."""
+    """Switching-AR path with scheduled (not random) regime switches;
+    schedule state k follows ``states[k]``."""
     z = spec.states_per_sample()
     if states is None:
         states = default_ar_states()
-    n_states = max(int(z.max()) + 1, 2, len(states))
-    order = states[0].order
-    full_states = list(states) + [
-        ArState(coefficients=np.zeros(order), mean=0.0, variance=1.0)
-        for _ in range(n_states - len(states))
-    ]
-    model = SwitchingArModel(
-        order=order, truncation=n_states, states=full_states,
-        transitions=np.full((n_states, n_states), 1.0 / n_states),
-        beta=np.full(n_states, 1.0 / n_states), seed=spec.seed)
-    series, truth = simulate(model, spec.n_samples, seed=spec.seed, z_fixed=z)
-    return ScalarSeries(rate=spec.rate, values=series.values), truth
+    if spec.n_samples <= states[0].order:
+        raise ValidationError("length must exceed the AR order")
+    if z.min() < 0 or z.max() >= len(states):
+        raise ValidationError(
+            f"schedule names a state outside 0..{len(states) - 1}, with no ArState")
+    values = ar_path(states, z, np.random.default_rng(spec.seed))
+    return ScalarSeries(rate=spec.rate, values=values), StateSequence(indicators=z)
 
 
 def gen_gravity_drift(spec: SynthSpec

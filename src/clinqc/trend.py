@@ -54,18 +54,6 @@ class TrendFilterConfig:
                 f"tolerance must be finite and positive, got {self.tolerance}")
 
 
-@dataclass
-class GravityDecomposition:
-    """Split of raw acceleration into gravitational trend and dynamic part."""
-
-    trend: TriaxialSeries
-    dynamic: TriaxialSeries
-
-    def __post_init__(self):
-        if len(self.trend) != len(self.dynamic) or self.trend.rate != self.dynamic.rate:
-            raise ValidationError("trend and dynamic must share length and rate")
-
-
 def _second_difference(g: np.ndarray) -> np.ndarray:
     return g[:-2] - 2 * g[1:-1] + g[2:]
 
@@ -133,7 +121,7 @@ def default_lambda(values: np.ndarray) -> float:
 
 
 def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = None,
-                    trace_out: list | None = None) -> ScalarSeries:
+                    *, trace_out: list | None = None) -> ScalarSeries:
     """Estimate the piecewise-linear trend of a scalar series.
 
     Minimizes 0.5 * sum (x_t - g_t)^2 + lam * sum |g_{t-1} - 2 g_t + g_{t+1}|
@@ -236,11 +224,11 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
 
 
 def remove_gravity(series: TriaxialSeries,
-                   config: TrendFilterConfig | None = None) -> GravityDecomposition:
-    """Per-axis trend filtering; dynamic = input - trend elementwise.
+                   config: TrendFilterConfig | None = None) -> TriaxialSeries:
+    """The gravity-free (dynamic) signal: input - trend, per axis.
 
     Each axis is solved independently: its trend equals
-    ``l1_trend_filter`` run on that axis alone.
+    ``l1_trend_filter`` run on that axis alone, and is ``input - result``.
     """
     config = config or TrendFilterConfig()
     if len(series) < 3:
@@ -249,6 +237,4 @@ def remove_gravity(series: TriaxialSeries,
     for axis in range(3):
         axis_series = ScalarSeries(rate=series.rate, values=series.samples[:, axis])
         trend[:, axis] = l1_trend_filter(axis_series, config).values
-    trend_series = TriaxialSeries(rate=series.rate, samples=trend)
-    dynamic = TriaxialSeries(rate=series.rate, samples=series.samples - trend)
-    return GravityDecomposition(trend=trend_series, dynamic=dynamic)
+    return TriaxialSeries(rate=series.rate, samples=series.samples - trend)

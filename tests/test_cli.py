@@ -427,9 +427,10 @@ class TestExitCodes:
         assert "burn_in must lie in [0, sweeps)" in capsys.readouterr().err
         assert not (tmp_path / "seg").exists()
 
-    @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--rate", "nan"],
-                                       ["--rate", "inf"]],
-                             ids=["duration-nan", "rate-nan", "rate-inf"])
+    @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--duration", "inf"],
+                                       ["--rate", "nan"], ["--rate", "inf"]],
+                             ids=["duration-nan", "duration-inf", "rate-nan",
+                                  "rate-inf"])
     def test_non_finite_synth_size_exit_2(self, tmp_path, capsys, flags):
         assert run(["synth", "--scenario", "two-cluster", *flags,
                     "--out", tmp_path]) == 2

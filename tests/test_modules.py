@@ -37,6 +37,28 @@ def test_no_private_names_across_modules():
     assert not found, "private names used across modules:\n" + "\n".join(found)
 
 
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads (``__future__`` aside)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name.split(".")[0]): node.lineno
+                             for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({(a.asname or a.name): node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export
+    found = [f"{path.name}:{use}" for path in SOURCES if path.name != "__init__.py"
+             for use in unused_imports(ast.parse(path.read_text()))]
+    assert not found, "unused imports in src/clinqc:\n" + "\n".join(found)
+    assert unused_imports(ast.parse("import os\nfrom .series import A, B\nB()")) == [
+        "1: os", "2: A"]
+
+
 def test_no_assert_statements():
     # assert vanishes under python -O, so it cannot guard a reachable path
     found = [f"{path.name}:{node.lineno}" for path in SOURCES
@@ -56,5 +78,8 @@ def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
     with tracing.Tracer().installed():
         assert swar.fit is not fit
     assert swar.fit is fit
-    assert "trace_out" in inspect.signature(trend.l1_trend_filter).parameters
+    # the tracer reads trace_out from args[3] or the keywords; keyword-only
+    # means it is always among the keywords
+    trace_out = inspect.signature(trend.l1_trend_filter).parameters["trace_out"]
+    assert trace_out.kind is inspect.Parameter.KEYWORD_ONLY
     assert isinstance(swar.SwArFit.occupied, property)

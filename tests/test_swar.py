@@ -176,7 +176,7 @@ class TestGibbsSweep:
     @pytest.mark.parametrize("sweeps, burn_in", [(0, 0), (10, 10), (10, 11), (10, -1)])
     def test_burn_in_must_leave_a_kept_sweep(self, sweeps, burn_in):
         with pytest.raises(ValidationError, match=r"burn_in must lie in \[0, sweeps\)"):
-            swar.SwArConfig(sweeps=sweeps, burn_in=burn_in)
+            swar.SwArConfig(order=1, truncation=2, sweeps=sweeps, burn_in=burn_in)
 
     def test_one_kept_sweep_is_the_estimate(self):
         rng = np.random.default_rng(1)
@@ -203,11 +203,8 @@ class TestGibbsSweep:
         states = [ar1_state(0.9, var=0.05), ar1_state(-0.8, var=1.0),
                   ar1_state(0.0, mean=4.0, var=0.3)]
         z = np.repeat([0, 1, 2], 400)
-        model = swar.SwitchingArModel(
-            order=1, truncation=3, states=states,
-            transitions=np.full((3, 3), 1 / 3), beta=np.full(3, 1 / 3))
-        series, _ = swar.simulate(model, 1200, seed=6, z_fixed=z)
-        data = ScalarSeries(rate=1.0, values=series.values)
+        values = swar.ar_path(states, z, np.random.default_rng(6))
+        data = ScalarSeries(rate=1.0, values=values)
         cfg = swar.SwArConfig(order=1, truncation=2, sweeps=40, burn_in=20, seed=2)
         fit = swar.fit(data, cfg)
         assert fit.occupied == fit.states.occupied == 2

@@ -56,7 +56,62 @@ class TestSynthSpec:
                                 RegimeInterval(1, 0.0, 1.0)])
 
 
+def periodic_state(rate=30.0):
+    """An AR(4) regime with a sharp 2 Hz peak at ``rate`` Hz sampling."""
+    radius, theta = 0.97, 2 * np.pi * (2.0 / rate)
+    coeffs = np.zeros(4)
+    coeffs[0], coeffs[1] = 2 * radius * np.cos(theta), -radius**2
+    return swar.ArState(coefficients=coeffs, mean=0.0, variance=0.1)
+
+
+def placeholder_model_path(spec, states=None):
+    """Reference for ``gen_switching_ar``: the states padded with unit white
+    noise into a uniform-transition ``SwitchingArModel``, whose per-state AR
+    loop then runs on the fixed schedule from ``default_rng(spec.seed)``."""
+    z = spec.states_per_sample()
+    states = states or synth.default_ar_states()
+    n_states = max(int(z.max()) + 1, 2, len(states))
+    order = states[0].order
+    padding = [swar.ArState(coefficients=np.zeros(order), mean=0.0, variance=1.0)
+               for _ in range(n_states - len(states))]
+    model = swar.SwitchingArModel(
+        order=order, truncation=n_states, states=list(states) + padding,
+        transitions=np.full((n_states, n_states), 1.0 / n_states),
+        beta=np.full(n_states, 1.0 / n_states), seed=spec.seed)
+    rng = np.random.default_rng(spec.seed)
+    x = np.zeros(len(z))
+    noise = rng.standard_normal(len(z))
+    for t in range(len(z)):
+        st = model.states[z[t]]
+        pred = st.mean
+        for j in range(1, st.order + 1):
+            if t - j >= 0:
+                pred += st.coefficients[j - 1] * x[t - j]
+        x[t] = pred + np.sqrt(st.variance) * noise[t]
+    return x, z
+
+
 class TestGenSwitchingAr:
+    @pytest.mark.parametrize("seed", [0, 3, 700])
+    def test_equals_placeholder_model_path(self, seed):
+        spec = three_regime_spec(seed=seed)
+        series, truth = synth.gen_switching_ar(spec)
+        x, z = placeholder_model_path(spec)
+        assert np.array_equal(series.values, x)
+        assert np.array_equal(truth.indicators, z)
+        assert series.rate == spec.rate
+
+    def test_custom_state_equals_placeholder_model_path(self):
+        spec = SynthSpec(scenario="switching-ar", duration=20.0, rate=30.0,
+                         schedule=[RegimeInterval(0, 0.0, 20.0)], seed=2)
+        series, _ = synth.gen_switching_ar(spec, states=[periodic_state()])
+        assert np.array_equal(series.values,
+                              placeholder_model_path(spec, [periodic_state()])[0])
+
+    def test_schedule_state_without_ar_state(self):
+        with pytest.raises(ValidationError, match="with no ArState"):
+            synth.gen_switching_ar(three_regime_spec(), states=[periodic_state()])
+
     def test_determinism(self):
         spec = three_regime_spec(seed=3)
         a, za = synth.gen_switching_ar(spec)
@@ -84,13 +139,8 @@ class TestGenSwitchingAr:
             assert abs(seg.mean() - expected_mean) < 0.3 * max(1.0, abs(expected_mean))
 
     def test_custom_periodic_regime_spectral_consistency(self):
-        # an AR(4) regime with a sharp 2 Hz peak at 30 Hz sampling
         rate = 30.0
-        radius, f0 = 0.97, 2.0 / rate
-        theta = 2 * np.pi * f0
-        coeffs = np.zeros(4)
-        coeffs[0], coeffs[1] = 2 * radius * np.cos(theta), -radius**2
-        periodic = swar.ArState(coefficients=coeffs, mean=0.0, variance=0.1)
+        periodic = periodic_state(rate)
         spec = SynthSpec(scenario="switching-ar", duration=300.0, rate=rate,
                          schedule=[RegimeInterval(0, 0.0, 300.0)], seed=2)
         series, _ = synth.gen_switching_ar(spec, states=[periodic])

@@ -8,7 +8,6 @@ from clinqc.preprocess import interpolate_uniform
 from clinqc.series import ScalarSeries, TriaxialSeries
 from clinqc.synth import RegimeInterval, SynthSpec, gen_gravity_drift
 from clinqc.trend import (
-    GravityDecomposition,
     TrendFilterConfig,
     _ddt_banded,
     _objective,
@@ -100,6 +99,10 @@ class TestL1TrendFilter:
         out = l1_trend_filter(series(x), TrendFilterConfig(lam=10.0), trace_out=trace)
         assert trace[-1] == pytest.approx(_objective(x, out.values, 10.0), rel=1e-9)
 
+    def test_trace_out_is_keyword_only(self):
+        with pytest.raises(TypeError, match="positional argument"):
+            l1_trend_filter(series(np.arange(10.0)), TrendFilterConfig(lam=1.0), [])
+
     def test_iteration_cap_warns_and_returns_best_iterate(self):
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.normal(size=300))
@@ -143,18 +146,10 @@ class TestL1TrendFilter:
 class TestRemoveGravity:
     def test_constant_input(self):
         samples = np.tile([0.0, 0.0, 9.81], (100, 1))
-        decomp = remove_gravity(TriaxialSeries(rate=120.0, samples=samples),
-                                TrendFilterConfig(lam=5.0))
-        assert np.max(np.abs(decomp.trend.samples - samples)) < 1e-6
-        assert np.max(np.abs(decomp.dynamic.samples)) < 1e-6
-
-    def test_reconstruction_exact(self):
-        rng = np.random.default_rng(17)
-        samples = rng.normal(size=(300, 3))
-        inp = TriaxialSeries(rate=120.0, samples=samples)
-        decomp = remove_gravity(inp, TrendFilterConfig(lam=3.0))
-        recon = decomp.trend.samples + decomp.dynamic.samples
-        assert np.max(np.abs(recon - samples)) < 1e-12
+        dynamic = remove_gravity(TriaxialSeries(rate=120.0, samples=samples),
+                                 TrendFilterConfig(lam=5.0))
+        # the trend, input - dynamic, is the input within 1e-6
+        assert np.max(np.abs(dynamic.samples)) < 1e-6
 
     def test_drift_plus_sinusoid(self):
         rate = 120.0
@@ -162,13 +157,14 @@ class TestRemoveGravity:
         drift = np.column_stack([9.81 - 0.01 * t, 0.005 * t, 0.2 + 0.002 * t])
         sinusoid = 0.8 * np.sin(2 * np.pi * 4.0 * t)
         samples = drift + sinusoid[:, None]
-        decomp = remove_gravity(TriaxialSeries(rate=rate, samples=samples),
-                                TrendFilterConfig(lam=400.0))
+        dynamic = remove_gravity(TriaxialSeries(rate=rate, samples=samples),
+                                 TrendFilterConfig(lam=400.0))
+        trend = samples - dynamic.samples
         rms = lambda v: np.sqrt(np.mean(v**2))
         for axis in range(3):
-            dyn = decomp.dynamic.samples[:, axis]
+            dyn = dynamic.samples[:, axis]
             assert rms(dyn) >= 0.9 * rms(sinusoid)
-            trend_err = decomp.trend.samples[:, axis] - drift[:, axis]
+            trend_err = trend[:, axis] - drift[:, axis]
             assert rms(trend_err) < 0.05 * rms(drift[:, axis] - drift[:, axis].mean() + 1e-9) + 0.05
 
     def test_axes_solved_independently(self):
@@ -179,17 +175,13 @@ class TestRemoveGravity:
                                    RegimeInterval(0, 5.0, 8.0)])
         raw, _, _ = gen_gravity_drift(spec)
         uniform = interpolate_uniform(raw, spec.rate)
-        decomp = remove_gravity(uniform)
+        dynamic = remove_gravity(uniform)
+        assert dynamic.rate == uniform.rate
         for axis in range(3):
-            alone = l1_trend_filter(series(uniform.samples[:, axis], uniform.rate))
-            assert np.array_equal(decomp.trend.samples[:, axis], alone.values)
+            axis_values = uniform.samples[:, axis]
+            alone = l1_trend_filter(series(axis_values, uniform.rate))
+            assert np.array_equal(dynamic.samples[:, axis], axis_values - alone.values)
 
     def test_too_short(self):
         with pytest.raises(ValidationError, match="gravity removal needs at least 3 samples"):
             remove_gravity(TriaxialSeries(rate=10.0, samples=np.zeros((2, 3))))
-
-    def test_decomposition_invariants(self):
-        with pytest.raises(Exception):
-            GravityDecomposition(
-                trend=TriaxialSeries(rate=1.0, samples=np.zeros((3, 3))),
-                dynamic=TriaxialSeries(rate=2.0, samples=np.zeros((3, 3))))
