@@ -17,11 +17,12 @@ so the fit is bit-identical to the time-major E-M the tests hold it to.
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClinQcError, ValidationError
+from .errors import ClinQcError, NoConvergenceWarning, ValidationError
 from .series import (ADHERENCE, VIOLATION, AdherenceLabels, ScalarSeries, StateSequence,
                      check_simplex)
 
@@ -94,7 +95,8 @@ def fit_gmm_em(data: ScalarSeries, *, seed: int = 0) -> GmmParams:
     when the log-likelihood gains less than 1e-8 of its magnitude; ``seed``
     draws the jitter of restarts 1-4. Returns the parameters of the restart
     with the highest log-likelihood, which is checked to be non-decreasing
-    on every iteration.
+    on every iteration, and emits ``NoConvergenceWarning`` if that restart
+    stopped on the cap.
 
     Every iteration writes the responsibilities into one C-ordered (T, 2)
     buffer, allocated once per fit, and works on its (2, T) transpose: the
@@ -134,13 +136,17 @@ def fit_gmm_em(data: ScalarSeries, *, seed: int = 0) -> GmmParams:
             variances = _sum_over_points(resp * (x - means[:, None]) ** 2) / nk
             variances = np.maximum(variances, var_floor)
             params = GmmParams(means=means, variances=variances, weights=nk / len(x))
-            if ll - prev_ll < 1e-8 * max(abs(ll), 1.0):
-                prev_ll = ll
-                break
+            converged = ll - prev_ll < 1e-8 * max(abs(ll), 1.0)
             prev_ll = ll
+            if converged:
+                break
         if best is None or prev_ll > best[0]:
-            best = (prev_ll, params)
-    return best[1]
+            best = (prev_ll, params, converged)
+    _, params, converged = best
+    if not converged:
+        warnings.warn("E-M hit the 500-iteration cap on the restart it returns",
+                      NoConvergenceWarning)
+    return params
 
 
 def map_assign(params: GmmParams, data: ScalarSeries) -> StateSequence:

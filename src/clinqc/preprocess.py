@@ -1,6 +1,11 @@
 """Sensor-agnostic preprocessing: resampling, filtering, feature extraction,
 spectral estimation.
 
+The walking and balance recipes load only ``scipy.linalg``, whose LAPACK and
+BLAS routines the trend filter needs as well: the cubic spline solves its
+knot slopes with ``dgtsv`` and the Butterworth filter runs each
+second-order section as a banded triangular solve (``dtbsv``). Only
+``power_spectrum`` (the ``spectrum`` subcommand) loads ``scipy.signal``.
 scipy is imported on first use, so importing this module (and the CLI)
 stays cheap for commands that never resample or filter.
 """
@@ -8,28 +13,66 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ClinQcError, ValidationError
 from .series import ScalarSeries, SpectrumEstimate, TimestampedTriaxial, TriaxialSeries
+
+# Odd-extension length at each end of a filtered series: sosfiltfilt's
+# default 3 * (2 * sections + 1) for the two sections of a 4th-order filter.
+_PADLEN = 15
+
+
+def _not_a_knot_slopes(t: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Knot slopes, shape (3, n), of the not-a-knot cubic spline through
+    knots ``t`` with spacings ``dx`` and secant slopes ``slope`` (3, n - 1).
+
+    The tridiagonal system and its right-hand side are the ones scipy's
+    ``CubicSpline`` builds, and LAPACK's ``dgtsv`` (its ``solve_banded``)
+    solves them, so the slopes are bit-identical to ``CubicSpline``'s.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    d0, d1 = t[2] - t[0], t[-1] - t[-3]
+    diagonal = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    upper = np.concatenate(([d0], dx[:-1]))
+    lower = np.concatenate((dx[1:], [d1]))
+    rhs = np.empty((3, len(t)))
+    rhs[:, 1:-1] = 3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+    rhs[:, 0] = ((dx[0] + 2 * d0) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / d0
+    rhs[:, -1] = (dx[-1] ** 2 * slope[:, -2] + (2 * d1 + dx[-1]) * dx[-2] * slope[:, -1]) / d1
+    # rhs.T is (n, 3) in Fortran order: three right-hand sides, no copy
+    *_, slopes, info = dgtsv(lower, diagonal, upper, rhs.T, overwrite_dl=1,
+                             overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        raise ClinQcError(f"spline slope system is singular (LAPACK info {info})")
+    return slopes.T
 
 
 def interpolate_uniform(raw: TimestampedTriaxial, target_rate: float) -> TriaxialSeries:
     """Resample a non-uniform 3-axis recording to a uniform grid.
 
-    Each axis is interpolated independently with a cubic spline. The output
-    grid starts at the first observed timestamp and never extends past the
-    last one (no extrapolation).
+    Each axis is interpolated independently with a not-a-knot cubic spline,
+    bit-identical to scipy's ``CubicSpline``. The output grid starts at the
+    first observed timestamp and never extends past the last one (no
+    extrapolation).
     """
-    from scipy.interpolate import CubicSpline
-
     if len(raw) < 4:
         raise ValidationError("cubic spline interpolation needs at least 4 samples")
-    t = raw.timestamps
+    t, y = raw.timestamps, raw.samples.T
     n_out = int(np.floor((t[-1] - t[0]) * target_rate)) + 1
     grid = t[0] + np.arange(n_out) / target_rate
-    out = np.empty((n_out, 3))
-    for axis in range(3):
-        out[:, axis] = CubicSpline(t, raw.samples[:, axis])(grid)
-    return TriaxialSeries(rate=target_rate, samples=out)
+    dx = np.diff(t)
+    slope = np.diff(y, axis=1) / dx
+    s = _not_a_knot_slopes(t, dx, slope)
+    # Hermite coefficients of each interval, formed as CubicHermiteSpline does
+    excess = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    c0 = excess / dx
+    c1 = (slope - s[:, :-1]) / dx - excess
+    # each grid point's interval, and its cubic summed in PPoly's order
+    k = np.clip(np.searchsorted(t, grid, "right") - 1, 0, len(t) - 2)
+    h = grid - t[k]
+    h2 = h * h
+    out = ((y[:, k] + s[:, k] * h) + c1[:, k] * h2) + c0[:, k] * (h2 * h)
+    return TriaxialSeries(rate=target_rate, samples=out.T)
 
 
 def magnitude(series: TriaxialSeries) -> ScalarSeries:
@@ -63,20 +106,89 @@ def windowed_energy(series: ScalarSeries, window: int) -> ScalarSeries:
     return ScalarSeries(rate=series.rate / window, values=energy)
 
 
+def _butter_sos(wn: float) -> np.ndarray:
+    """Second-order sections (2, 6) of the 4th-order Butterworth low-pass
+    with cutoff ``wn`` (1 = Nyquist), bit-identical to scipy's
+    ``butter(4, wn, output="sos")``.
+
+    The analog prototype's poles are prewarped and mapped by the bilinear
+    transform; each conjugate pair becomes one section with a double zero
+    at -1, the pair farthest from the unit circle first, and the overall
+    gain goes into section 0.
+    """
+    prototype = -np.exp(1j * np.pi * np.arange(-3.0, 4.0, 2.0) / (2 * 4))
+    wo = float(4.0 * np.tan(np.pi * wn / 2.0))
+    analog = wo * prototype
+    gain = wo ** 4 * np.real(1.0 / np.prod(4.0 - analog))
+    poles = (4.0 + analog) / (4.0 - analog)
+    pairs = (poles[:2] + poles[:1:-1].conj()) / 2
+    pairs = pairs[np.argsort(-np.abs(1 - np.abs(pairs)))]
+    sos = np.zeros((2, 6))
+    for section, pole in zip(sos, pairs):
+        section[:3] = [1.0, 2.0, 1.0]
+        section[3:] = np.convolve([1.0, -pole], [1.0, -pole.conj()]).real
+    sos[0, :3] *= gain
+    return sos
+
+
+def _sos_zi(sos: np.ndarray) -> np.ndarray:
+    """Initial states (sections, 2) of the cascade's steady-state response to
+    a unit step, computed as scipy's ``sosfilt_zi`` does."""
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for b, a, z in zip(sos[:, :3], sos[:, 3:], zi):
+        i_minus_a = np.array([[1.0 + a[1], -1.0], [a[2], 1.0]])
+        z[:] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return zi
+
+
+def _sosfilt(sos: np.ndarray, zi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Run ``x`` through the cascade, each section starting from ``zi * x[0]``.
+
+    A section's difference equation ``y[n] + a1 y[n-1] + a2 y[n-2] =
+    b0 x[n] + b1 x[n-1] + b2 x[n-2]`` over the whole signal is a unit lower
+    triangular banded system: the numerator forms its right-hand side, the
+    initial state enters through the first two entries, and BLAS ``dtbsv``
+    solves it.
+    """
+    from scipy.linalg.blas import dtbsv
+
+    x0 = x[0]
+    band = np.empty((3, len(x)), order="F")    # row 0, the unit diagonal, unread
+    for (b0, b1, b2, _, a1, a2), z in zip(sos, zi):
+        band[1], band[2] = a1, a2
+        rhs = b0 * x
+        rhs[1:] += b1 * x[:-1]
+        rhs[2:] += b2 * x[:-2]
+        rhs[:2] += z * x0
+        x = dtbsv(2, band, rhs, lower=1, diag=1, overwrite_x=1)
+    return x
+
+
 def lowpass_filter(series: ScalarSeries, cutoff: float) -> ScalarSeries:
     """Zero-phase fourth-order Butterworth low-pass filter.
 
-    Applied forward-backward so segment boundaries are not displaced in time.
+    Applied forward-backward so segment boundaries are not displaced in time,
+    as scipy's ``sosfiltfilt`` does it: the series is extended at each end by
+    15 samples of odd reflection, and each pass starts from the steady state
+    of its first sample. Needs more than 15 samples.
     """
-    from scipy import signal as sps
-
     nyquist = series.rate / 2.0
     if not 0 < cutoff < nyquist:
         raise ValidationError(
             f"cutoff {cutoff} Hz must lie in (0, {nyquist}) Hz")
-    sos = sps.butter(4, cutoff / nyquist, btype="low", output="sos")
-    filtered = sps.sosfiltfilt(sos, series.values)
-    return series.with_values(filtered)
+    x = series.values
+    if len(x) <= _PADLEN:
+        raise ValidationError(
+            f"low-pass filtering needs more than {_PADLEN} samples, got {len(x)}")
+    sos = _butter_sos(cutoff / nyquist)
+    zi = _sos_zi(sos)
+    ext = np.concatenate((2 * x[0] - x[_PADLEN:0:-1], x,
+                          2 * x[-1] - x[-2:-_PADLEN - 2:-1]))
+    forward = _sosfilt(sos, zi, ext)
+    backward = _sosfilt(sos, zi, forward[::-1])
+    return series.with_values(backward[::-1][_PADLEN:-_PADLEN])
 
 
 def downsample(series: ScalarSeries, factor: int) -> ScalarSeries:

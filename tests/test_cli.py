@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -279,6 +280,15 @@ class TestExitCodes:
         assert "timestamps must be strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "feat" / "feature.csv").exists()
 
+    def test_walking_too_short_to_filter_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "raw.csv"
+        rows = [f"{i / 120:.6f},0.1,{0.2 + 0.01 * i:.2f},9.8" for i in range(10)]
+        path.write_text("t,x,y,z\n" + "\n".join(rows) + "\n")
+        assert run(["preprocess", path, "--kind", "walking",
+                    "--out", tmp_path / "feat"]) == 2
+        assert "low-pass filtering needs more than 15 samples, got 10" in capsys.readouterr().err
+        assert not (tmp_path / "feat" / "feature.csv").exists()
+
     @pytest.mark.parametrize("text, message", [
         ('{"kind": "balance", "windw_seconds": 3}', "windw_seconds"),
         ('{"kind": "balance",', "not valid JSON"),
@@ -491,6 +501,32 @@ def test_cli_import_loads_no_scipy():
     # scipy is imported on first use, so commands that never resample,
     # filter or trend-filter do not pay for it at start-up
     assert scipy_modules_after("import sys, clinqc.cli") == "[]"
+
+
+def test_walking_and_balance_pipelines_load_only_scipy_linalg(tmp_path):
+    # the spline, the trend filter and the Butterworth filter run on the
+    # LAPACK and BLAS routines of scipy.linalg; scipy.signal, interpolate,
+    # sparse and the rest stay unloaded
+    run(["synth", "--scenario", "gravity-drift", "--duration", "30",
+         "--rate", "120", "--out", tmp_path])
+    code = """
+import sys
+from clinqc import cli
+d = sys.argv[1]
+for kind in ("walking", "balance"):
+    for argv in (["preprocess", d + "/raw.csv", "--kind", kind, "--out", d + "/" + kind],
+                 ["segment-gmm", d + "/" + kind + "/feature.csv", "--kind", kind,
+                  "--out", d + "/" + kind]):
+        assert cli.main(argv) == 0, argv
+"""
+    loaded = ast.literal_eval(scipy_modules_after(code, tmp_path))
+    internals = {"scipy", "scipy.__config__", "scipy._distributor_init",
+                 "scipy._cyutility", "scipy.version"}
+    assert "scipy.linalg" in loaded
+    assert [m for m in loaded if m not in internals
+            and m.split(".")[:2] not in (["scipy", "_lib"], ["scipy", "linalg"])] == []
+    assert (tmp_path / "walking" / "labels.csv").exists()
+    assert (tmp_path / "balance" / "labels.csv").exists()
 
 
 def test_voice_and_field_pipelines_load_no_scipy(tmp_path):

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from clinqc import gmm, preprocess
-from clinqc.errors import ClinQcError, ValidationError
+from clinqc.errors import ClinQcError, NoConvergenceWarning, ValidationError
 from clinqc.series import (ADHERENCE, VIOLATION, ScalarSeries, StateSequence,
                            TriaxialSeries)
 
@@ -71,7 +73,8 @@ def reference_log_responsibilities(params, x):
 
 def reference_fit_gmm_em(x, seed):
     """fit_gmm_em on (T, 2) arrays. Also returns the parameters entering each
-    E-step, the iteration count of each restart and the winning restart."""
+    E-step, the iteration count of each restart, the winning restart and
+    whether it stopped on the iteration cap."""
     k = 2
     var_floor = max(1e-8 * float(np.var(x)), 1e-300)
     rng = np.random.default_rng(seed)
@@ -81,6 +84,7 @@ def reference_fit_gmm_em(x, seed):
         jitter = rng.normal(0.0, 0.1 * scale, size=k) if restart > 0 else np.zeros(k)
         params = gmm._quantile_init(x, jitter)
         prev_ll = -np.inf
+        converged = False
         for it in range(500):
             history.append(params)
             lr = reference_log_responsibilities(params, x)
@@ -104,12 +108,13 @@ def reference_fit_gmm_em(x, seed):
             params = gmm.GmmParams(means=means, variances=variances, weights=nk / len(x))
             if ll - prev_ll < 1e-8 * max(abs(ll), 1.0):
                 prev_ll = ll
+                converged = True
                 break
             prev_ll = ll
         iterations.append(it + 1)
         if best is None or prev_ll > best[0]:
-            best = (prev_ll, params, restart)
-    return best[1], history, iterations, best[2]
+            best = (prev_ll, params, restart, converged)
+    return best[1], history, iterations, best[2], not best[3]
 
 
 def reference_map_assign(params, x):
@@ -130,6 +135,12 @@ class TestFitGmmEm:
         assert abs(means[0] - 0.0) < 0.2
         assert abs(means[1] - 10.0) < 0.2
         assert np.all(np.abs(params.weights - 0.5) < 0.05)
+
+    def test_iteration_cap_warns(self):
+        # one Gaussian: every restart creeps toward a split it never settles
+        values = np.random.default_rng(0).normal(size=500)
+        with pytest.warns(NoConvergenceWarning, match="500-iteration cap"):
+            gmm.fit_gmm_em(scalar(values), seed=0)
 
     def test_seed_is_keyword_only(self):
         # fit_gmm_em(x, 2) must not run silently with seed 2
@@ -307,8 +318,11 @@ class TestReferenceEquality:
 
         monkeypatch.setattr(gmm, "_log_responsibilities", recorded_lr)
         monkeypatch.setattr(gmm, "_quantile_init", recorded_init)
-        params = gmm.fit_gmm_em(scalar(x), seed=seed)
-        ref_params, history, iterations, winner = expected
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            params = gmm.fit_gmm_em(scalar(x), seed=seed)
+        ref_params, history, iterations, winner, capped = expected
+        assert [w.category for w in caught] == [NoConvergenceWarning] * capped
         assert np.diff(restarts + [len(entered)]).tolist() == iterations
         assert len(entered) == len(history)
         for got, want in zip(entered, history):

@@ -54,6 +54,54 @@ class TestInterpolateUniform:
             preprocess.interpolate_uniform(raw, 120.0)
 
 
+def cubic_spline_oracle(raw, rate):
+    """scipy's not-a-knot CubicSpline per axis on the grid interpolate_uniform uses."""
+    from scipy.interpolate import CubicSpline
+
+    t = raw.timestamps
+    grid = t[0] + np.arange(int(np.floor((t[-1] - t[0]) * rate)) + 1) / rate
+    return np.column_stack([CubicSpline(t, raw.samples[:, axis])(grid)
+                            for axis in range(3)])
+
+
+class TestInterpolateUniformMatchesCubicSpline:
+    def test_jittered_120hz(self):
+        rng = np.random.default_rng(4)
+        t = np.arange(6000) / 120.0 + rng.uniform(-0.003, 0.003, 6000)
+        samples = np.cumsum(rng.normal(size=(6000, 3)), axis=0)
+        raw = TimestampedTriaxial(timestamps=t, samples=samples)
+        out = preprocess.interpolate_uniform(raw, 120.0)
+        assert np.array_equal(out.samples, cubic_spline_oracle(raw, 120.0))
+
+    def test_random_irregular_grids(self):
+        rng = np.random.default_rng(5)
+        for _ in range(250):
+            n = int(rng.integers(4, 80))
+            t = rng.uniform(-50, 50) + np.cumsum(rng.uniform(1e-3, 1.0, n)) * rng.uniform(0.01, 10)
+            samples = rng.normal(scale=rng.uniform(0.1, 100), size=(n, 3))
+            rate = float(rng.uniform(0.2, 20) * n / (t[-1] - t[0]))
+            raw = TimestampedTriaxial(timestamps=t, samples=samples)
+            out = preprocess.interpolate_uniform(raw, rate)
+            assert np.array_equal(out.samples, cubic_spline_oracle(raw, rate))
+
+    def test_four_samples(self):
+        t = np.array([0.0, 0.13, 0.2, 0.41])
+        raw = TimestampedTriaxial(timestamps=t,
+                                  samples=np.array([[1.0, -2.0, 0.5], [0.3, 4.0, 2.0],
+                                                    [-1.0, 0.0, 1.0], [2.0, 1.0, -3.0]]))
+        out = preprocess.interpolate_uniform(raw, 50.0)
+        assert np.array_equal(out.samples, cubic_spline_oracle(raw, 50.0))
+
+    def test_grid_ends_on_last_timestamp(self):
+        t = np.array([0.0, 0.07, 0.25, 0.3, 0.42, 0.5])
+        samples = np.random.default_rng(6).normal(size=(6, 3))
+        raw = TimestampedTriaxial(timestamps=t, samples=samples)
+        out = preprocess.interpolate_uniform(raw, 10.0)
+        assert t[0] + (len(out) - 1) / 10.0 == t[-1]
+        assert np.array_equal(out.samples, cubic_spline_oracle(raw, 10.0))
+        assert np.allclose(out.samples[-1], samples[-1], rtol=0, atol=1e-12)
+
+
 class TestMagnitude:
     def test_pythagorean(self):
         out = preprocess.magnitude(triaxial([[3.0, 4.0, 0.0]]))
@@ -155,6 +203,30 @@ class TestLowpassFilter:
         series = ScalarSeries(rate=120.0, values=np.zeros(100))
         with pytest.raises(ValidationError, match=r"cutoff 70.0 Hz must lie in \(0, 60.0\)"):
             preprocess.lowpass_filter(series, 70.0)
+
+    def test_too_short_for_padding(self):
+        series = ScalarSeries(rate=120.0, values=np.ones(15))
+        with pytest.raises(ValidationError, match="needs more than 15 samples, got 15"):
+            preprocess.lowpass_filter(series, 15.0)
+
+    @pytest.mark.parametrize("wn", [0.05, 0.1, 0.25, 0.3, 0.6, 0.9])
+    def test_sections_match_scipy_butter(self, wn):
+        from scipy.signal import butter, sosfilt_zi
+
+        sos = preprocess._butter_sos(wn)
+        assert np.array_equal(sos, butter(4, wn, output="sos"))
+        assert np.array_equal(preprocess._sos_zi(sos), sosfilt_zi(sos))
+
+    @pytest.mark.parametrize("n", [16, 17, 100, 4321, 100_000])
+    def test_matches_scipy_sosfiltfilt(self, n):
+        from scipy.signal import butter, sosfiltfilt
+
+        rng = np.random.default_rng(n)
+        x = 3.0 + np.cumsum(rng.normal(size=n)) + rng.normal(scale=5.0, size=n)
+        for wn in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9):
+            out = preprocess.lowpass_filter(ScalarSeries(rate=2.0, values=x), wn)
+            expected = sosfiltfilt(butter(4, wn, output="sos"), x)
+            assert np.max(np.abs(out.values - expected)) <= 1e-12 * np.max(np.abs(x))
 
 
 class TestDownsample:
