@@ -105,13 +105,13 @@ def preprocess_recipe(kind: str, raw_path: Path, config: PipelineConfig
     gravity removal -> magnitude (no decimation). voice: energy of
     non-overlapping 441-sample windows of the raw audio.
     """
-    tf_config = trend.TrendFilterConfig(lam=config.lam)
+    trend.check_lambda(config.lam)
     if kind == "voice":
         audio = serialize.read_audio_csv(raw_path, rate=config.audio_rate)
         return preprocess.windowed_energy(audio, DEFAULT_ENERGY_WINDOW)
     raw = serialize.read_accelerometer_csv(raw_path)
     uniform = preprocess.interpolate_uniform(raw, DEFAULT_TARGET_RATE)
-    dynamic = trend.remove_gravity(uniform, tf_config)
+    dynamic = trend.remove_gravity(uniform, config.lam)
     if kind == "walking":
         feature = preprocess.log_magnitude(dynamic)
         filtered = preprocess.lowpass_filter(feature, DEFAULT_CUTOFF_HZ)
@@ -160,20 +160,18 @@ def _cmd_segment_gmm(args, config: PipelineConfig) -> int:
                                      gmm.TestKind(config.kind), series.rate)
     out_dir = _out_dir(args)
     serialize.write_labels_csv(out_dir / "labels.csv", labels, meta=_meta(config))
-    serialize.save_model(out_dir / "gmm.json", params, asdict(config), config.seed)
+    serialize.save_model(out_dir / "gmm.json", params, asdict(config))
     print(f"wrote {out_dir / 'labels.csv'} and {out_dir / 'gmm.json'}")
     return 0
 
 
 def _cmd_segment_ar(args, config: PipelineConfig) -> int:
     series = serialize.read_scalar_csv(Path(args.input))
-    sw_config = swar.SwArConfig(order=config.order, truncation=config.truncation,
-                                kappa=config.kappa, sweeps=config.sweeps,
-                                burn_in=config.burn_in, seed=config.seed)
-    result = swar.fit(series, sw_config)
+    result = swar.fit(series, order=config.order, truncation=config.truncation,
+                      sweeps=config.sweeps, burn_in=config.burn_in,
+                      kappa=config.kappa, seed=config.seed)
     out_dir = _out_dir(args)
-    serialize.save_model(out_dir / "swar.json", result.model,
-                         asdict(config), config.seed)
+    serialize.save_model(out_dir / "swar.json", result.model, asdict(config))
     rows = np.column_stack([series.times, result.states.indicators])
     serialize.write_table(out_dir / "states.csv", "t,z", rows, _meta(config))
     np.savetxt(out_dir / "posteriors.csv", result.posteriors,
@@ -187,7 +185,7 @@ def _cmd_train_nb(args, config: PipelineConfig) -> int:
     labels = serialize.read_labels_csv(Path(args.labels))
     model = context.nb_train(counts, labels, smoothing=config.smoothing)
     out = _out_dir(args) / "nb.json"
-    serialize.save_model(out, model, asdict(config), config.seed)
+    serialize.save_model(out, model, asdict(config))
     print(f"wrote {out}")
     return 0
 

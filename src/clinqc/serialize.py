@@ -11,9 +11,10 @@ Every CSV reader accepts the same input:
 
 Anything else, such as a corrupt value, a short row or a table without
 rows, raises ``ValidationError`` (CLI exit code 2) naming the file line at
-fault: no row is dropped silently. Model artifacts are versioned JSON
+fault: no row is dropped silently, and neither is a negative or non-finite
+count or a label other than 1 or 2. Model artifacts are versioned JSON
 documents whose payload is the model dataclass's fields, so they
-round-trip field-for-field.
+round-trip field-for-field; the run's config and seed sit beside it.
 """
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ from .context import NaiveBayesModel
 from .errors import ValidationError
 from .gmm import GmmParams
 from .series import (
+    ADHERENCE,
+    VIOLATION,
     AdherenceLabels,
     ScalarSeries,
     SpectrumEstimate,
@@ -138,6 +141,15 @@ def _read_table(path: Path, expected_columns: int | None) -> np.ndarray:
     return data
 
 
+def _reject_rows(path: Path, bad: np.ndarray, message: str) -> None:
+    """Raise ``ValidationError`` at the file line of the first row ``bad`` flags."""
+    if bad.any():
+        skip = _rows_to_skip(path)
+        with open(path) as fh:
+            lines = [n for n, line in enumerate(fh, start=1) if n > skip and _content(line)]
+        raise ValidationError(f"{path}, line {lines[int(np.argmax(bad))]}: {message}")
+
+
 # -- sensor / feature CSV -----------------------------------------------------
 
 def read_accelerometer_csv(path: Path) -> TimestampedTriaxial:
@@ -153,8 +165,12 @@ def read_audio_csv(path: Path, *, rate: float) -> ScalarSeries:
 
 
 def read_counts_csv(path: Path) -> np.ndarray:
-    """Read a count matrix: one row per time point, one column per state."""
-    return _read_table(path, None)
+    """Read a count matrix: one row per time point, one column per state;
+    every entry must be finite and non-negative."""
+    data = _read_table(path, None)
+    _reject_rows(path, ~np.all((data >= 0) & (data < np.inf), axis=1),
+                 "counts must be finite and non-negative")
+    return data
 
 
 def write_scalar_csv(path: Path, series: ScalarSeries,
@@ -199,7 +215,9 @@ def write_labels_csv(path: Path, labels: AdherenceLabels,
 def read_labels_csv(path: Path) -> AdherenceLabels:
     data = _read_table(path, 2)
     rate = _rate_of(path, data[:, 0]) if len(data) > 1 else 1.0
-    return AdherenceLabels(rate=rate, labels=data[:, 1].astype(int))
+    _reject_rows(path, ~np.isin(data[:, 1], (ADHERENCE, VIOLATION)),
+                 "labels must be 1 (adherence) or 2 (violation)")
+    return AdherenceLabels(rate=rate, labels=data[:, 1])
 
 
 def write_decomposition_csv(path: Path, times: np.ndarray, trend: np.ndarray,
@@ -217,20 +235,21 @@ def _to_json(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def save_model(path: Path, model, config: dict | None = None,
-               seed: int | None = None) -> None:
-    """Write ``model``'s dataclass fields as a versioned JSON artifact."""
+def save_model(path: Path, model, config: dict | None = None) -> None:
+    """Write ``model``'s dataclass fields as a versioned JSON artifact, with
+    ``config``, its hash and its ``seed``."""
     kind = next((name for name, cls in MODEL_KINDS.items()
                  if isinstance(model, cls)), None)
     if kind is None:
         raise ValidationError(f"cannot serialize model of type {type(model)!r}")
+    config = config or {}
     doc = {
         "format": "clinqc-model",
         "version": ARTIFACT_VERSION,
         "kind": kind,
-        "seed": seed,
-        "config": config or {},
-        "config_hash": config_hash(config or {}),
+        "seed": config.get("seed"),
+        "config": config,
+        "config_hash": config_hash(config),
         "payload": dataclasses.asdict(model),
     }
     Path(path).write_text(

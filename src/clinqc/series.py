@@ -129,12 +129,12 @@ class AdherenceLabels:
 
     def __post_init__(self):
         _check_rate(self.rate)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.labels.ndim != 1:
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1:
             raise ValidationError("labels must be one-dimensional")
-        bad = ~np.isin(self.labels, (ADHERENCE, VIOLATION))
-        if np.any(bad):
+        if not np.all(np.isin(labels, (ADHERENCE, VIOLATION))):
             raise ValidationError("labels must be 1 (adherence) or 2 (violation)")
+        self.labels = labels.astype(int)
 
     def __len__(self) -> int:
         return len(self.labels)

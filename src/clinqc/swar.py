@@ -5,7 +5,9 @@ rows of an HMM transition matrix whose states are AR(r) processes with
 Gaussian innovations. Inference is a blocked Gibbs sampler: the full state
 sequence is drawn jointly by backward filtering / forward sampling, then
 transition rows, global weights and per-state AR parameters are resampled
-from their conditional posteriors.
+from their conditional posteriors. The model holds what a sweep reads: its
+states fix the truncation and the AR order, both HDP concentrations are
+``CONCENTRATION`` = 1, and the run's settings are arguments of ``fit``.
 
 The backward filter runs in three passes over blocks of about sqrt(n)
 steps (block transfer matrices, messages at the block ends, then every
@@ -37,8 +39,9 @@ class ArState:
 
     def __post_init__(self):
         self.coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if self.variance <= 0:
-            raise ValidationError("innovation variance must be positive")
+        if not 0 < self.variance < np.inf:
+            raise ValidationError(
+                f"innovation variance must be positive and finite, got {self.variance!r}")
         if not np.all(np.isfinite(self.coefficients)) or not np.isfinite(self.mean):
             raise ValidationError("AR parameters must be finite")
 
@@ -60,36 +63,34 @@ class ArPrior:
     shape: float = 2.0
     scale: float = 1.0
 
-
-@dataclass
-class SwitchingArModel:
-    """Weak-limit truncated HDP switching AR model."""
-
-    order: int
-    truncation: int
-    states: list[ArState]
-    transitions: np.ndarray        # (L, L), rows on the simplex
-    beta: np.ndarray               # (L,), global weights
-    alpha: float = 1.0             # local concentration
-    gamma: float = 1.0             # global concentration
-    kappa: float = 0.0             # sticky self-transition bias
-    seed: int = 0
-    prior: ArPrior = field(default_factory=ArPrior)
-
     def __post_init__(self):
-        if self.truncation < 2:
-            raise ValidationError("truncation must be >= 2")
-        for name in ("alpha", "gamma"):
+        for name in ("coef_scale", "shape", "scale"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+
+
+#: The local (alpha) and global (gamma) concentrations of the sticky HDP.
+CONCENTRATION = 1.0
+
+
+@dataclass
+class SwitchingArModel:
+    """Weak-limit truncated HDP switching AR model; L = len(states)."""
+
+    states: list[ArState]
+    transitions: np.ndarray        # (L, L), rows on the simplex
+    beta: np.ndarray               # (L,), global weights
+    kappa: float = 0.0             # sticky self-transition bias
+    prior: ArPrior = field(default_factory=ArPrior)
+
+    def __post_init__(self):
+        if len(self.states) < 2:
+            raise ValidationError("truncation must be >= 2")
         if not 0 <= self.kappa < np.inf:
             raise ValidationError(f"kappa must be finite and >= 0, got {self.kappa!r}")
-        if len(self.states) != self.truncation:
-            raise ValidationError("need one ArState per truncation slot")
-        for s in self.states:
-            if s.order != self.order:
-                raise ValidationError("all states must share the model order")
+        if any(s.order != self.order for s in self.states):
+            raise ValidationError("all states must share the model order")
         self.transitions = np.asarray(self.transitions, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
         L = self.truncation
@@ -100,30 +101,13 @@ class SwitchingArModel:
             raise ValidationError("beta must be a length-L simplex")
         check_simplex(self.beta, "beta must be a length-L simplex")
 
+    @property
+    def order(self) -> int:
+        return self.states[0].order
 
-@dataclass
-class SwArConfig:
-    """Fit configuration.
-
-    The first ``burn_in`` of the ``sweeps`` Gibbs sweeps are discarded, and
-    at least one sweep must be kept: ``0 <= burn_in < sweeps``. The model's
-    concentrations stay at alpha = gamma = 1.
-    """
-
-    order: int
-    truncation: int
-    sweeps: int
-    burn_in: int
-    kappa: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValidationError("order must be >= 0")
-        if not 0 <= self.burn_in < self.sweeps:
-            raise ValidationError(
-                f"burn_in must lie in [0, sweeps), got burn_in={self.burn_in} "
-                f"with sweeps={self.sweeps}")
+    @property
+    def truncation(self) -> int:
+        return len(self.states)
 
 
 @dataclass
@@ -397,7 +381,7 @@ def _sample_tables(counts: np.ndarray, model: SwitchingArModel,
     inflate the global weights.
     """
     L = model.truncation
-    conc = np.tile(model.alpha * model.beta, (L, 1))
+    conc = np.tile(CONCENTRATION * model.beta, (L, 1))
     conc[np.diag_indices(L)] += model.kappa
     customers = counts.astype(int).ravel()
     cell = np.repeat(np.arange(L * L), customers)
@@ -406,7 +390,7 @@ def _sample_tables(counts: np.ndarray, model: SwitchingArModel,
     opened = rng.random(len(cell)) < c / (c + i)
     tables = np.bincount(cell, weights=opened, minlength=L * L).reshape(L, L)
     if model.kappa > 0:
-        rho = model.kappa / (model.alpha + model.kappa)
+        rho = model.kappa / (CONCENTRATION + model.kappa)
         for j in range(L):
             m_jj = int(tables[j, j])
             if m_jj == 0:
@@ -456,12 +440,12 @@ def gibbs_sweep(model: SwitchingArModel, X: np.ndarray, y: np.ndarray,
     z = sample_states(model, loglik, rng)
 
     counts = _transition_counts(z, L)
-    conc = model.alpha * model.beta + counts
+    conc = CONCENTRATION * model.beta + counts
     conc[np.diag_indices(L)] += model.kappa
     transitions = _sample_dirichlet(conc, rng)
 
     tables = _sample_tables(counts, model, rng)
-    beta = _sample_dirichlet(model.gamma / L + tables.sum(axis=0), rng)
+    beta = _sample_dirichlet(CONCENTRATION / L + tables.sum(axis=0), rng)
 
     states = []
     for k in range(L):
@@ -495,54 +479,64 @@ def _score(model: SwitchingArModel, loglik: np.ndarray, z: np.ndarray) -> float:
     return emission + transition
 
 
-def initial_model(data: ScalarSeries, config: SwArConfig) -> SwitchingArModel:
+def initial_model(data: ScalarSeries, *, order: int, truncation: int,
+                  kappa: float) -> SwitchingArModel:
     """Initialization: all mass on state 0 (single occupied hidden state)."""
-    L = config.truncation
+    L = truncation
     prior = ArPrior(coef_scale=1.0, shape=2.0,
                     scale=max(float(np.var(data.values)), 1e-12))
-    states = [ArState(coefficients=np.zeros(config.order), mean=0.0,
+    states = [ArState(coefficients=np.zeros(order), mean=0.0,
                       variance=prior.scale) for _ in range(L)]
     transitions = np.full((L, L), 1.0 / L)
     beta = np.full(L, 1.0 / L)
-    return SwitchingArModel(order=config.order, truncation=L, states=states,
-                            transitions=transitions, beta=beta,
-                            kappa=config.kappa, seed=config.seed, prior=prior)
+    return SwitchingArModel(states=states, transitions=transitions, beta=beta,
+                            kappa=kappa, prior=prior)
 
 
-def fit(data: ScalarSeries, config: SwArConfig) -> SwArFit:
+def fit(data: ScalarSeries, *, order: int, truncation: int, sweeps: int,
+        burn_in: int, kappa: float = 0.0, seed: int = 0) -> SwArFit:
     """Run the blocked Gibbs sampler and return a point estimate.
 
-    The point estimate is the kept (post-burn-in) sweep's model and chain
-    with the highest complete-data log-likelihood; row t of the posteriors
-    is the share of kept sweeps in each state at time t. The chain covers
-    t = r .. T-1, so the first r indicators and rows repeat those at t = r.
+    The first ``burn_in`` of the ``sweeps`` sweeps are discarded, and at
+    least one must be kept: ``0 <= burn_in < sweeps``. The point estimate
+    is the kept sweep's model and chain with the highest complete-data
+    log-likelihood; row t of the posteriors is the share of kept sweeps in
+    each state at time t. The chain covers t = r .. T-1, so the first r
+    indicators and rows repeat those at t = r.
     """
-    r = config.order
+    r = order
+    if r < 0:
+        raise ValidationError("order must be >= 0")
+    if truncation < 2:
+        raise ValidationError("truncation must be >= 2")
+    if not 0 <= burn_in < sweeps:
+        raise ValidationError(
+            f"burn_in must lie in [0, sweeps), got burn_in={burn_in} "
+            f"with sweeps={sweeps}")
     if len(data) < max(50 * max(r, 1), r + 2):
         raise ValidationError(f"need at least {50 * max(r, 1)} points for order {r}")
-    rng = np.random.default_rng(config.seed)
-    model = initial_model(data, config)
+    rng = np.random.default_rng(seed)
+    model = initial_model(data, order=r, truncation=truncation, kappa=kappa)
     X, y = _design(data.values, r)
     n = len(y)
-    L = config.truncation
 
     loglik = _loglik_matrix(model, X, y)
     best = None
-    freq = np.zeros((n, L))
-    trace = np.empty(config.sweeps)
-    occupied_trace = np.empty(config.sweeps, dtype=int)
-    for sweep in range(config.sweeps):
+    freq = np.zeros((n, truncation))
+    trace = np.empty(sweeps)
+    occupied_trace = np.empty(sweeps, dtype=int)
+    for sweep in range(sweeps):
         model, z = gibbs_sweep(model, X, y, loglik, rng)
         loglik = _loglik_matrix(model, X, y)     # scores z and drives the next sweep
         ll = _score(model, loglik, z)
         trace[sweep] = ll
         occupied_trace[sweep] = len(np.unique(z))
-        if sweep >= config.burn_in:
+        if sweep >= burn_in:
             freq[np.arange(n), z] += 1.0
             if best is None or ll > best[0]:
                 best = (ll, model, z)
     _, best_model, best_z = best
     expand = np.concatenate([np.zeros(r, dtype=int), np.arange(n)])
     return SwArFit(model=best_model, states=StateSequence(indicators=best_z[expand]),
-                   posteriors=freq[expand] / (config.sweeps - config.burn_in),
+                   posteriors=freq[expand] / (sweeps - burn_in),
                    loglik_trace=trace, occupied_trace=occupied_trace)

@@ -15,43 +15,17 @@ section 16.6) solves it. Each Newton step factors the pentadiagonal
 ``D D^T`` (bands 6, -4, 1) plus a barrier diagonal once with LAPACK's banded
 Cholesky (``dpbtrf``) and solves with that factor twice (``dpbtrs``). The
 solver stops on the primal-dual gap, so the trend it returns comes with a
-certificate of how far its objective is from the optimum. scipy is imported
-on first use.
+certificate of how far its objective is from the optimum. Its settings
+are arguments of ``l1_trend_filter``. scipy is imported on first use.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClinQcError, NoConvergenceWarning, ValidationError
 from .series import ScalarSeries, TriaxialSeries
-
-
-@dataclass
-class TrendFilterConfig:
-    """Configuration for the L1 trend filter.
-
-    ``lam=None`` selects the default 50 * (T / 1000) * std(x), which was
-    tuned on synthetic drift fixtures. The solver stops once the primal-dual
-    gap is at most ``tolerance`` times the objective or below the rounding
-    error of its own evaluation, or after ``max_iterations`` Newton steps.
-    """
-
-    lam: float | None = None
-    max_iterations: int = 100
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValidationError(
-                f"lambda must be finite and non-negative, got {self.lam}")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValidationError(
-                f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 def _second_difference(g: np.ndarray) -> np.ndarray:
@@ -120,24 +94,37 @@ def default_lambda(values: np.ndarray) -> float:
     return 50.0 * (len(values) / 1000.0) * float(np.std(values))
 
 
-def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = None,
-                    *, trace_out: list | None = None) -> ScalarSeries:
+def check_lambda(lam: float | None) -> None:
+    """Raise ``ValidationError`` unless ``lam`` is None or finite and >= 0."""
+    if lam is not None and not (np.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lambda must be finite and non-negative, got {lam}")
+
+
+def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
+                    tolerance: float = 1e-6, max_iterations: int = 100,
+                    trace_out: list | None = None) -> ScalarSeries:
     """Estimate the piecewise-linear trend of a scalar series.
 
     Minimizes 0.5 * sum (x_t - g_t)^2 + lam * sum |g_{t-1} - 2 g_t + g_{t+1}|
-    over interior points. The objective of the returned trend exceeds the
-    optimum by at most the primal-dual gap at which the solver stopped.
-    Returns the best iterate found; emits ``NoConvergenceWarning`` if the
-    iteration cap is reached first. When
-    ``trace_out`` is given, the objective of the best iterate so far is
-    appended each iteration (a non-increasing sequence).
+    over interior points; ``lam=None`` selects ``default_lambda``, tuned on
+    synthetic drift fixtures. The solver stops once the primal-dual gap is
+    at most ``tolerance`` times the objective or below the rounding error
+    of its own evaluation, so the objective of the returned trend exceeds
+    the optimum by at most that gap. Returns the best iterate found; emits
+    ``NoConvergenceWarning`` if ``max_iterations`` Newton steps come first.
+    When ``trace_out`` is given, the objective of the best iterate so far
+    is appended each iteration (a non-increasing sequence).
     """
-    config = config or TrendFilterConfig()
+    check_lambda(lam)
+    if max_iterations < 1:
+        raise ValidationError("max_iterations must be >= 1")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
     x = series.values
     n = len(x)
     if n < 3:
         raise ValidationError("trend filtering needs at least 3 samples")
-    lam = default_lambda(x) if config.lam is None else config.lam
+    lam = default_lambda(x) if lam is None else lam
     if lam == 0:
         return series.with_values(x.copy())
 
@@ -170,7 +157,7 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
     rounding = np.finfo(float).eps * (n - 2) * lam
     best_obj = np.inf
     converged = False
-    for _ in range(config.max_iterations):
+    for _ in range(max_iterations):
         g = x - lam * _second_difference_transpose(y, n)
         dg = _second_difference(g)
         obj = _objective(x, g, lam, dg)
@@ -181,7 +168,7 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
         # P(g) - dual(nu), written as a sum of non-negative terms
         gap = lam * float(np.sum(np.abs(dg) - y * dg))
         floor = rounding * (x_scale + lam * float(np.max(np.abs(y))))
-        if gap <= max(config.tolerance * obj, floor):
+        if gap <= max(tolerance * obj, floor):
             converged = True
             break
 
@@ -223,18 +210,16 @@ def l1_trend_filter(series: ScalarSeries, config: TrendFilterConfig | None = Non
     return series.with_values(best_g + affine)
 
 
-def remove_gravity(series: TriaxialSeries,
-                   config: TrendFilterConfig | None = None) -> TriaxialSeries:
+def remove_gravity(series: TriaxialSeries, lam: float | None = None) -> TriaxialSeries:
     """The gravity-free (dynamic) signal: input - trend, per axis.
 
     Each axis is solved independently: its trend equals
-    ``l1_trend_filter`` run on that axis alone, and is ``input - result``.
+    ``l1_trend_filter(axis, lam)`` run on that axis alone.
     """
-    config = config or TrendFilterConfig()
     if len(series) < 3:
         raise ValidationError("gravity removal needs at least 3 samples")
     trend = np.empty_like(series.samples)
     for axis in range(3):
         axis_series = ScalarSeries(rate=series.rate, values=series.samples[:, axis])
-        trend[:, axis] = l1_trend_filter(axis_series, config).values
+        trend[:, axis] = l1_trend_filter(axis_series, lam).values
     return TriaxialSeries(rate=series.rate, samples=series.samples - trend)

@@ -13,7 +13,7 @@ from clinqc import context, gmm, metrics, preprocess, swar, synth, trend
 from clinqc.cli import main as cli_main
 from clinqc.series import ADHERENCE, VIOLATION, AdherenceLabels, ScalarSeries
 from clinqc.synth import RegimeInterval, SynthSpec
-from clinqc.trend import TrendFilterConfig, _objective, l1_trend_filter
+from clinqc.trend import _objective, l1_trend_filter
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -60,16 +60,14 @@ def test_criterion_1_trend_solver_oracle(trend_filter_oracle):
         x = np.cumsum(rng.normal(size=50)) + rng.normal(0, 0.1, size=50)
         lam = 2.0 + 3.0 * rng.random()
         _, oracle_obj = trend_filter_oracle(x, lam)
-        ours = l1_trend_filter(
-            ScalarSeries(rate=1.0, values=x),
-            TrendFilterConfig(lam=lam, tolerance=1e-12, max_iterations=50_000))
+        ours = l1_trend_filter(ScalarSeries(rate=1.0, values=x), lam,
+                               tolerance=1e-12, max_iterations=50_000)
         gap = _objective(x, ours.values, lam) - oracle_obj
         worst_gap = max(worst_gap, gap)
 
     t = np.arange(100.0)
     affine = 0.3 * t - 2.0
-    out = l1_trend_filter(ScalarSeries(rate=1.0, values=affine),
-                          TrendFilterConfig(lam=10.0))
+    out = l1_trend_filter(ScalarSeries(rate=1.0, values=affine), 10.0)
     affine_err = float(np.max(np.abs(out.values - affine)))
     elapsed = time.time() - start
 
@@ -116,7 +114,7 @@ def test_criterion_3_ar_psd_vs_welch():
     state = swar.ArState(coefficients=[2 * radius * np.cos(angle), -radius**2],
                          mean=0.0, variance=1.0)
     model = swar.SwitchingArModel(
-        order=2, truncation=2, states=[state, state],
+        states=[state, state],
         transitions=np.full((2, 2), 0.5), beta=np.array([0.5, 0.5]))
     series, _ = swar.simulate(model, 2**17, seed=0)
     welch = preprocess.power_spectrum(series, segment_length=512)
@@ -142,7 +140,7 @@ def test_criterion_4_sampler_exactness_micro():
     states = [swar.ArState(coefficients=[0.8], mean=0.0, variance=0.3),
               swar.ArState(coefficients=[-0.4], mean=1.5, variance=1.0)]
     model = swar.SwitchingArModel(
-        order=1, truncation=2, states=states,
+        states=states,
         transitions=np.array([[0.85, 0.15], [0.3, 0.7]]),
         beta=np.array([0.6, 0.4]))
     values = np.array([0.2, 0.9, 1.4, -0.3, 0.5])
@@ -183,11 +181,10 @@ def test_criterion_5_switching_ar_recovery():
     start = time.time()
     spec = three_regime_spec(duration=200.0, rate=30.0, seed=0)
     series, truth = synth.gen_switching_ar(spec)
-    config = swar.SwArConfig(order=1, truncation=10, kappa=20.0,
-                             sweeps=500, burn_in=250, seed=0)
-    fit = swar.fit(series, config)
+    fit = swar.fit(series, order=1, truncation=10, kappa=20.0,
+                   sweeps=500, burn_in=250, seed=0)
     ari = adjusted_rand(fit.states.indicators, truth.indicators)
-    k_mode = np.bincount(fit.occupied_trace[config.burn_in:]).argmax()
+    k_mode = np.bincount(fit.occupied_trace[250:]).argmax()
     elapsed = time.time() - start
 
     ok = ari >= 0.9 and k_mode == 3 and elapsed < 300
@@ -236,9 +233,8 @@ def test_criterion_7_end_to_end_pipelines():
     spec = SynthSpec(scenario="switching-ar", duration=duration, rate=rate,
                      seed=1, schedule=schedule)
     series, truth = synth.gen_switching_ar(spec)
-    config = swar.SwArConfig(order=1, truncation=10, kappa=20.0,
-                             sweeps=500, burn_in=250, seed=1)
-    fit = swar.fit(series, config)
+    fit = swar.fit(series, order=1, truncation=10, kappa=20.0,
+                   sweeps=500, burn_in=250, seed=1)
     counts = context.rescale_to_counts(fit.posteriors)
     labels = AdherenceLabels(
         rate=spec.rate,

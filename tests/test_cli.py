@@ -215,6 +215,35 @@ class TestClassifierCommands:
         assert run([command, *args, "--out", tmp_path / "out"]) == 2
         assert "line 42: could not convert 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["-5,105", "nan,100", "100,inf"])
+    @pytest.mark.parametrize("command", ["train-nb", "classify", "evaluate"])
+    def test_negative_or_non_finite_counts_exit_2(self, tmp_path, capsys, command, row):
+        counts_path, labels_path = self.prepare(tmp_path)
+        assert run(["train-nb", counts_path, labels_path,
+                    "--out", tmp_path / "model"]) == 0
+        lines = counts_path.read_text().splitlines()
+        lines[40] = row
+        counts_path.write_text("# counts\n" + "\n".join(lines) + "\n")
+        args = {"train-nb": [counts_path, labels_path],
+                "classify": [tmp_path / "model" / "nb.json", counts_path],
+                "evaluate": [counts_path, labels_path]}[command]
+        capsys.readouterr()
+        assert run([command, *args, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"{counts_path}, line 42: counts must be finite and non-negative" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train-nb", "evaluate"])
+    def test_non_integer_labels_exit_2(self, tmp_path, capsys, command):
+        counts_path, labels_path = self.prepare(tmp_path)
+        text = labels_path.read_text().replace(",1\n", ",1.6\n").replace(",2\n", ",2.6\n")
+        labels_path.write_text(text)
+        capsys.readouterr()
+        assert run([command, counts_path, labels_path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"{labels_path}, line 2: labels must be 1 (adherence) or 2 (violation)" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestReproducibility:
     def test_synth_byte_identical(self, tmp_path):
@@ -361,6 +390,13 @@ class TestExitCodes:
                     "--lambda", value, "--out", tmp_path / "feat"]) == 2
         assert "lambda must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["balance", "voice"])
+    def test_nan_lambda_checked_before_reading_exit_2(self, tmp_path, capsys, kind):
+        # voice never filters a trend, and the file is never read
+        assert run(["preprocess", tmp_path / "missing.csv", "--kind", kind,
+                    "--lambda", "nan", "--out", tmp_path / "feat"]) == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_classify_rate_exit_2(self, tmp_path, capsys, value):
         counts, labels = tmp_path / "counts.csv", tmp_path / "labels.csv"
@@ -437,6 +473,17 @@ class TestExitCodes:
         assert "burn_in must lie in [0, sweeps)" in capsys.readouterr().err
         assert not (tmp_path / "seg").exists()
 
+    @pytest.mark.parametrize("truncation", ["1", "0", "-3"])
+    def test_truncation_below_two_exit_2(self, tmp_path, capsys, truncation):
+        run(["synth", "--scenario", "switching-ar", "--duration", "10",
+             "--rate", "30", "--out", tmp_path / "data"])
+        capsys.readouterr()
+        assert run(["segment-ar", tmp_path / "data" / "feature.csv", "--order", "1",
+                    "--truncation", truncation, "--sweeps", "2", "--burn-in", "1",
+                    "--out", tmp_path / "seg"]) == 2
+        assert "truncation must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "seg").exists()
+
     @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--duration", "inf"],
                                        ["--rate", "nan"], ["--rate", "inf"]],
                              ids=["duration-nan", "duration-inf", "rate-nan",
@@ -474,8 +521,8 @@ class TestExitCodes:
         # the data zero likelihood: the backward messages vanish
         initial_model = swar.initial_model
 
-        def absorbing_chain(data, config):
-            model = initial_model(data, config)
+        def absorbing_chain(data, **settings):
+            model = initial_model(data, **settings)
             return replace(model, transitions=np.array([[1.0, 0.0], [1.0, 0.0]]),
                            states=[replace(model.states[0], variance=1e-6),
                                    model.states[1]])

@@ -330,9 +330,11 @@ class TestReferenceEquality:
         assert_params_equal(params, ref_params)
         return winner
 
-    @pytest.mark.parametrize("T", [20, 1000, 18_000])
-    @pytest.mark.parametrize("sources", [1, 2, 3])
-    @pytest.mark.parametrize("seed", range(5))
+    # One Gaussian at T = 18,000 runs every restart to the iteration cap, in
+    # both fits; the capped path is covered at T = 1,000 by seeds 2-4.
+    @pytest.mark.parametrize("seed, sources, T", [
+        (seed, sources, T) for T in (20, 1000, 18_000) for sources in (1, 2, 3)
+        for seed in range(5) if (sources, T) != (1, 18_000)])
     def test_fit_mixture(self, monkeypatch, seed, sources, T):
         self.check_fit(monkeypatch, gaussians(seed, T, sources), seed)
 

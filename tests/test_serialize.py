@@ -190,20 +190,33 @@ def field_names(cls):
     return {f.name for f in dataclasses.fields(cls)}
 
 
+def two_state_model():
+    return SwitchingArModel(
+        states=[ArState(coefficients=[0.9], mean=0.1, variance=0.5),
+                ArState(coefficients=[-0.4], mean=2.0, variance=1.5)],
+        transitions=np.array([[0.95, 0.05], [0.1, 0.9]]),
+        beta=np.array([0.6, 0.4]), kappa=10.0)
+
+
+def edited_swar_json(path, edit):
+    """Save ``two_state_model`` at ``path``, then apply ``edit`` to its payload."""
+    serialize.save_model(path, two_state_model())
+    doc = json.loads(path.read_text())
+    edit(doc["payload"])
+    path.write_text(json.dumps(doc))
+
+
 class TestModelArtifacts:
     def test_switching_ar_roundtrip(self, tmp_path):
-        model = SwitchingArModel(
-            order=1, truncation=2,
-            states=[ArState(coefficients=[0.9], mean=0.1, variance=0.5),
-                    ArState(coefficients=[-0.4], mean=2.0, variance=1.5)],
-            transitions=np.array([[0.95, 0.05], [0.1, 0.9]]),
-            beta=np.array([0.6, 0.4]), alpha=1.0, gamma=2.0, kappa=10.0, seed=7)
+        model = two_state_model()
         path = tmp_path / "model.json"
-        serialize.save_model(path, model, config={"sweeps": 100}, seed=7)
+        serialize.save_model(path, model, config={"sweeps": 100, "seed": 7})
         back = serialize.load_model(path)
         assert isinstance(back, SwitchingArModel)
-        assert payload_keys(path) == field_names(SwitchingArModel)
-        assert back.order == 1 and back.kappa == 10.0
+        assert payload_keys(path) == field_names(SwitchingArModel) == {
+            "states", "transitions", "beta", "kappa", "prior"}
+        assert json.loads(path.read_text())["seed"] == 7
+        assert back.order == 1 and back.truncation == 2 and back.kappa == 10.0
         assert np.allclose(back.transitions, model.transitions)
         assert np.allclose(back.beta, model.beta)
         for a, b in zip(back.states, model.states):
@@ -212,19 +225,41 @@ class TestModelArtifacts:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_switching_ar_non_finite_kappa_rejected(self, tmp_path, value):
-        model = SwitchingArModel(
-            order=1, truncation=2,
-            states=[ArState(coefficients=[0.9], mean=0.1, variance=0.5),
-                    ArState(coefficients=[-0.4], mean=2.0, variance=1.5)],
-            transitions=np.array([[0.95, 0.05], [0.1, 0.9]]),
-            beta=np.array([0.6, 0.4]), kappa=10.0)
         path = tmp_path / "swar.json"
-        serialize.save_model(path, model)
-        doc = json.loads(path.read_text())
-        doc["payload"]["kappa"] = value
-        path.write_text(json.dumps(doc))
+        edited_swar_json(path, lambda payload: payload.update(kappa=value))
         with pytest.raises(ValidationError, match="kappa must be finite and >= 0"):
             serialize.load_model(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("variance", float("nan"), "innovation variance must be positive and finite"),
+        ("variance", float("inf"), "innovation variance must be positive and finite"),
+        ("coef_scale", -1.0, "coef_scale must be finite and > 0"),
+        ("shape", 0.0, "shape must be finite and > 0"),
+        ("scale", float("nan"), "scale must be finite and > 0"),
+    ])
+    def test_switching_ar_bad_state_or_prior_rejected(self, tmp_path, field, value,
+                                                      message):
+        def edit(payload):
+            target = payload["states"][1] if field == "variance" else payload["prior"]
+            target[field] = value
+
+        path = tmp_path / "swar.json"
+        edited_swar_json(path, edit)
+        with pytest.raises(ValidationError, match=message) as info:
+            serialize.load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_switching_ar_parent_format_rejected(self, tmp_path):
+        # the earlier layout also stored alpha, gamma, seed, order and truncation
+        def edit(payload):
+            payload.update(alpha=1.0, gamma=1.0, seed=0, order=1, truncation=2)
+
+        path = tmp_path / "swar.json"
+        edited_swar_json(path, edit)
+        with pytest.raises(ValidationError,
+                           match="malformed switching-ar payload.*'alpha'") as info:
+            serialize.load_model(path)
+        assert str(path) in str(info.value)
 
     def test_gmm_roundtrip(self, tmp_path):
         params = GmmParams(means=np.array([0.0, 3.0]),
@@ -256,7 +291,7 @@ class TestModelArtifacts:
             priors=np.array([0.5, 0.5]),
             seen=np.array([True, False]), smoothing=1.0)
         path = tmp_path / "nb.json"
-        serialize.save_model(path, model, seed=0)
+        serialize.save_model(path, model, config={"seed": 0})
         back = serialize.load_model(path)
         assert payload_keys(path) == field_names(NaiveBayesModel)
         assert json.loads(path.read_text())["payload"]["seen"] == [1, 0]
@@ -269,8 +304,9 @@ class TestModelArtifacts:
                            weights=np.array([0.5, 0.5]))
         path = tmp_path / "gmm.json"
         config = {"kind": "voice", "seed": 5}
-        serialize.save_model(path, params, config=config, seed=5)
+        serialize.save_model(path, params, config=config)
         doc = json.loads(path.read_text())
+        assert doc["seed"] == 5
         assert doc["format"] == "clinqc-model"
         assert doc["version"] == serialize.ARTIFACT_VERSION
         assert doc["config_hash"] == serialize.config_hash(config)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,38 +21,63 @@ def ar_loglik(state, window, x):
             - 0.5 * (x - pred) ** 2 / state.variance)
 
 
-def two_state_model(p_stay=0.99, states=None, order=1):
+def two_state_model(p_stay=0.99, states=None):
     states = states or [ar1_state(0.9, var=0.1), ar1_state(-0.5, mean=2.0, var=0.5)]
     pi = np.array([[p_stay, 1 - p_stay], [1 - p_stay, p_stay]])
-    return swar.SwitchingArModel(order=order, truncation=2, states=states,
-                                 transitions=pi, beta=np.array([0.5, 0.5]))
+    return swar.SwitchingArModel(states=states, transitions=pi,
+                                 beta=np.array([0.5, 0.5]))
 
 
 class TestModelValidation:
     @pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, np.nan]])
     def test_bad_transition_row(self, row):
         with pytest.raises(ValidationError, match="transition rows must sum to 1"):
-            swar.SwitchingArModel(order=1, truncation=2,
-                                  states=[ar1_state(0.5), ar1_state(0.5)],
+            swar.SwitchingArModel(states=[ar1_state(0.5), ar1_state(0.5)],
                                   transitions=[[0.5, 0.5], row], beta=[0.5, 0.5])
 
     @pytest.mark.parametrize("beta", [[1.5, -0.5], [np.nan, np.nan]])
     def test_bad_beta(self, beta):
         with pytest.raises(ValidationError, match="beta must be a length-L simplex"):
-            swar.SwitchingArModel(order=1, truncation=2,
-                                  states=[ar1_state(0.5), ar1_state(0.5)],
+            swar.SwitchingArModel(states=[ar1_state(0.5), ar1_state(0.5)],
                                   transitions=np.eye(2), beta=beta)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["alpha", "gamma", "kappa"])
+    @pytest.mark.parametrize("name", ["kappa"])
     def test_non_finite_concentration(self, name, value):
-        bound = ">= 0" if name == "kappa" else "> 0"
         with pytest.raises(ValidationError,
-                           match=f"^{name} must be finite and {bound}, got {value}$"):
-            swar.SwitchingArModel(order=1, truncation=2,
-                                  states=[ar1_state(0.5), ar1_state(0.5)],
+                           match=f"^{name} must be finite and >= 0, got {value}$"):
+            swar.SwitchingArModel(states=[ar1_state(0.5), ar1_state(0.5)],
                                   transitions=np.eye(2), beta=[0.5, 0.5],
                                   **{name: value})
+
+    def test_fields_and_derived_sizes(self):
+        model = two_state_model()
+        assert [f.name for f in fields(swar.SwitchingArModel)] == [
+            "states", "transitions", "beta", "kappa", "prior"]
+        assert (model.order, model.truncation) == (1, 2)
+        with pytest.raises(AttributeError):
+            model.order = 2
+
+    def test_one_state_or_mixed_orders_rejected(self):
+        with pytest.raises(ValidationError, match="truncation must be >= 2"):
+            swar.SwitchingArModel(states=[ar1_state(0.5)], transitions=[[1.0]],
+                                  beta=[1.0])
+        with pytest.raises(ValidationError, match="all states must share the model order"):
+            swar.SwitchingArModel(states=[ar1_state(0.5), swar.ArState([0.1, 0.2])],
+                                  transitions=np.eye(2), beta=[0.5, 0.5])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_state_variance(self, value):
+        with pytest.raises(ValidationError,
+                           match="innovation variance must be positive and finite"):
+            ar1_state(0.5, var=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["coef_scale", "shape", "scale"])
+    def test_bad_prior(self, name, value):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be finite and > 0, got {value}$"):
+            swar.ArPrior(**{name: value})
 
 
 class TestArLoglik:
@@ -101,7 +126,7 @@ class TestArPsd:
             coefficients=[2 * radius * np.cos(angle), -radius**2],
             mean=0.0, variance=1.0)
         model = swar.SwitchingArModel(
-            order=2, truncation=2, states=[state, state],
+            states=[state, state],
             transitions=np.full((2, 2), 0.5), beta=np.array([0.5, 0.5]))
         series, _ = swar.simulate(model, 2**15, seed=0)
         welch = preprocess.power_spectrum(series, segment_length=512)
@@ -143,9 +168,9 @@ class TestGibbsSweep:
     def test_determinism_bit_identical(self):
         series, _ = swar.simulate(two_state_model(), 400, seed=2)
         data = ScalarSeries(rate=1.0, values=series.values)
-        cfg = swar.SwArConfig(order=1, truncation=5, sweeps=10, burn_in=0, seed=7)
-        fit_a = swar.fit(data, cfg)
-        fit_b = swar.fit(data, cfg)
+        cfg = dict(order=1, truncation=5, sweeps=10, burn_in=0, seed=7)
+        fit_a = swar.fit(data, **cfg)
+        fit_b = swar.fit(data, **cfg)
         assert np.array_equal(fit_a.states.indicators, fit_b.states.indicators)
         assert np.array_equal(fit_a.loglik_trace, fit_b.loglik_trace)
         assert np.array_equal(fit_a.model.beta, fit_b.model.beta)
@@ -153,9 +178,8 @@ class TestGibbsSweep:
     def test_simplex_invariants_after_sweeps(self):
         series, _ = swar.simulate(two_state_model(), 400, seed=3)
         data = ScalarSeries(rate=1.0, values=series.values)
-        cfg = swar.SwArConfig(order=1, truncation=6, sweeps=1, burn_in=0, seed=0)
-        model = swar.initial_model(data, cfg)
-        X, y = swar._design(data.values, cfg.order)
+        model = swar.initial_model(data, order=1, truncation=6, kappa=0.0)
+        X, y = swar._design(data.values, 1)
         rng = np.random.default_rng(0)
         for _ in range(5):
             loglik = swar._loglik_matrix(model, X, y)
@@ -168,21 +192,20 @@ class TestGibbsSweep:
     def test_white_noise_occupies_one_state(self):
         rng = np.random.default_rng(0)
         data = ScalarSeries(rate=1.0, values=rng.normal(size=1500))
-        cfg = swar.SwArConfig(order=1, truncation=10, sweeps=200, burn_in=100,
-                              seed=5, kappa=20.0)
-        fit = swar.fit(data, cfg)
+        fit = swar.fit(data, order=1, truncation=10, sweeps=200, burn_in=100,
+                       seed=5, kappa=20.0)
         assert np.bincount(fit.occupied_trace[100:]).argmax() == 1
 
     @pytest.mark.parametrize("sweeps, burn_in", [(0, 0), (10, 10), (10, 11), (10, -1)])
     def test_burn_in_must_leave_a_kept_sweep(self, sweeps, burn_in):
+        data = ScalarSeries(rate=1.0, values=np.zeros(100))
         with pytest.raises(ValidationError, match=r"burn_in must lie in \[0, sweeps\)"):
-            swar.SwArConfig(order=1, truncation=2, sweeps=sweeps, burn_in=burn_in)
+            swar.fit(data, order=1, truncation=2, sweeps=sweeps, burn_in=burn_in)
 
     def test_one_kept_sweep_is_the_estimate(self):
         rng = np.random.default_rng(1)
         data = ScalarSeries(rate=1.0, values=rng.normal(size=200))
-        fit = swar.fit(data, swar.SwArConfig(order=1, truncation=4, sweeps=3,
-                                             burn_in=2, seed=0))
+        fit = swar.fit(data, order=1, truncation=4, sweeps=3, burn_in=2, seed=0)
         assert fit.posteriors.shape == (200, 4)
         # one kept sweep: the posteriors are the estimate's one-hot rows
         assert np.array_equal(fit.posteriors, np.eye(4)[fit.states.indicators])
@@ -190,8 +213,7 @@ class TestGibbsSweep:
     def test_posteriors_are_kept_sweep_frequencies(self):
         rng = np.random.default_rng(1)
         data = ScalarSeries(rate=1.0, values=rng.normal(size=200))
-        fit = swar.fit(data, swar.SwArConfig(order=2, truncation=4, sweeps=5,
-                                             burn_in=2, seed=0))
+        fit = swar.fit(data, order=2, truncation=4, sweeps=5, burn_in=2, seed=0)
         kept = 3 * fit.posteriors
         assert np.allclose(kept, np.rint(kept))
         assert np.allclose(fit.posteriors.sum(axis=1), 1.0)
@@ -205,8 +227,7 @@ class TestGibbsSweep:
         z = np.repeat([0, 1, 2], 400)
         values = swar.ar_path(states, z, np.random.default_rng(6))
         data = ScalarSeries(rate=1.0, values=values)
-        cfg = swar.SwArConfig(order=1, truncation=2, sweeps=40, burn_in=20, seed=2)
-        fit = swar.fit(data, cfg)
+        fit = swar.fit(data, order=1, truncation=2, sweeps=40, burn_in=20, seed=2)
         assert fit.occupied == fit.states.occupied == 2
 
 
@@ -214,7 +235,7 @@ class TestCompleteDataLoglik:
     def test_single_state_reduces_to_emissions(self):
         state = ar1_state(0.5, var=0.8)
         model = swar.SwitchingArModel(
-            order=1, truncation=2, states=[state, state],
+            states=[state, state],
             transitions=np.array([[1.0, 0.0], [0.5, 0.5]]),
             beta=np.array([1.0, 0.0]))
         values = np.array([0.3, -0.1, 0.8, 0.2])
@@ -228,7 +249,7 @@ class TestCompleteDataLoglik:
         s0 = ar1_state(0.9, var=0.5)
         s1 = ar1_state(-0.2, mean=1.0, var=2.0)
         pi = np.array([[0.7, 0.3], [0.4, 0.6]])
-        model = swar.SwitchingArModel(order=1, truncation=2, states=[s0, s1],
+        model = swar.SwitchingArModel(states=[s0, s1],
                                       transitions=pi, beta=np.array([0.5, 0.5]))
         values = np.array([1.0, 0.5, -0.3, 0.9])
         data = ScalarSeries(rate=1.0, values=values)
@@ -248,14 +269,13 @@ class TestCompleteDataLoglik:
                                         mean=s.mean, variance=s.variance * 1e6)
                            for s in model.states]
         inflated = swar.SwitchingArModel(
-            order=1, truncation=2, states=inflated_states,
+            states=inflated_states,
             transitions=model.transitions, beta=model.beta)
         assert swar.complete_data_loglik(inflated, data, z) < base
 
     def test_fit_trace_scores_each_sweep_once(self, monkeypatch):
         series, _ = swar.simulate(two_state_model(), 300, seed=9)
         data = ScalarSeries(rate=1.0, values=series.values)
-        cfg = swar.SwArConfig(order=1, truncation=4, sweeps=6, burn_in=2, seed=1)
         sweeps, matrices = [], []
         gibbs_sweep, loglik_matrix = swar.gibbs_sweep, swar._loglik_matrix
 
@@ -269,9 +289,9 @@ class TestCompleteDataLoglik:
 
         monkeypatch.setattr(swar, "gibbs_sweep", recording_sweep)
         monkeypatch.setattr(swar, "_loglik_matrix", counting_matrix)
-        fit = swar.fit(data, cfg)
+        fit = swar.fit(data, order=1, truncation=4, sweeps=6, burn_in=2, seed=1)
         # one matrix per model: the initial one and each sweep's result
-        assert len(matrices) == cfg.sweeps + 1
+        assert len(matrices) == 6 + 1
         monkeypatch.undo()
         expected = [swar.complete_data_loglik(m, data, z) for m, z in sweeps]
         assert np.array_equal(fit.loglik_trace, expected)
@@ -280,9 +300,9 @@ class TestCompleteDataLoglik:
         s0 = ar1_state(0.9, var=0.5)
         s1 = ar1_state(-0.2, mean=1.0, var=2.0)
         pi = np.array([[0.7, 0.3], [0.4, 0.6]])
-        model = swar.SwitchingArModel(order=1, truncation=2, states=[s0, s1],
+        model = swar.SwitchingArModel(states=[s0, s1],
                                       transitions=pi, beta=np.array([0.5, 0.5]))
-        permuted = swar.SwitchingArModel(order=1, truncation=2, states=[s1, s0],
+        permuted = swar.SwitchingArModel(states=[s1, s0],
                                          transitions=pi[::-1, ::-1].copy(),
                                          beta=np.array([0.5, 0.5]))
         rng = np.random.default_rng(3)
@@ -364,11 +384,11 @@ def reference_sample_tables(counts, model, rng):
             n = int(counts[j, k])
             if n == 0:
                 continue
-            conc = model.alpha * model.beta[k] + (model.kappa if j == k else 0.0)
+            conc = swar.CONCENTRATION * model.beta[k] + (model.kappa if j == k else 0.0)
             i = np.arange(n, dtype=float)
             tables[j, k] = np.sum(rng.random(n) < conc / (conc + i))
     if model.kappa > 0:
-        rho = model.kappa / (model.alpha + model.kappa)
+        rho = model.kappa / (swar.CONCENTRATION + model.kappa)
         for j in range(L):
             m_jj = int(tables[j, j])
             if m_jj == 0:
@@ -406,13 +426,13 @@ def reference_gibbs_sweep(model, X, y, loglik, rng):
     counts = swar._transition_counts(z, L)
     transitions = np.empty((L, L))
     for j in range(L):
-        conc = model.alpha * model.beta + counts[j]
+        conc = swar.CONCENTRATION * model.beta + counts[j]
         if model.kappa > 0:
             conc = conc.copy()
             conc[j] += model.kappa
         transitions[j] = reference_sample_dirichlet(conc, rng)
     tables = reference_sample_tables(counts, model, rng)
-    beta = reference_sample_dirichlet(model.gamma / L + tables.sum(axis=0), rng)
+    beta = reference_sample_dirichlet(swar.CONCENTRATION / L + tables.sum(axis=0), rng)
     states = [reference_sample_emission(X[z == k], y[z == k], model.prior,
                                         model.order, rng) for k in range(L)]
     return replace(model, states=states, transitions=transitions, beta=beta), z
@@ -423,7 +443,7 @@ def random_model(L, kappa, seed):
     transitions = rng.dirichlet(np.full(L, 0.5), size=L) + kappa * np.eye(L)
     transitions /= transitions.sum(axis=1, keepdims=True)
     return swar.SwitchingArModel(
-        order=1, truncation=L, states=[ar1_state(0.0) for _ in range(L)],
+        states=[ar1_state(0.0) for _ in range(L)],
         transitions=transitions, beta=rng.dirichlet(np.ones(L)), kappa=kappa)
 
 
@@ -449,7 +469,7 @@ class TestReferenceEquality:
                 return np.resize([0.0, 0.5], n)
 
         model = swar.SwitchingArModel(
-            order=1, truncation=2, states=[ar1_state(0.0), ar1_state(0.0)],
+            states=[ar1_state(0.0), ar1_state(0.0)],
             transitions=[[0.0, 1.0], [0.5, 0.5]], beta=[0.0, 1.0])
         loglik = np.zeros((9, 2))
         z = swar.sample_states(model, loglik, FixedUniforms())
@@ -503,11 +523,10 @@ class TestReferenceEquality:
         series, _ = synth.gen_switching_ar(SynthSpec(
             scenario="switching-ar", duration=30.0, rate=30.0,
             schedule=schedule, seed=11))
-        cfg = swar.SwArConfig(order=2, truncation=8, kappa=kappa, sweeps=20,
-                              burn_in=10, seed=5)
-        fit = swar.fit(series, cfg)
+        cfg = dict(order=2, truncation=8, kappa=kappa, sweeps=20, burn_in=10, seed=5)
+        fit = swar.fit(series, **cfg)
         monkeypatch.setattr(swar, "gibbs_sweep", reference_gibbs_sweep)
-        ref = swar.fit(series, cfg)
+        ref = swar.fit(series, **cfg)
         assert np.array_equal(fit.states.indicators, ref.states.indicators)
         assert np.array_equal(fit.posteriors, ref.posteriors)
         assert np.array_equal(fit.loglik_trace, ref.loglik_trace)
@@ -560,7 +579,7 @@ class TestBackwardMessages:
         # n = 50: blocks of 7 steps with anchors at messages 7, 14, ..., 49;
         # lik[row] = (0, 1) against a dead column 1 zeroes message row - 1
         model = swar.SwitchingArModel(
-            order=1, truncation=2, states=[ar1_state(0.0), ar1_state(0.0)],
+            states=[ar1_state(0.0), ar1_state(0.0)],
             transitions=[[1.0, 0.0], [1.0, 0.0]], beta=[0.5, 0.5])
         loglik = np.zeros((50, 2))
         loglik[row, 0] = -1000.0
@@ -582,7 +601,7 @@ class TestNumericalFailures:
 
     def test_backward_message_underflow(self):
         model = swar.SwitchingArModel(
-            order=1, truncation=2, states=[ar1_state(0.0), ar1_state(0.0)],
+            states=[ar1_state(0.0), ar1_state(0.0)],
             transitions=[[1.0, 0.0], [1.0, 0.0]], beta=[0.5, 0.5])
         loglik = np.array([[0.0, 0.0], [-1000.0, 0.0]])
         with pytest.raises(ClinQcError, match="backward message") as info:

@@ -75,9 +75,9 @@ def placeholder_model_path(spec, states=None):
     padding = [swar.ArState(coefficients=np.zeros(order), mean=0.0, variance=1.0)
                for _ in range(n_states - len(states))]
     model = swar.SwitchingArModel(
-        order=order, truncation=n_states, states=list(states) + padding,
+        states=list(states) + padding,
         transitions=np.full((n_states, n_states), 1.0 / n_states),
-        beta=np.full(n_states, 1.0 / n_states), seed=spec.seed)
+        beta=np.full(n_states, 1.0 / n_states))
     rng = np.random.default_rng(spec.seed)
     x = np.zeros(len(z))
     noise = rng.standard_normal(len(z))

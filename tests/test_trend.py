@@ -8,7 +8,6 @@ from clinqc.preprocess import interpolate_uniform
 from clinqc.series import ScalarSeries, TriaxialSeries
 from clinqc.synth import RegimeInterval, SynthSpec, gen_gravity_drift
 from clinqc.trend import (
-    TrendFilterConfig,
     _ddt_banded,
     _objective,
     default_lambda,
@@ -35,12 +34,18 @@ class TestDdtBanded:
 
 
 class TestTrendFilterConfig:
+    """The trend filter's settings, checked as its arguments."""
+
     @pytest.mark.parametrize("field, name", [("lam", "lambda"),
                                              ("tolerance", "tolerance")])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, field, name, value):
         with pytest.raises(ValidationError, match=name):
-            TrendFilterConfig(**{field: value})
+            l1_trend_filter(series(np.arange(10.0)), **{field: value})
+
+    def test_iteration_cap_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="max_iterations must be >= 1"):
+            l1_trend_filter(series(np.arange(10.0)), max_iterations=0)
 
 
 class TestL1TrendFilter:
@@ -48,13 +53,13 @@ class TestL1TrendFilter:
         t = np.arange(200.0)
         x = 2 * t + 1
         for lam in (0.0, 1.0, 100.0):
-            out = l1_trend_filter(series(x), TrendFilterConfig(lam=lam))
+            out = l1_trend_filter(series(x), lam)
             assert np.max(np.abs(out.values - x)) < 1e-9
 
     def test_lambda_zero_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=50)
-        out = l1_trend_filter(series(x), TrendFilterConfig(lam=0.0))
+        out = l1_trend_filter(series(x), 0.0)
         assert np.array_equal(out.values, x)
 
     def test_kink_recovery_and_oracle(self, trend_filter_oracle):
@@ -62,15 +67,14 @@ class TestL1TrendFilter:
         t = np.arange(500.0)
         truth = np.where(t < 250, 0.02 * t, 5.0 - 0.01 * (t - 250))
         x = truth + rng.normal(0, 0.05, size=500)
-        out = l1_trend_filter(series(x), TrendFilterConfig(lam=50.0, tolerance=1e-8))
+        out = l1_trend_filter(series(x), 50.0, tolerance=1e-8)
         assert np.max(np.abs(out.values - truth)) < 0.1
 
         # small-scale oracle comparison
         x50 = x[:50]
         _, oracle_obj = trend_filter_oracle(x50, 5.0)
-        ours = l1_trend_filter(series(x50),
-                               TrendFilterConfig(lam=5.0, tolerance=1e-12,
-                                                 max_iterations=50_000))
+        ours = l1_trend_filter(series(x50), 5.0, tolerance=1e-12,
+                               max_iterations=50_000)
         assert _objective(x50, ours.values, 5.0) <= oracle_obj + 1e-6
 
     def test_default_settings_reach_oracle(self, trend_filter_oracle):
@@ -88,7 +92,7 @@ class TestL1TrendFilter:
         rng = np.random.default_rng(4)
         x = np.cumsum(rng.normal(size=200))
         trace = []
-        l1_trend_filter(series(x), TrendFilterConfig(lam=10.0), trace_out=trace)
+        l1_trend_filter(series(x), 10.0, trace_out=trace)
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs <= 1e-12)
 
@@ -96,20 +100,19 @@ class TestL1TrendFilter:
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.normal(size=300))
         trace = []
-        out = l1_trend_filter(series(x), TrendFilterConfig(lam=10.0), trace_out=trace)
+        out = l1_trend_filter(series(x), 10.0, trace_out=trace)
         assert trace[-1] == pytest.approx(_objective(x, out.values, 10.0), rel=1e-9)
 
     def test_trace_out_is_keyword_only(self):
         with pytest.raises(TypeError, match="positional argument"):
-            l1_trend_filter(series(np.arange(10.0)), TrendFilterConfig(lam=1.0), [])
+            l1_trend_filter(series(np.arange(10.0)), 1.0, 1e-6, 100, [])
 
     def test_iteration_cap_warns_and_returns_best_iterate(self):
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.normal(size=300))
         trace = []
         with pytest.warns(NoConvergenceWarning):
-            out = l1_trend_filter(series(x), TrendFilterConfig(lam=10.0, max_iterations=1),
-                                  trace_out=trace)
+            out = l1_trend_filter(series(x), 10.0, max_iterations=1, trace_out=trace)
         assert len(trace) == 1
         assert trace[-1] == pytest.approx(_objective(x, out.values, 10.0), rel=1e-9)
 
@@ -119,8 +122,7 @@ class TestL1TrendFilter:
         trace = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = l1_trend_filter(series(values), TrendFilterConfig(lam=10.0),
-                                  trace_out=trace)
+            out = l1_trend_filter(series(values), 10.0, trace_out=trace)
         assert len(trace) == 1
         assert np.max(np.abs(out.values - values)) < 1e-9
 
@@ -128,17 +130,17 @@ class TestL1TrendFilter:
         rng = np.random.default_rng(8)
         x = rng.normal(size=300)
         t = np.arange(300.0)
-        cfg = TrendFilterConfig(lam=20.0, tolerance=1e-11, max_iterations=20_000)
-        base = l1_trend_filter(series(x), cfg).values
-        shifted = l1_trend_filter(series(x + 0.3 * t - 2.0), cfg).values
+        cfg = dict(lam=20.0, tolerance=1e-11, max_iterations=20_000)
+        base = l1_trend_filter(series(x), **cfg).values
+        shifted = l1_trend_filter(series(x + 0.3 * t - 2.0), **cfg).values
         assert np.max(np.abs(shifted - (base + 0.3 * t - 2.0))) < 1e-6
 
     def test_large_lambda_affine_limit(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=200) * 2.0
         lam = 1e6 * np.std(x)
-        out = l1_trend_filter(series(x), TrendFilterConfig(
-            lam=lam, tolerance=1e-12, max_iterations=50_000)).values
+        out = l1_trend_filter(series(x), lam, tolerance=1e-12,
+                              max_iterations=50_000).values
         # affine within 1e-3: second differences vanish
         assert np.max(np.abs(np.diff(out, 2))) < 1e-3
 
@@ -146,8 +148,7 @@ class TestL1TrendFilter:
 class TestRemoveGravity:
     def test_constant_input(self):
         samples = np.tile([0.0, 0.0, 9.81], (100, 1))
-        dynamic = remove_gravity(TriaxialSeries(rate=120.0, samples=samples),
-                                 TrendFilterConfig(lam=5.0))
+        dynamic = remove_gravity(TriaxialSeries(rate=120.0, samples=samples), 5.0)
         # the trend, input - dynamic, is the input within 1e-6
         assert np.max(np.abs(dynamic.samples)) < 1e-6
 
@@ -157,8 +158,7 @@ class TestRemoveGravity:
         drift = np.column_stack([9.81 - 0.01 * t, 0.005 * t, 0.2 + 0.002 * t])
         sinusoid = 0.8 * np.sin(2 * np.pi * 4.0 * t)
         samples = drift + sinusoid[:, None]
-        dynamic = remove_gravity(TriaxialSeries(rate=rate, samples=samples),
-                                 TrendFilterConfig(lam=400.0))
+        dynamic = remove_gravity(TriaxialSeries(rate=rate, samples=samples), 400.0)
         trend = samples - dynamic.samples
         rms = lambda v: np.sqrt(np.mean(v**2))
         for axis in range(3):
