@@ -109,8 +109,9 @@ def preprocess_recipe(kind: str, raw_path: Path, config: PipelineConfig
     if kind == "voice":
         audio = serialize.read_audio_csv(raw_path, rate=config.audio_rate)
         return preprocess.windowed_energy(audio, DEFAULT_ENERGY_WINDOW)
-    raw = serialize.read_accelerometer_csv(raw_path)
-    uniform = preprocess.interpolate_uniform(raw, DEFAULT_TARGET_RATE)
+    # the raw recording is freed once resampled
+    uniform = preprocess.interpolate_uniform(
+        serialize.read_accelerometer_csv(raw_path), DEFAULT_TARGET_RATE)
     dynamic = trend.remove_gravity(uniform, config.lam)
     if kind == "walking":
         feature = preprocess.log_magnitude(dynamic)
@@ -174,8 +175,8 @@ def _cmd_segment_ar(args, config: PipelineConfig) -> int:
     serialize.save_model(out_dir / "swar.json", result.model, asdict(config))
     rows = np.column_stack([series.times, result.states.indicators])
     serialize.write_table(out_dir / "states.csv", "t,z", rows, _meta(config))
-    np.savetxt(out_dir / "posteriors.csv", result.posteriors,
-               delimiter=",", fmt="%.12g")
+    # header-less, so a bare np.loadtxt reads it
+    serialize.write_table(out_dir / "posteriors.csv", None, result.posteriors)
     print(f"wrote {out_dir / 'swar.json'}; occupied states K+ = {result.occupied}")
     return 0
 

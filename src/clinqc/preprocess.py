@@ -19,6 +19,8 @@ from .series import ScalarSeries, SpectrumEstimate, TimestampedTriaxial, Triaxia
 # Odd-extension length at each end of a filtered series: sosfiltfilt's
 # default 3 * (2 * sections + 1) for the two sections of a 4th-order filter.
 _PADLEN = 15
+# Windows whose squares ``windowed_energy`` holds at a time.
+_ENERGY_BLOCK = 256
 
 
 def _not_a_knot_slopes(t: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
@@ -71,7 +73,10 @@ def interpolate_uniform(raw: TimestampedTriaxial, target_rate: float) -> Triaxia
     k = np.clip(np.searchsorted(t, grid, "right") - 1, 0, len(t) - 2)
     h = grid - t[k]
     h2 = h * h
-    out = ((y[:, k] + s[:, k] * h) + c1[:, k] * h2) + c0[:, k] * (h2 * h)
+    h3 = h2 * h
+    out = np.empty((3, n_out))
+    for axis in range(3):    # one axis at a time: no (3, n_out) temporaries
+        out[axis] = ((y[axis, k] + s[axis, k] * h) + c1[axis, k] * h2) + c0[axis, k] * h3
     return TriaxialSeries(rate=target_rate, samples=out.T)
 
 
@@ -91,7 +96,9 @@ def log_magnitude(series: TriaxialSeries) -> ScalarSeries:
 def windowed_energy(series: ScalarSeries, window: int) -> ScalarSeries:
     """Root-sum-square energy of consecutive non-overlapping windows.
 
-    A trailing partial window is discarded.
+    A trailing partial window is discarded. The squares are summed a fixed
+    block of windows at a time, so no squared copy of the whole series is
+    made; each window's sum is bit-identical to one over all squares at once.
     """
     if window < 1:
         raise ValidationError("window must be >= 1")
@@ -102,8 +109,13 @@ def windowed_energy(series: ScalarSeries, window: int) -> ScalarSeries:
             f"window {window} larger than input length {len(series)}")
     n_win = len(series) // window
     chunks = series.values[: n_win * window].reshape(n_win, window)
-    energy = np.sqrt(np.sum(chunks ** 2, axis=1))
-    return ScalarSeries(rate=series.rate / window, values=energy)
+    energy = np.empty(n_win)
+    squares = np.empty((min(n_win, _ENERGY_BLOCK), window))
+    for start in range(0, n_win, _ENERGY_BLOCK):
+        stop = min(start + _ENERGY_BLOCK, n_win)
+        block = np.square(chunks[start:stop], out=squares[:stop - start])
+        np.sum(block, axis=1, out=energy[start:stop])
+    return ScalarSeries(rate=series.rate / window, values=np.sqrt(energy, out=energy))
 
 
 def _butter_sos(wn: float) -> np.ndarray:

@@ -12,9 +12,14 @@ Every CSV reader accepts the same input:
 Anything else, such as a corrupt value, a short row or a table without
 rows, raises ``ValidationError`` (CLI exit code 2) naming the file line at
 fault: no row is dropped silently, and neither is a negative or non-finite
-count or a label other than 1 or 2. Model artifacts are versioned JSON
-documents whose payload is the model dataclass's fields, so they
-round-trip field-for-field; the run's config and seed sit beside it.
+count or a label other than 1 or 2. An audio table's time column is
+parsed and checked like any other, but held at float32 (4 bytes a row)
+since nothing reads it; its values stay float64, a view into the parsed
+rows.
+
+Model artifacts are versioned JSON documents whose payload is the model
+dataclass's fields, so they round-trip field-for-field; the run's config
+and seed sit beside it.
 """
 from __future__ import annotations
 
@@ -44,6 +49,9 @@ ARTIFACT_VERSION = 1
 MODEL_KINDS = {"switching-ar": SwitchingArModel, "gmm": GmmParams,
                "naive-bayes": NaiveBayesModel}
 _FLOAT_FMT = "%.12g"
+_WRITE_BLOCK = 256    # rows write_table formats at a time
+#: An audio row: the time column is only checked, so 4 bytes hold it.
+_AUDIO_ROW = np.dtype([("t", np.float32), ("v", np.float64)])
 
 
 def config_hash(config: dict) -> str:
@@ -57,14 +65,22 @@ def _header_lines(meta: dict | None) -> list[str]:
     return [f"# {key}={value}" for key, value in sorted(meta.items())]
 
 
-def write_table(path: Path, header: str, rows: np.ndarray,
+def write_table(path: Path, header: str | None, rows: np.ndarray,
                 meta: dict | None = None) -> None:
-    """Write ``meta`` comments, one header line and ``%.12g`` CSV rows."""
+    """Write ``meta`` comments, one header line and ``%.12g`` CSV rows;
+    ``header=None`` writes the rows alone, without ``meta``.
+
+    Rows are formatted a block at a time, so the text of the whole table is
+    never held in memory.
+    """
     rows = np.atleast_2d(rows)
     row_fmt = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
-    head = "".join(line + "\n" for line in _header_lines(meta) + [header])
-    body = (row_fmt * len(rows)) % tuple(rows.ravel().tolist())
-    Path(path).write_text(head + body)
+    lines = [] if header is None else _header_lines(meta) + [header]
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+        for start in range(0, len(rows), _WRITE_BLOCK):
+            block = rows[start:start + _WRITE_BLOCK]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _content(line: str) -> str:
@@ -116,26 +132,39 @@ def _first_bad_row(path: Path, skip: int) -> str | None:
     return None
 
 
-def _read_table(path: Path, expected_columns: int | None) -> np.ndarray:
+def _loadtxt(path: Path, skip: int, dtype: np.dtype) -> np.ndarray:
+    """``np.loadtxt`` of the rows after ``skip`` lines: a record ``dtype``
+    gives one record per row, any other a (rows, columns) array."""
+    with warnings.catch_warnings():
+        # an empty table is reported as a ValidationError by the caller
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        return np.loadtxt(path, dtype=dtype, delimiter=",", comments="#",
+                          skiprows=skip, ndmin=1 if dtype.names else 2)
+
+
+def _read_table(path: Path, expected_columns: int | None,
+                dtype: np.dtype = np.dtype(float)) -> np.ndarray:
     """Parse a numeric CSV table strictly; see the module docstring.
 
     ``expected_columns=None`` accepts any column count shared by all rows.
+    A record ``dtype`` holds one field per column, ``expected_columns`` of
+    them, and the table is returned as one record per row.
     """
     skip = _rows_to_skip(path)
-    with warnings.catch_warnings():
-        # an empty table is reported below as a ValidationError
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        try:
-            data = np.loadtxt(path, delimiter=",", comments="#",
-                              skiprows=skip, ndmin=2)
-        except ValueError as exc:
-            # numpy counts data rows, not file lines; find the line itself
-            raise ValidationError(
-                f"{path}, {_first_bad_row(path, skip) or exc}") from exc
+    try:
+        data = _loadtxt(path, skip, dtype)
+    except ValueError as exc:
+        # numpy counts data rows, not file lines; find the line itself
+        reason = _first_bad_row(path, skip)
+        if reason is not None or not dtype.names:
+            raise ValidationError(f"{path}, {reason or exc}") from exc
+        # every row is numbers, but not as many as the record has fields
+        data = _loadtxt(path, skip, np.dtype(float))
     if len(data) == 0:
         raise ValidationError(f"{path}: no data rows")
-    if expected_columns is not None and data.shape[1] != expected_columns:
+    if (data.ndim == 2 and expected_columns is not None
+            and data.shape[1] != expected_columns):
         raise ValidationError(
             f"{path}: expected {expected_columns} columns, got shape {data.shape}")
     return data
@@ -159,9 +188,14 @@ def read_accelerometer_csv(path: Path) -> TimestampedTriaxial:
 
 
 def read_audio_csv(path: Path, *, rate: float) -> ScalarSeries:
-    """Read ``t,v`` audio samples; the time column fixes nothing beyond order."""
-    data = _read_table(path, 2)
-    return ScalarSeries(rate=rate, values=data[:, 1])
+    """Read ``t,v`` audio samples at ``rate``.
+
+    The time column is parsed and checked, but only at float32: it fixes
+    nothing, not even the rate. The values are float64, a view into the
+    parsed (float32, float64) rows, so a row takes 12 bytes.
+    """
+    data = _read_table(path, 2, _AUDIO_ROW)
+    return ScalarSeries(rate=rate, values=data["v"])
 
 
 def read_counts_csv(path: Path) -> np.ndarray:

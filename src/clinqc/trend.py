@@ -132,10 +132,10 @@ def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
     # is penalty-free and shifts the solution exactly, so this makes the
     # (input + affine) -> (trend + affine) invariance hold by construction
     # and improves conditioning.
-    t_idx = np.arange(n, dtype=float)
-    affine_basis = np.column_stack([t_idx, np.ones(n)])
+    affine_basis = np.column_stack([np.arange(n, dtype=float), np.ones(n)])
     affine_coef, *_ = np.linalg.lstsq(affine_basis, x, rcond=None)
     affine = affine_basis @ affine_coef
+    del affine_basis
     x_scale = 4.0 * float(np.max(np.abs(x)))
     x = x - affine
 
@@ -151,6 +151,7 @@ def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
     spread = float(np.mean(np.abs(c)))
     mu1 = np.maximum(c, 0.0) + spread
     mu2 = np.maximum(-c, 0.0) + spread
+    del c
     # Each entry of D g carries a rounding error of about
     # eps * (4 max|x| + lam max|y|), the first part from subtracting the
     # affine fit, so a gap below (n - 2) * lam times that is not resolvable.

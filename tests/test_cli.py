@@ -421,6 +421,14 @@ class TestExitCodes:
         assert "rate must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "feat" / "feature.csv").exists()
 
+    def test_audio_with_three_columns_exit_2(self, tmp_path, capsys):
+        audio = tmp_path / "audio.csv"
+        audio.write_text("t,v\n" + "".join(f"{i / 44_100},0.1,0.2\n" for i in range(882)))
+        assert run(["preprocess", audio, "--kind", "voice",
+                    "--out", tmp_path / "feat"]) == 2
+        assert "expected 2 columns, got shape (882, 3)" in capsys.readouterr().err
+        assert not (tmp_path / "feat" / "feature.csv").exists()
+
     @pytest.mark.parametrize("command", ["segment-gmm", "spectrum", "train-nb"])
     def test_time_column_not_advancing_exit_2(self, tmp_path, capsys, command):
         # a constant time column: the median step is 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,36 @@ class TestWindowedEnergy:
         scaled = preprocess.windowed_energy(
             ScalarSeries(rate=10.0, values=3.5 * values), 10).values
         assert np.allclose(scaled, 3.5 * base)
+
+    @pytest.mark.parametrize("windows", [255, 256, 257])
+    @pytest.mark.parametrize("window", [1, 441])
+    def test_bit_identical_to_one_shot_sum(self, windows, window):
+        # with a trailing partial window, when there can be one
+        values = np.random.default_rng(windows).normal(size=(windows + 1) * window - 1)
+        chunks = values[:windows * window].reshape(windows, window)
+        out = preprocess.windowed_energy(ScalarSeries(rate=10.0, values=values), window)
+        assert out.values.tobytes() == np.sqrt(np.sum(chunks ** 2, axis=1)).tobytes()
+
+    def test_bit_identical_on_strided_input(self):
+        # the audio reader's values: the float64 field of (float32, float64) rows
+        rows = np.zeros(300 * 441, dtype=[("t", np.float32), ("v", np.float64)])
+        rows["v"] = np.random.default_rng(0).normal(size=len(rows))
+        values = rows["v"]
+        assert not values.flags.c_contiguous
+        out = preprocess.windowed_energy(ScalarSeries(rate=44_100.0, values=values), 441)
+        expected = np.sqrt(np.sum(values.reshape(300, 441) ** 2, axis=1))
+        assert out.values.tobytes() == expected.tobytes()
+
+    def test_allocates_under_2_mb_besides_its_output(self):
+        # 30 s at 44.1 kHz: the squares of all windows at once would take 10.6 MB
+        series = ScalarSeries(rate=44_100.0, values=np.ones(1_323_000))
+        tracemalloc.start()
+        try:
+            out = preprocess.windowed_energy(series, 441)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.values.nbytes < 2e6
 
     def test_window_too_large(self):
         series = ScalarSeries(rate=10.0, values=np.ones(5))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,6 +146,69 @@ class TestStrictReader:
         values = serialize._read_table(path, 2)[:, 1]
         expected = np.array([float(v) for v in texts])
         assert values.tobytes() == expected.tobytes()
+        finite = [v for v in texts if np.isfinite(float(v))]  # series hold no nan or inf
+        path.write_text("t,v\n" + "".join(f"{i},{v}\n" for i, v in enumerate(finite)))
+        audio = serialize.read_audio_csv(path, rate=8000.0).values
+        assert audio.dtype == np.float64
+        assert audio.tobytes() == np.array([float(v) for v in finite]).tobytes()
+
+    def test_audio_corrupt_time_field_rejected(self, tmp_path):
+        path = tmp_path / "audio.csv"
+        path.write_text("t,v\n0,1\n0.0x2,7\n0.02,4\n")
+        with pytest.raises(ValidationError, match="line 3: could not convert '0.0x2'"):
+            serialize.read_audio_csv(path, rate=44_100.0)
+
+    def test_audio_short_row_rejected(self, tmp_path):
+        path = tmp_path / "audio.csv"
+        path.write_text("t,v\n0,1\n1\n2,3\n")
+        with pytest.raises(ValidationError, match="line 3: expected 2 values, got 1"):
+            serialize.read_audio_csv(path, rate=44_100.0)
+
+    def test_audio_comments_blank_lines_and_header(self, tmp_path):
+        path = tmp_path / "audio.csv"
+        path.write_text("\n# config_hash=abc\n\n# seed=0\nt,v\n"
+                        "0,1\n# inline block comment\n0.5,2  # trailing\n\n1,3\n")
+        series = serialize.read_audio_csv(path, rate=44_100.0)
+        assert series.values.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("text", ["t,v\n", "# seed=0\nt,v\n", ""])
+    def test_audio_without_rows_rejected_without_warning(self, tmp_path, text):
+        path = tmp_path / "audio.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no data rows"):
+                serialize.read_audio_csv(path, rate=44_100.0)
+
+    def test_audio_three_columns_rejected(self, tmp_path):
+        path = tmp_path / "audio.csv"
+        path.write_text("t,v\n0,1,2\n1,2,3\n")
+        with pytest.raises(ValidationError) as exc:
+            serialize.read_audio_csv(path, rate=44_100.0)
+        assert str(exc.value) == f"{path}: expected 2 columns, got shape (2, 3)"
+
+    def test_audio_time_beyond_float32_accepted_without_warning(self, tmp_path):
+        path = tmp_path / "audio.csv"
+        path.write_text("t,v\n1e300,0.5\n-1e39,0.25\nnan,-1\ninf,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = serialize.read_audio_csv(path, rate=44_100.0)
+        assert series.values.tolist() == [0.5, 0.25, -1.0, 2.0]
+
+    def test_audio_read_peaks_at_most_14_bytes_per_row(self, tmp_path):
+        # 30 s at 44.1 kHz; the float64 values take 8 bytes a row, the time
+        # column 4, and np.loadtxt grows its buffer in steps of a quarter
+        rows = 1_323_000
+        path = tmp_path / "audio.csv"
+        path.write_text("t,v\n" + "0.0000227,-0.001234\n" * rows)
+        tracemalloc.start()
+        try:
+            series = serialize.read_audio_csv(path, rate=44_100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == rows
+        assert peak <= 14 * rows
 
 
 class TestReadCountsCsv:
@@ -180,6 +244,14 @@ class TestWriteTable:
         assert path.read_text() == "a,b,c\n1,2.5,3\n"
         serialize.write_table(path, "a,b", np.zeros((0, 2)))
         assert path.read_text() == "a,b\n"
+
+    def test_no_header_matches_savetxt(self, tmp_path):
+        # more rows than write_table formats at a time
+        rows = np.random.default_rng(0).dirichlet(np.ones(20), size=600)
+        rows[0, :3] = [-0.0, 1e-300, 0.1]
+        serialize.write_table(tmp_path / "a.csv", None, rows, meta={"seed": 1})
+        np.savetxt(tmp_path / "b.csv", rows, delimiter=",", fmt="%.12g")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def payload_keys(path):
