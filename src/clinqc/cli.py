@@ -3,11 +3,12 @@
 Subcommands: preprocess, segment-gmm, segment-ar, train-nb, classify,
 evaluate, synth, spectrum. Options may come from a JSON config file
 (``--config``); explicit flags win over the file. Exit codes: 0 success,
-2 validation error, 3 runtime/numerical error.
+2 validation error or unreadable input, 3 runtime/numerical error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,6 @@ DEFAULT_CUTOFF_HZ = 15.0
 DEFAULT_DECIMATION = 4
 DEFAULT_ENERGY_WINDOW = 441
 DEFAULT_AUDIO_RATE = 44_100.0
-KINDS = tuple(kind.value for kind in gmm.TestKind)
 
 
 @dataclass
@@ -33,7 +33,7 @@ class PipelineConfig:
     """Settings a config file or a flag may change; the recipe constants
     above are not among them."""
 
-    kind: str = "walking"                # walking | balance | voice
+    kind: str = "walking"                # one of gmm.KINDS
     audio_rate: float = DEFAULT_AUDIO_RATE
     lam: float | None = None
     order: int = 4
@@ -60,7 +60,7 @@ def _load_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         try:
             values = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ValidationError(f"{args.config}: expected a JSON object")
@@ -76,7 +76,10 @@ def _load_config(args) -> PipelineConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    return PipelineConfig(**values)
+    config = PipelineConfig(**values)
+    if config.seed < 0:
+        raise ValidationError("seed must be >= 0")
+    return config
 
 
 def _fits(annotation: str, value) -> bool:
@@ -86,7 +89,7 @@ def _fits(annotation: str, value) -> bool:
     config hash does not move), and the kind must name a test.
     """
     if annotation == "str":
-        return value in KINDS
+        return value in gmm.KINDS
     if value is None or isinstance(value, bool):
         return value is None and annotation == "float | None"
     return isinstance(value, int) or (annotation != "int" and isinstance(value, float))
@@ -96,30 +99,29 @@ def _meta(config: PipelineConfig) -> dict:
     return {"config_hash": serialize.config_hash(asdict(config)), "seed": config.seed}
 
 
-def preprocess_recipe(kind: str, raw_path: Path, config: PipelineConfig
-                      ) -> ScalarSeries:
-    """Per-test-kind preprocessing composition.
+def preprocess_recipe(raw_path: Path, config: PipelineConfig) -> ScalarSeries:
+    """Preprocessing composition for the test kind ``config.kind``.
 
     walking: interpolate to 120 Hz -> gravity removal -> log-magnitude ->
     15 Hz low-pass -> decimate by 4. balance: interpolate to 120 Hz ->
     gravity removal -> magnitude (no decimation). voice: energy of
     non-overlapping 441-sample windows of the raw audio.
     """
+    if config.kind not in gmm.KINDS:
+        raise ValidationError(f"unknown test kind {config.kind!r}")
     trend.check_lambda(config.lam)
-    if kind == "voice":
+    if config.kind == "voice":
         audio = serialize.read_audio_csv(raw_path, rate=config.audio_rate)
         return preprocess.windowed_energy(audio, DEFAULT_ENERGY_WINDOW)
     # the raw recording is freed once resampled
     uniform = preprocess.interpolate_uniform(
         serialize.read_accelerometer_csv(raw_path), DEFAULT_TARGET_RATE)
     dynamic = trend.remove_gravity(uniform, config.lam)
-    if kind == "walking":
+    if config.kind == "walking":
         feature = preprocess.log_magnitude(dynamic)
         filtered = preprocess.lowpass_filter(feature, DEFAULT_CUTOFF_HZ)
         return preprocess.downsample(filtered, DEFAULT_DECIMATION)
-    if kind == "balance":
-        return preprocess.magnitude(dynamic)
-    raise ValidationError(f"unknown test kind {kind!r}")
+    return preprocess.magnitude(dynamic)
 
 
 def _odd_window(seconds: float, series: ScalarSeries) -> int:
@@ -135,7 +137,7 @@ def _odd_window(seconds: float, series: ScalarSeries) -> int:
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_preprocess(args, config: PipelineConfig) -> int:
-    series = preprocess_recipe(config.kind, Path(args.input), config)
+    series = preprocess_recipe(Path(args.input), config)
     out = _out_dir(args) / "feature.csv"
     serialize.write_scalar_csv(out, series, _meta(config))
     print(f"wrote {out} ({len(series)} samples at {series.rate:g} Hz)")
@@ -157,8 +159,7 @@ def _cmd_segment_gmm(args, config: PipelineConfig) -> int:
     params = gmm.fit_gmm_em(series, seed=config.seed)
     assigned = gmm.map_assign(params, series)
     smoothed = gmm.median_smooth_to_convergence(assigned, window)
-    labels = gmm.mean_rule_adherence(params, smoothed,
-                                     gmm.TestKind(config.kind), series.rate)
+    labels = gmm.mean_rule_adherence(params, smoothed, config.kind, series.rate)
     out_dir = _out_dir(args)
     serialize.write_labels_csv(out_dir / "labels.csv", labels, meta=_meta(config))
     serialize.save_model(out_dir / "gmm.json", params, asdict(config))
@@ -175,8 +176,9 @@ def _cmd_segment_ar(args, config: PipelineConfig) -> int:
     serialize.save_model(out_dir / "swar.json", result.model, asdict(config))
     rows = np.column_stack([series.times, result.states.indicators])
     serialize.write_table(out_dir / "states.csv", "t,z", rows, _meta(config))
-    # header-less, so a bare np.loadtxt reads it
-    serialize.write_table(out_dir / "posteriors.csv", None, result.posteriors)
+    # header-less, so a bare np.loadtxt reads it past the meta comments
+    serialize.write_table(out_dir / "posteriors.csv", None, result.posteriors,
+                          _meta(config))
     print(f"wrote {out_dir / 'swar.json'}; occupied states K+ = {result.occupied}")
     return 0
 
@@ -208,10 +210,7 @@ def _cmd_classify(args, config: PipelineConfig) -> int:
 def _cmd_evaluate(args, config: PipelineConfig) -> int:
     counts = serialize.read_counts_csv(Path(args.counts))
     labels = serialize.read_labels_csv(Path(args.labels))
-
-    def train(train_counts, train_labels):
-        return context.nb_train(train_counts, train_labels,
-                                smoothing=config.smoothing)
+    train = functools.partial(context.nb_train, smoothing=config.smoothing)
 
     def predict(model, eval_counts):
         return context.nb_predict(model, eval_counts)[0]
@@ -232,8 +231,7 @@ def _cmd_evaluate(args, config: PipelineConfig) -> int:
 def _cmd_synth(args, config: PipelineConfig) -> int:
     out_dir = _out_dir(args)
     spec = synth.SynthSpec(scenario=args.scenario, duration=args.duration,
-                           rate=args.rate, seed=config.seed,
-                           schedule=_default_schedule(args.scenario, args.duration))
+                           rate=args.rate, seed=config.seed)
     meta = _meta(config)
     if args.scenario == "gravity-drift":
         raw, trend_truth, dynamic_truth = synth.gen_gravity_drift(spec)
@@ -254,18 +252,6 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _default_schedule(scenario: str, duration: float) -> list[synth.RegimeInterval]:
-    """Equal intervals over the scenario's state list; edge k is
-    ``k * (duration / n)``, as in ``np.linspace``, which warns on the
-    infinite durations that ``SynthSpec`` rejects."""
-    states = {"switching-ar": [0, 1, 2], "gravity-drift": [0, 1, 0],
-              "two-cluster": [0, 1]}[scenario]
-    step = duration / len(states)
-    edges = [k * step for k in range(len(states))] + [duration]
-    return [synth.RegimeInterval(state, start, end)
-            for state, start, end in zip(states, edges, edges[1:])]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clinqc",
@@ -279,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="run the per-kind preprocessing recipe")
     p.add_argument("input")
-    p.add_argument("--kind", choices=KINDS, default=None)
+    p.add_argument("--kind", choices=gmm.KINDS, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     common(p)
     p.set_defaults(handler=_cmd_preprocess)
@@ -291,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment-gmm", help="two-component GMM quality control")
     p.add_argument("input")
-    p.add_argument("--kind", choices=KINDS, default=None)
+    p.add_argument("--kind", choices=gmm.KINDS, default=None)
     p.add_argument("--window-seconds", dest="window_seconds", type=float,
                    default=None)
     common(p)
@@ -345,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, _load_config(args))
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, FileNotFoundError, IsADirectoryError,
+            FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClinQcError as exc:

@@ -3,7 +3,8 @@
 The simpler quality-control path: fit a two-component GMM to the scalar
 feature by E-M, assign each time point to its more probable component,
 smooth the indicator sequence with a repeated moving median, and orient the
-components to adherence or violation by comparing their means.
+components to adherence or violation by comparing their means. ``KINDS``
+names the test protocols; the protocol decides that orientation.
 
 E-M and MAP assignment hold per-point arrays component-major, shape (2, T).
 A reduction over the components then runs along the leading axis, one
@@ -16,7 +17,6 @@ so the fit is bit-identical to the time-major E-M the tests hold it to.
 """
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 
@@ -29,10 +29,9 @@ from .series import (ADHERENCE, VIOLATION, AdherenceLabels, ScalarSeries, StateS
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-class TestKind(enum.Enum):
-    WALKING = "walking"
-    BALANCE = "balance"
-    VOICE = "voice"
+#: Test protocols: in walking and voice tests the larger-mean component is
+#: adherence, in balance tests it is violation.
+KINDS = ("walking", "balance", "voice")
 
 
 @dataclass
@@ -184,20 +183,18 @@ def median_smooth_to_convergence(states: StateSequence, window: int) -> StateSeq
 
 
 def mean_rule_adherence(params: GmmParams, smoothed: StateSequence,
-                        kind: TestKind, rate: float) -> AdherenceLabels:
+                        kind: str, rate: float) -> AdherenceLabels:
     """Orient the two components to adherence/violation by their means.
 
-    Walking and voice tests: the larger-mean component is adherence. Balance
-    tests: the larger-mean component is violation.
+    ``kind`` is one of ``KINDS``. Walking and voice tests: the larger-mean
+    component is adherence. Balance tests: the larger-mean component is
+    violation.
     """
+    if kind not in KINDS:
+        raise ValidationError(f"unknown test kind {kind!r}")
     mu = params.means
     if abs(mu[0] - mu[1]) < 1e-9:
         raise ClinQcError("component means coincide; cannot orient labels")
-    larger = int(np.argmax(mu))
-    if kind in (TestKind.WALKING, TestKind.VOICE):
-        label_of_larger = ADHERENCE
-    else:
-        label_of_larger = VIOLATION
-    other = VIOLATION if label_of_larger == ADHERENCE else ADHERENCE
-    labels = np.where(smoothed.indicators == larger, label_of_larger, other)
+    in_larger = smoothed.indicators == int(np.argmax(mu))
+    labels = np.where(in_larger != (kind == "balance"), ADHERENCE, VIOLATION)
     return AdherenceLabels(rate=rate, labels=labels)

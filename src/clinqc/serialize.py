@@ -3,7 +3,7 @@
 Every CSV reader accepts the same input:
 
 - blank lines and ``#`` comments (whole lines or line ends) are skipped;
-  writers put the config hash and seed there;
+  every table writer puts the config hash and seed there, header or not;
 - the first remaining line is a header and is skipped if any of its fields
   is not a number; at most one such line is skipped;
 - every other line is a row of comma-separated numbers, as many as the
@@ -11,11 +11,12 @@ Every CSV reader accepts the same input:
 
 Anything else, such as a corrupt value, a short row or a table without
 rows, raises ``ValidationError`` (CLI exit code 2) naming the file line at
-fault: no row is dropped silently, and neither is a negative or non-finite
-count or a label other than 1 or 2. An audio table's time column is
-parsed and checked like any other, but held at float32 (4 bytes a row)
-since nothing reads it; its values stay float64, a view into the parsed
-rows.
+fault, or the file if its text is not UTF-8 or every row has the wrong
+column count: no row is dropped silently, and neither is a negative or
+non-finite count or a label other than 1 or 2. An audio table's time
+column is parsed and checked like any other, but held at float32 (4 bytes
+a row) since nothing reads it; its values stay float64, a view into the
+parsed rows.
 
 Model artifacts are versioned JSON documents whose payload is the model
 dataclass's fields, so they round-trip field-for-field; the run's config
@@ -59,23 +60,18 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _header_lines(meta: dict | None) -> list[str]:
-    if not meta:
-        return []
-    return [f"# {key}={value}" for key, value in sorted(meta.items())]
-
-
 def write_table(path: Path, header: str | None, rows: np.ndarray,
                 meta: dict | None = None) -> None:
-    """Write ``meta`` comments, one header line and ``%.12g`` CSV rows;
-    ``header=None`` writes the rows alone, without ``meta``.
+    """Write ``meta`` as ``# key=value`` comments, then ``header`` unless it
+    is None, then ``%.12g`` CSV rows.
 
     Rows are formatted a block at a time, so the text of the whole table is
     never held in memory.
     """
     rows = np.atleast_2d(rows)
     row_fmt = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
-    lines = [] if header is None else _header_lines(meta) + [header]
+    lines = [f"# {key}={value}" for key, value in sorted((meta or {}).items())]
+    lines += [] if header is None else [header]
     with open(path, "w") as fh:
         fh.writelines(line + "\n" for line in lines)
         for start in range(0, len(rows), _WRITE_BLOCK):
@@ -83,22 +79,27 @@ def write_table(path: Path, header: str | None, rows: np.ndarray,
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _content(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _numbered_lines(path: Path):
+    """Yield ``(file line, fields)`` for each line that is not blank or a
+    comment; text that does not decode raises ``ValidationError``."""
+    with open(path) as fh:
+        try:
+            for number, line in enumerate(fh, start=1):
+                content = line.split("#", 1)[0].strip()
+                if content:
+                    yield number, content.split(",")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _rows_to_skip(path: Path) -> int:
     """Lines ``np.loadtxt`` must skip: through the header, if there is one."""
-    with open(path) as fh:
-        for index, line in enumerate(fh):
-            line = _content(line)
-            if not line:
-                continue
-            try:
-                [float(field) for field in line.split(",")]
-            except ValueError:
-                return index + 1
-            return 0
+    for number, fields in _numbered_lines(path):
+        try:
+            [float(field) for field in fields]
+        except ValueError:
+            return number
+        break
     return 0
 
 
@@ -112,35 +113,25 @@ def _parses_like_loadtxt(field: str) -> bool:
     return field.isascii() and "_" not in field
 
 
-def _first_bad_row(path: Path, skip: int) -> str | None:
-    """Where and why the first row after ``skip`` lines is not a row of as
-    many numbers as the first row; None if every row parses."""
-    columns = None
-    with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            fields = _content(line).split(",")
-            if number <= skip or fields == [""]:
-                continue
-            for field in fields:
-                if not _parses_like_loadtxt(field):
-                    return (f"line {number}: could not convert {field.strip()!r}"
-                            " to a number")
-            if columns is None:
-                columns = len(fields)
-            elif len(fields) != columns:
-                return f"line {number}: expected {columns} values, got {len(fields)}"
+def _first_bad_row(path: Path, skip: int, columns: int | None) -> str | None:
+    """Why the rows after ``skip`` lines are not a table of ``columns``
+    numbers a row (None: as many as the first row), or None if they are."""
+    rows, width = 0, None
+    for number, fields in _numbered_lines(path):
+        if number <= skip:
+            continue
+        for field in fields:
+            if not _parses_like_loadtxt(field):
+                return (f"{path}, line {number}: could not convert "
+                        f"{field.strip()!r} to a number")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            return f"{path}, line {number}: expected {width} values, got {len(fields)}"
+        rows += 1
+    if columns is not None and width not in (None, columns):
+        return f"{path}: expected {columns} columns, got shape {(rows, width)}"
     return None
-
-
-def _loadtxt(path: Path, skip: int, dtype: np.dtype) -> np.ndarray:
-    """``np.loadtxt`` of the rows after ``skip`` lines: a record ``dtype``
-    gives one record per row, any other a (rows, columns) array."""
-    with warnings.catch_warnings():
-        # an empty table is reported as a ValidationError by the caller
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        return np.loadtxt(path, dtype=dtype, delimiter=",", comments="#",
-                          skiprows=skip, ndmin=1 if dtype.names else 2)
 
 
 def _read_table(path: Path, expected_columns: int | None,
@@ -153,20 +144,20 @@ def _read_table(path: Path, expected_columns: int | None,
     """
     skip = _rows_to_skip(path)
     try:
-        data = _loadtxt(path, skip, dtype)
+        with warnings.catch_warnings():
+            # an empty table is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, dtype=dtype, delimiter=",", comments="#",
+                              skiprows=skip, ndmin=1 if dtype.names else 2)
     except ValueError as exc:
         # numpy counts data rows, not file lines; find the line itself
-        reason = _first_bad_row(path, skip)
-        if reason is not None or not dtype.names:
-            raise ValidationError(f"{path}, {reason or exc}") from exc
-        # every row is numbers, but not as many as the record has fields
-        data = _loadtxt(path, skip, np.dtype(float))
+        raise ValidationError(_first_bad_row(path, skip, expected_columns)
+                              or f"{path}, {exc}") from exc
     if len(data) == 0:
         raise ValidationError(f"{path}: no data rows")
-    if (data.ndim == 2 and expected_columns is not None
-            and data.shape[1] != expected_columns):
-        raise ValidationError(
-            f"{path}: expected {expected_columns} columns, got shape {data.shape}")
+    if data.ndim == 2 and expected_columns not in (None, data.shape[1]):
+        raise ValidationError(_first_bad_row(path, skip, expected_columns))
     return data
 
 
@@ -174,8 +165,7 @@ def _reject_rows(path: Path, bad: np.ndarray, message: str) -> None:
     """Raise ``ValidationError`` at the file line of the first row ``bad`` flags."""
     if bad.any():
         skip = _rows_to_skip(path)
-        with open(path) as fh:
-            lines = [n for n, line in enumerate(fh, start=1) if n > skip and _content(line)]
+        lines = [number for number, _ in _numbered_lines(path) if number > skip]
         raise ValidationError(f"{path}, line {lines[int(np.argmax(bad))]}: {message}")
 
 
@@ -294,7 +284,7 @@ def load_model(path: Path):
     """Rebuild the model saved at ``path``; ``ValidationError`` if malformed."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "clinqc-model":
         raise ValidationError(f"{path}: not a model artifact")

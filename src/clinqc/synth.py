@@ -3,7 +3,7 @@
 Stand-ins for unavailable clinical recordings: scheduled switching-AR
 series, piecewise-linear gravity drift with dynamic bursts, and two-cluster
 adherence/violation signals. Every generator is deterministic given its
-seed.
+seed; ``SCENARIOS`` holds the states each scenario visits by default.
 """
 from __future__ import annotations
 
@@ -24,7 +24,9 @@ from .swar import ArState, ar_path
 
 GRAVITY = 9.81
 
-SCENARIOS = ("switching-ar", "gravity-drift", "two-cluster")
+#: Scenario -> the states its default schedule visits, one interval each.
+SCENARIOS = {"switching-ar": (0, 1, 2), "gravity-drift": (0, 1, 0),
+             "two-cluster": (0, 1)}
 
 
 @dataclass
@@ -36,7 +38,11 @@ class RegimeInterval:
 
 @dataclass
 class SynthSpec:
-    """Scenario description for the generators."""
+    """Scenario description for the generators.
+
+    With no ``schedule``, the scenario's ``SCENARIOS`` states follow each
+    other in equal intervals; edge k is ``k * (duration / n)``.
+    """
 
     scenario: str
     duration: float          # seconds
@@ -55,10 +61,10 @@ class SynthSpec:
                 and self.rate > 0 and self.duration > 0):
             raise ValidationError("rate and duration must be finite and positive")
         if not self.schedule:
-            self.schedule = [RegimeInterval(0, 0.0, self.duration)]
-        self._validate_schedule()
-
-    def _validate_schedule(self):
+            states = SCENARIOS[self.scenario]
+            edges = np.linspace(0.0, self.duration, len(states) + 1).tolist()
+            self.schedule = [RegimeInterval(state, start, end)
+                             for state, start, end in zip(states, edges, edges[1:])]
         cursor = 0.0
         for iv in self.schedule:
             if iv.end <= iv.start:

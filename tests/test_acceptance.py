@@ -205,8 +205,7 @@ def test_criterion_6_gmm_path():
     params = gmm.fit_gmm_em(series, seed=0)
     assigned = gmm.map_assign(params, series)
     smoothed = gmm.median_smooth_to_convergence(assigned, 61)
-    labels = gmm.mean_rule_adherence(params, smoothed, gmm.TestKind.VOICE,
-                                     series.rate)
+    labels = gmm.mean_rule_adherence(params, smoothed, "voice", series.rate)
     ba = metrics.tp_tn_ba(labels.labels, truth.labels).ba
 
     # E-M monotonicity is asserted inside the fit on every iteration; run a
@@ -258,7 +257,7 @@ def test_criterion_7_end_to_end_pipelines():
     params = gmm.fit_gmm_em(voice_series, seed=0)
     smoothed = gmm.median_smooth_to_convergence(
         gmm.map_assign(params, voice_series), 61)
-    voice_labels = gmm.mean_rule_adherence(params, smoothed, gmm.TestKind.VOICE,
+    voice_labels = gmm.mean_rule_adherence(params, smoothed, "voice",
                                            voice_series.rate)
     voice_ba = metrics.tp_tn_ba(voice_labels.labels, voice_truth.labels).ba
     elapsed = time.time() - start

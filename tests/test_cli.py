@@ -120,6 +120,13 @@ class TestSegmentationCommands:
         assert len(states) == 900
         model = serialize.load_model(out / "swar.json")
         assert model.truncation == 5
+        # meta comments and no header line, so a bare np.loadtxt reads it
+        meta = (out / "posteriors.csv").read_text().splitlines()[:3]
+        assert meta[0].startswith("# config_hash=") and meta[1] == "# seed=0"
+        assert not meta[2].startswith("#")
+        posteriors = np.loadtxt(out / "posteriors.csv", delimiter=",")
+        assert posteriors.shape == (900, 5)
+        assert np.allclose(posteriors.sum(axis=1), 1.0)
 
 
 class TestClassifierCommands:
@@ -289,6 +296,53 @@ class TestReproducibility:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("case", ["preprocess directory", "classify directory",
+                                      "config directory", "out is a file",
+                                      "csv header not utf-8", "csv row not utf-8",
+                                      "config not utf-8", "model not utf-8"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, case):
+        folder, out = tmp_path / "folder", tmp_path / "out"
+        folder.mkdir()
+        synth = ["synth", "--scenario", "two-cluster", "--duration", "4"]
+        bad = tmp_path / "bad"
+        rows = "".join(f"{i / 10},0.5\n" for i in range(3000))
+        argv, named = {
+            "preprocess directory": (["preprocess", folder, "--kind", "walking",
+                                      "--out", out], folder),
+            "classify directory": (["classify", folder, bad, "--out", out], folder),
+            "config directory": (synth + ["--config", folder, "--out", out], folder),
+            "out is a file": (synth + ["--out", bad], bad),
+            "csv header not utf-8": (["segment-gmm", bad, "--out", out], bad),
+            "csv row not utf-8": (["segment-gmm", bad, "--out", out], bad),
+            "config not utf-8": (synth + ["--config", bad, "--out", out], bad),
+            "model not utf-8": (["classify", bad, folder, "--out", out], bad),
+        }[case]
+        bad.write_bytes({
+            "csv header not utf-8": b"t,\xffv\n" + rows.encode(),
+            # beyond the first block the header scan decodes
+            "csv row not utf-8": ("t,v\n" + rows).encode() + b"300.0,0\xff\n",
+            "config not utf-8": b'{"kind": "balanc\xe9"}',
+            "model not utf-8": b'{"format": "clinqc-model\xff"}',
+        }.get(case, b"t,v\n0,1\n"))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(named) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--seed", "-1"],
+        ["segment-gmm", "feature.csv", "--seed", "-1"],
+        ["segment-ar", "feature.csv", "--config", "seed.json"],
+        ["evaluate", "counts.csv", "labels.csv", "--seed", "-2"],
+    ])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, argv):
+        # the check comes before any input is read, so none need exist
+        (tmp_path / "seed.json").write_text('{"seed": -3}')
+        argv = [tmp_path / a if a.endswith((".csv", ".json")) else a for a in argv]
+        assert run(argv + ["--out", tmp_path / "out"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_corrupt_row_exit_2(self, tmp_path, capsys):
         path = tmp_path / "raw.csv"
         rows = [f"{i / 120:.6f},0.1,0.2,9.8" for i in range(600)]

@@ -257,22 +257,29 @@ class TestMeanRuleAdherence:
         return gmm.GmmParams(means=means, variances=[1.0, 1.0], weights=[0.5, 0.5])
 
     def test_walking_larger_mean_is_adherence(self):
+        # the string the CLI and config files use, not balance's orientation
         smoothed = StateSequence(indicators=[0, 1, 1])
         labels = gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed,
-                                         gmm.TestKind.WALKING, rate=1.0)
+                                         "walking", rate=1.0)
         assert np.array_equal(labels.labels, [VIOLATION, ADHERENCE, ADHERENCE])
 
     def test_balance_larger_mean_is_violation(self):
         smoothed = StateSequence(indicators=[0, 1, 1])
         labels = gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed,
-                                         gmm.TestKind.BALANCE, rate=1.0)
+                                         "balance", rate=1.0)
         assert np.array_equal(labels.labels, [ADHERENCE, VIOLATION, VIOLATION])
+
+    @pytest.mark.parametrize("kind", ["Walking", "jogging", ""])
+    def test_unknown_kind_rejected(self, kind):
+        smoothed = StateSequence(indicators=[0, 1, 1])
+        with pytest.raises(ValidationError, match=f"unknown test kind {kind!r}"):
+            gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed, kind, rate=1.0)
 
     def test_equal_means_rejected(self):
         smoothed = StateSequence(indicators=[0, 1])
         with pytest.raises(ClinQcError, match="component means coincide") as info:
-            gmm.mean_rule_adherence(self.params([1.0, 1.0]), smoothed,
-                                    gmm.TestKind.VOICE, rate=1.0)
+            gmm.mean_rule_adherence(self.params([1.0, 1.0]), smoothed, "voice",
+                                    rate=1.0)
         assert not isinstance(info.value, ValidationError)
 
 
@@ -287,8 +294,7 @@ class TestFullGmmPath:
         params = gmm.fit_gmm_em(series, seed=0)
         states = gmm.map_assign(params, series)
         smoothed = gmm.median_smooth_to_convergence(states, 21)
-        labels = gmm.mean_rule_adherence(params, smoothed, gmm.TestKind.VOICE,
-                                         series.rate)
+        labels = gmm.mean_rule_adherence(params, smoothed, "voice", series.rate)
         tp = np.mean(labels.labels[truth == ADHERENCE] == ADHERENCE)
         tn = np.mean(labels.labels[truth == VIOLATION] == VIOLATION)
         assert 0.5 * (tp + tn) >= 0.95

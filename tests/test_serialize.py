@@ -249,9 +249,15 @@ class TestWriteTable:
         # more rows than write_table formats at a time
         rows = np.random.default_rng(0).dirichlet(np.ones(20), size=600)
         rows[0, :3] = [-0.0, 1e-300, 0.1]
-        serialize.write_table(tmp_path / "a.csv", None, rows, meta={"seed": 1})
+        serialize.write_table(tmp_path / "a.csv", None, rows)
         np.savetxt(tmp_path / "b.csv", rows, delimiter=",", fmt="%.12g")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # meta still goes first, as comments a bare np.loadtxt skips
+        serialize.write_table(tmp_path / "c.csv", None, rows, meta={"seed": 1, "b": "x"})
+        assert (tmp_path / "c.csv").read_bytes() == (
+            b"# b=x\n# seed=1\n" + (tmp_path / "b.csv").read_bytes())
+        assert np.array_equal(np.loadtxt(tmp_path / "c.csv", delimiter=","),
+                              np.loadtxt(tmp_path / "b.csv", delimiter=","))
 
 
 def payload_keys(path):

@@ -16,10 +16,22 @@ def three_regime_spec(duration=60.0, rate=30.0, seed=0, scenario="switching-ar")
 
 class TestSynthSpec:
     def test_default_schedule_covers_duration(self):
+        # each scenario's states in equal intervals, edge k at k * (duration / n)
+        # bit for bit: the schedule the synth subcommand has always written
+        visits = {"switching-ar": [0, 1, 2], "gravity-drift": [0, 1, 0],
+                  "two-cluster": [0, 1]}
+        durations = [10.0, 60.0, 7.3, 1e-3, 3e5]
+        durations += np.random.default_rng(0).uniform(0.1, 1e4, size=200).tolist()
+        for scenario, states in visits.items():
+            for duration in durations:
+                spec = SynthSpec(scenario=scenario, duration=duration, rate=30.0)
+                step = duration / len(states)
+                edges = [k * step for k in range(len(states))] + [duration]
+                assert [(iv.state, iv.start, iv.end) for iv in spec.schedule] == list(
+                    zip(states, edges, edges[1:]))
         spec = SynthSpec(scenario="switching-ar", duration=10.0, rate=30.0)
-        assert len(spec.schedule) == 1
-        assert spec.schedule[0].end == 10.0
         assert spec.n_samples == 300
+        assert spec.states_per_sample().tolist() == [0] * 100 + [1] * 100 + [2] * 100
 
     def test_states_per_sample_switch_indices(self):
         spec = three_regime_spec(duration=3.0, rate=10.0)
