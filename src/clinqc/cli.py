@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args, _load_config(args))
     except (ValidationError, FileNotFoundError, IsADirectoryError,
-            FileExistsError) as exc:
+            NotADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClinQcError as exc:

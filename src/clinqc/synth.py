@@ -23,6 +23,8 @@ from .series import (
 from .swar import ArState, ar_path
 
 GRAVITY = 9.81
+#: Most samples a recording may hold: about 38 min of 44.1 kHz audio.
+MAX_SAMPLES = 10**8
 
 #: Scenario -> the states its default schedule visits, one interval each.
 SCENARIOS = {"switching-ar": (0, 1, 2), "gravity-drift": (0, 1, 0),
@@ -60,6 +62,11 @@ class SynthSpec:
         if not (np.isfinite(self.rate) and np.isfinite(self.duration)
                 and self.rate > 0 and self.duration > 0):
             raise ValidationError("rate and duration must be finite and positive")
+        # duration * rate may overflow to inf, which n_samples cannot round
+        if self.duration * self.rate >= MAX_SAMPLES + 1 or self.n_samples > MAX_SAMPLES:
+            raise ValidationError(
+                f"{self.duration:g} s at {self.rate:g} Hz is more than "
+                f"{MAX_SAMPLES} samples")
         if not self.schedule:
             states = SCENARIOS[self.scenario]
             edges = np.linspace(0.0, self.duration, len(states) + 1).tolist()

@@ -17,6 +17,13 @@ Cholesky (``dpbtrf``) and solves with that factor twice (``dpbtrs``). The
 solver stops on the primal-dual gap, so the trend it returns comes with a
 certificate of how far its objective is from the optimum. Its settings
 are arguments of ``l1_trend_filter``. scipy is imported on first use.
+
+Memory is one axis's working set. ``l1_trend_filter`` allocates its
+Newton-step vectors once per call and updates them in place, with the
+same floating-point operations in the same order as the written
+formulas, so it peaks at about 20 float64 a sample. ``remove_gravity``
+subtracts each axis's trend straight into its output and keeps no
+(n, 3) trend.
 """
 from __future__ import annotations
 
@@ -28,29 +35,37 @@ from .errors import ClinQcError, NoConvergenceWarning, ValidationError
 from .series import ScalarSeries, TriaxialSeries
 
 
-def _second_difference(g: np.ndarray) -> np.ndarray:
-    return g[:-2] - 2 * g[1:-1] + g[2:]
+def _second_difference(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``D g = g[:-2] - 2 g[1:-1] + g[2:]``, into ``out`` when given."""
+    out = np.multiply(2, g[1:-1], out=out)
+    np.subtract(g[:-2], out, out=out)
+    out += g[2:]
+    return out
 
 
-def _second_difference_transpose(w: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n)
+def _second_difference_transpose(w: np.ndarray, out: np.ndarray,
+                                 scratch: np.ndarray) -> np.ndarray:
+    """``D^T w`` into ``out`` (two longer than ``w``); ``scratch`` takes ``2 w``."""
+    out.fill(0.0)
     out[:-2] += w
-    out[1:-1] -= 2 * w
+    out[1:-1] -= np.multiply(2, w, out=scratch)
     out[2:] += w
     return out
 
 
-def _ddt_banded(diag: np.ndarray) -> np.ndarray:
+def _ddt_banded(diag: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Lower banded form of ``D D^T + diag(diag)`` (bandwidth 2).
 
     ``D D^T`` is Toeplitz: rows ``[1, -2, 1]`` of D one place apart have
     inner product -4, two places apart 1, and each has squared norm 6.
     Row ``k`` holds the ``k``-th subdiagonal; LAPACK factors this form
-    about twice as fast as the upper one.
+    about twice as fast as the upper one. ``out`` is a form from an
+    earlier call, which the Cholesky factor has overwritten.
     """
     m = len(diag)
-    ab = np.zeros((m, 3)).T  # Fortran order, so LAPACK works on it in place
-    ab[0] = 6.0 + diag
+    # Fortran order, so LAPACK works on it in place
+    ab = np.zeros((m, 3)).T if out is None else out
+    np.add(6.0, diag, out=ab[0])
     ab[1, :m - 1] = -4.0
     ab[2, :m - 2] = 1.0
     return ab
@@ -76,18 +91,27 @@ def _banded_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return g
 
 
-def _max_step(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """Largest ``a`` with ``v + a * dv >= 0`` for every pair, each ``v > 0``."""
-    worst = min(float(np.min(dv / v)) for v, dv in pairs)
+def _max_step(s1: np.ndarray, s2: np.ndarray, dy: np.ndarray,
+              *pairs: tuple[np.ndarray, np.ndarray], scratch: np.ndarray) -> float:
+    """Largest ``a`` that keeps ``s1 - a dy``, ``s2 + a dy`` and each
+    ``v + a dv`` of ``pairs`` non-negative, all of ``s1``, ``s2`` and ``v``
+    positive. Each ratio goes through ``scratch``; ``min(-dy / s1)`` is
+    taken as ``-max(dy / s1)``, which is exact."""
+    worst = min(-float(np.max(np.divide(dy, s1, out=scratch))),
+                float(np.min(np.divide(dy, s2, out=scratch))),
+                *(float(np.min(np.divide(dv, v, out=scratch))) for v, dv in pairs))
     return -1.0 / worst if worst < 0 else np.inf
 
 
 def _objective(x: np.ndarray, g: np.ndarray, lam: float,
-               dg: np.ndarray | None = None) -> float:
-    """0.5 * |x - g|^2 + lam * |D g|_1; ``dg`` is ``D g`` when already at hand."""
-    if dg is None:
-        dg = _second_difference(g)
-    return 0.5 * float(np.sum((x - g) ** 2)) + lam * float(np.sum(np.abs(dg)))
+               abs_dg: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> float:
+    """0.5 * |x - g|^2 + lam * |D g|_1; ``abs_dg`` is ``|D g|`` when already
+    at hand, and ``scratch`` (the length of ``x``) takes ``x - g``."""
+    if abs_dg is None:
+        abs_dg = np.abs(_second_difference(g))
+    resid = np.subtract(x, g, out=scratch)
+    return 0.5 * float(np.sum(np.square(resid, out=resid))) + lam * float(np.sum(abs_dg))
 
 
 def default_lambda(values: np.ndarray) -> float:
@@ -144,10 +168,11 @@ def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
     # as y and are never recomputed from it, so they stay positive where y
     # is within rounding of a bound. The start is dual-feasible:
     # D D^T y - c + mu1 - mu2 = 0 at y = 0, with c = D x / lam.
+    m = n - 2
     c = _second_difference(x) / lam
-    y = np.zeros(n - 2)
-    s1 = np.ones(n - 2)
-    s2 = np.ones(n - 2)
+    y = np.zeros(m)
+    s1 = np.ones(m)
+    s2 = np.ones(m)
     spread = float(np.mean(np.abs(c)))
     mu1 = np.maximum(c, 0.0) + spread
     mu2 = np.maximum(-c, 0.0) + spread
@@ -156,19 +181,33 @@ def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
     # eps * (4 max|x| + lam max|y|), the first part from subtracting the
     # affine fit, so a gap below (n - 2) * lam times that is not resolvable.
     rounding = np.finfo(float).eps * (n - 2) * lam
+    # The Newton-step vectors, allocated once and updated in place: every
+    # expression below is evaluated in the same operations and order as
+    # its written form, into these buffers instead of fresh temporaries.
+    # g and best_g swap when g improves; after that test, g is scratch.
+    g, best_g, resid = np.empty(n), None, np.empty(n)
+    grad, w1, w2, dy, dmu1, dmu2, tmp = (np.empty(m) for _ in range(7))
+    ab = None
     best_obj = np.inf
     converged = False
     for _ in range(max_iterations):
-        g = x - lam * _second_difference_transpose(y, n)
-        dg = _second_difference(g)
-        obj = _objective(x, g, lam, dg)
+        # g = x - lam * D^T y, and D g
+        _second_difference_transpose(y, out=g, scratch=tmp)
+        g *= lam
+        np.subtract(x, g, out=g)
+        dg = _second_difference(g, out=grad)
+        abs_dg = np.abs(dg, out=tmp)
+        obj = _objective(x, g, lam, abs_dg, scratch=resid)
         if obj < best_obj:
-            best_obj, best_g = obj, g
+            best_obj = obj
+            best_g, g = g, (np.empty(n) if best_g is None else best_g)
         if trace_out is not None:
             trace_out.append(best_obj)
-        # P(g) - dual(nu), written as a sum of non-negative terms
-        gap = lam * float(np.sum(np.abs(dg) - y * dg))
-        floor = rounding * (x_scale + lam * float(np.max(np.abs(y))))
+        # P(g) - dual(nu), written as a sum of non-negative terms:
+        # lam * sum(|D g| - y * D g)
+        gap = lam * float(np.sum(np.subtract(abs_dg, np.multiply(y, dg, out=resid[:m]),
+                                             out=abs_dg)))
+        floor = rounding * (x_scale + lam * float(np.max(np.abs(y, out=tmp))))
         if gap <= max(tolerance * obj, floor):
             converged = True
             break
@@ -179,48 +218,80 @@ def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
         # (D D^T + diag(mu1 / s1 + mu2 / s2)) dy = grad - e1 + e2,
         # where grad = c - D D^T y = D g / lam and each e is
         # (target + second-order term) / s, zero for the predictor.
-        grad = dg / lam
-        w1 = mu1 / s1
-        w2 = mu2 / s2
-        chol = _banded_cholesky(_ddt_banded(w1 + w2))
-        # predictor: the affine-scaling direction, aiming at s * mu = 0
-        dy = _banded_solve(chol, grad.copy())
-        dmu1 = w1 * dy - mu1
-        dmu2 = -w2 * dy - mu2
-        step = min(1.0, _max_step((s1, -dy), (s2, dy), (mu1, dmu1), (mu2, dmu2)))
-        tau = (s1 @ mu1 + s2 @ mu2) / (2 * len(y))  # mean of s * mu
-        tau_aff = ((s1 - step * dy) @ (mu1 + step * dmu1)
-                   + (s2 + step * dy) @ (mu2 + step * dmu2)) / (2 * len(y))
+        grad /= lam
+        np.divide(mu1, s1, out=w1)
+        np.divide(mu2, s2, out=w2)
+        ab = _ddt_banded(np.add(w1, w2, out=tmp), out=ab)
+        chol = _banded_cholesky(ab)
+        # predictor: the affine-scaling direction, aiming at s * mu = 0;
+        # dmu1 = w1 * dy - mu1 and dmu2 = -w2 * dy - mu2
+        np.copyto(dy, grad)
+        dy = _banded_solve(chol, dy)
+        np.multiply(w1, dy, out=dmu1)
+        dmu1 -= mu1
+        np.negative(w2, out=dmu2)
+        dmu2 *= dy
+        dmu2 -= mu2
+        step = min(1.0, _max_step(s1, s2, dy, (mu1, dmu1), (mu2, dmu2), scratch=tmp))
+        tau = (s1 @ mu1 + s2 @ mu2) / (2 * m)  # mean of s * mu
+        # tau_aff: the mean of s * mu after the predictor's step,
+        # ((s1 - step dy) @ (mu1 + step dmu1) + (s2 + step dy) @ (mu2 + step dmu2)) / 2m
+        step_dy = np.multiply(step, dy, out=tmp)
+        moved_s, moved_mu = g[:m], resid[:m]
+        np.subtract(s1, step_dy, out=moved_s)
+        np.add(mu1, np.multiply(step, dmu1, out=moved_mu), out=moved_mu)
+        tau_aff = moved_s @ moved_mu
+        np.add(s2, step_dy, out=moved_s)
+        np.add(mu2, np.multiply(step, dmu2, out=moved_mu), out=moved_mu)
+        tau_aff = (tau_aff + moved_s @ moved_mu) / (2 * m)
         target = (tau_aff / tau) ** 3 * tau
         # corrector: centre on the target and cancel the predictor's
-        # second-order term in s * mu
-        e1 = (target + dy * dmu1) / s1
-        e2 = (target - dy * dmu2) / s2
-        dy = _banded_solve(chol, grad - e1 + e2)
-        dmu1 = e1 - mu1 + w1 * dy
-        dmu2 = e2 - mu2 - w2 * dy
-        step = min(1.0, 0.99 * _max_step((s1, -dy), (s2, dy), (mu1, dmu1), (mu2, dmu2)))
-        y += step * dy
-        s1 -= step * dy
-        s2 += step * dy
-        mu1 += step * dmu1
-        mu2 += step * dmu2
+        # second-order term in s * mu, with e1 = (target + dy * dmu1) / s1
+        # and e2 = (target - dy * dmu2) / s2 in the predictor's dmu buffers
+        e1 = dmu1
+        e1 *= dy
+        e1 += target
+        e1 /= s1
+        e2 = dmu2
+        e2 *= dy
+        np.subtract(target, e2, out=e2)
+        e2 /= s2
+        np.subtract(grad, e1, out=dy)
+        dy += e2
+        dy = _banded_solve(chol, dy)
+        # dmu1 = e1 - mu1 + w1 * dy and dmu2 = e2 - mu2 - w2 * dy, in place
+        e1 -= mu1
+        e1 += np.multiply(w1, dy, out=w1)
+        e2 -= mu2
+        e2 -= np.multiply(w2, dy, out=w2)
+        step = min(1.0, 0.99 * _max_step(s1, s2, dy, (mu1, dmu1), (mu2, dmu2), scratch=tmp))
+        step_dy = np.multiply(step, dy, out=tmp)
+        y += step_dy
+        s1 -= step_dy
+        s2 += step_dy
+        mu1 += np.multiply(step, dmu1, out=dmu1)
+        mu2 += np.multiply(step, dmu2, out=dmu2)
     if not converged:
         warnings.warn("trend filter hit the iteration cap; returning best iterate",
                       NoConvergenceWarning)
-    return series.with_values(best_g + affine)
+    best_g += affine
+    return series.with_values(best_g)
 
 
 def remove_gravity(series: TriaxialSeries, lam: float | None = None) -> TriaxialSeries:
     """The gravity-free (dynamic) signal: input - trend, per axis.
 
     Each axis is solved independently: its trend equals
-    ``l1_trend_filter(axis, lam)`` run on that axis alone.
+    ``l1_trend_filter(axis, lam)`` run on that axis alone, and is
+    subtracted straight into that axis of the output. So besides the
+    output only one axis's solver working set is alive at a time.
     """
     if len(series) < 3:
         raise ValidationError("gravity removal needs at least 3 samples")
-    trend = np.empty_like(series.samples)
+    dynamic = np.empty_like(series.samples)
     for axis in range(3):
-        axis_series = ScalarSeries(rate=series.rate, values=series.samples[:, axis])
-        trend[:, axis] = l1_trend_filter(axis_series, lam).values
-    return TriaxialSeries(rate=series.rate, samples=series.samples - trend)
+        values = series.samples[:, axis]
+        trend = l1_trend_filter(ScalarSeries(rate=series.rate, values=values), lam)
+        np.subtract(values, trend.values, out=dynamic[:, axis])
+        del trend    # before the next axis's solve
+    return TriaxialSeries(rate=series.rate, samples=dynamic)

@@ -29,3 +29,32 @@ def _trend_filter_oracle(x, lam):
 @pytest.fixture
 def trend_filter_oracle():
     return _trend_filter_oracle
+
+
+@pytest.fixture(scope="session")
+def walking_raw():
+    """A raw recording of the walking benchmark's size: 10 min of triaxial
+    acceleration at 120 Hz nominal with timestamp jitter (72,000 rows)."""
+    from clinqc.synth import SynthSpec, gen_gravity_drift
+
+    spec = SynthSpec(scenario="gravity-drift", duration=600.0, rate=120.0,
+                     jitter=0.3, seed=0)
+    return gen_gravity_drift(spec)[0]
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes that tracemalloc saw it allocate."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import subprocess
@@ -328,6 +329,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(named) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "spectrum"])
+    def test_path_through_a_file_exit_2(self, tmp_path, capsys, command):
+        regular = tmp_path / "f.csv"
+        regular.write_text("t,v\n0,1\n")
+        argv, named = {
+            "synth": (["synth", "--duration", "4", "--out", regular / "sub"], regular / "sub"),
+            "spectrum": (["spectrum", regular / "x", "--out", tmp_path / "out"], regular / "x"),
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err and str(named) in err
+
+    def test_permission_denied_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the tests may run as root, who may write anywhere, so mkdir is patched
+        def denied(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "mkdir", denied)
+        assert run(["synth", "--duration", "4", "--out", tmp_path / "locked"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "locked") in err
+
+    def test_too_many_synth_samples_exit_2(self, tmp_path, capsys):
+        assert run(["synth", "--scenario", "two-cluster", "--duration", "1e9",
+                    "--out", tmp_path]) == 2
+        assert "1e+09 s at 30 Hz is more than 100000000 samples" in capsys.readouterr().err
+        assert not (tmp_path / "feature.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--seed", "-1"],

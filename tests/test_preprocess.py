@@ -55,6 +55,16 @@ class TestInterpolateUniform:
         with pytest.raises(ValidationError, match="spline interpolation needs at least 4"):
             preprocess.interpolate_uniform(raw, 120.0)
 
+    def test_peaks_at_most_15_float64_per_sample(self, walking_raw, traced_peak):
+        # one axis's spline at a time: the output's 3 float64 a sample, the
+        # shared grid offsets and intervals, and one axis's coefficients
+        head = TimestampedTriaxial(timestamps=walking_raw.timestamps[:100],
+                                   samples=walking_raw.samples[:100])
+        preprocess.interpolate_uniform(head, 120.0)  # loads scipy.linalg first
+        out, peak = traced_peak(preprocess.interpolate_uniform, walking_raw, 120.0)
+        assert len(out) == 71_999
+        assert peak <= 15 * 8 * len(out)
+
 
 def cubic_spline_oracle(raw, rate):
     """scipy's not-a-knot CubicSpline per axis on the grid interpolate_uniform uses."""

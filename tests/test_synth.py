@@ -67,6 +67,19 @@ class TestSynthSpec:
                       schedule=[RegimeInterval(0, 0.0, 0.0),
                                 RegimeInterval(1, 0.0, 1.0)])
 
+    @pytest.mark.parametrize("duration, rate", [(1e9, 30.0), (1e9, 44_100.0),
+                                                (1e200, 1e200), (1e7, 10.00000006)],
+                             ids=["1e9-s", "1e9-s-audio", "overflow", "one-over"])
+    def test_too_many_samples(self, duration, rate):
+        # rejected while the spec is built, before any array is allocated
+        with pytest.raises(ValidationError, match="more than 100000000 samples"):
+            SynthSpec(scenario="two-cluster", duration=duration, rate=rate)
+
+    def test_sample_cap_itself_accepted(self):
+        spec = SynthSpec(scenario="two-cluster", duration=synth.MAX_SAMPLES / 100,
+                         rate=100.0)
+        assert spec.n_samples == synth.MAX_SAMPLES
+
 
 def periodic_state(rate=30.0):
     """An AR(4) regime with a sharp 2 Hz peak at ``rate`` Hz sampling."""

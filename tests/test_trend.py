@@ -20,6 +20,91 @@ def series(values, rate=1.0):
     return ScalarSeries(rate=rate, values=np.asarray(values, dtype=float))
 
 
+def reference_l1_trend_filter(x, lam, tolerance=1e-6, max_iterations=100):
+    """The interior-point loop written with a fresh array for every
+    expression, as it stood before its buffers were allocated once per call.
+    Returns the trend, the trace of best objectives, and whether it
+    converged."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    def second_difference(g):
+        return g[:-2] - 2 * g[1:-1] + g[2:]
+
+    def second_difference_transpose(w, n):
+        out = np.zeros(n)
+        out[:-2] += w
+        out[1:-1] -= 2 * w
+        out[2:] += w
+        return out
+
+    def max_step(*pairs):
+        worst = min(float(np.min(dv / v)) for v, dv in pairs)
+        return -1.0 / worst if worst < 0 else np.inf
+
+    n = len(x)
+    affine_basis = np.column_stack([np.arange(n, dtype=float), np.ones(n)])
+    affine_coef, *_ = np.linalg.lstsq(affine_basis, x, rcond=None)
+    affine = affine_basis @ affine_coef
+    x_scale = 4.0 * float(np.max(np.abs(x)))
+    x = x - affine
+    c = second_difference(x) / lam
+    y = np.zeros(n - 2)
+    s1 = np.ones(n - 2)
+    s2 = np.ones(n - 2)
+    spread = float(np.mean(np.abs(c)))
+    mu1 = np.maximum(c, 0.0) + spread
+    mu2 = np.maximum(-c, 0.0) + spread
+    rounding = np.finfo(float).eps * (n - 2) * lam
+    best_obj, trace, converged = np.inf, [], False
+    for _ in range(max_iterations):
+        g = x - lam * second_difference_transpose(y, n)
+        dg = second_difference(g)
+        obj = 0.5 * float(np.sum((x - g) ** 2)) + lam * float(np.sum(np.abs(dg)))
+        if obj < best_obj:
+            best_obj, best_g = obj, g
+        trace.append(best_obj)
+        gap = lam * float(np.sum(np.abs(dg) - y * dg))
+        floor = rounding * (x_scale + lam * float(np.max(np.abs(y))))
+        if gap <= max(tolerance * obj, floor):
+            converged = True
+            break
+        grad = dg / lam
+        w1 = mu1 / s1
+        w2 = mu2 / s2
+        ab = np.zeros((n - 2, 3)).T
+        ab[0] = 6.0 + (w1 + w2)
+        ab[1, :n - 3] = -4.0
+        ab[2, :n - 4] = 1.0
+        chol, info = dpbtrf(ab, lower=1)
+        assert info == 0
+        dy, info = dpbtrs(chol, grad.copy(), lower=1)
+        dmu1 = w1 * dy - mu1
+        dmu2 = -w2 * dy - mu2
+        step = min(1.0, max_step((s1, -dy), (s2, dy), (mu1, dmu1), (mu2, dmu2)))
+        tau = (s1 @ mu1 + s2 @ mu2) / (2 * len(y))
+        tau_aff = ((s1 - step * dy) @ (mu1 + step * dmu1)
+                   + (s2 + step * dy) @ (mu2 + step * dmu2)) / (2 * len(y))
+        target = (tau_aff / tau) ** 3 * tau
+        e1 = (target + dy * dmu1) / s1
+        e2 = (target - dy * dmu2) / s2
+        dy, info = dpbtrs(chol, grad - e1 + e2, lower=1)
+        dmu1 = e1 - mu1 + w1 * dy
+        dmu2 = e2 - mu2 - w2 * dy
+        step = min(1.0, 0.99 * max_step((s1, -dy), (s2, dy), (mu1, dmu1), (mu2, dmu2)))
+        y += step * dy
+        s1 -= step * dy
+        s2 += step * dy
+        mu1 += step * dmu1
+        mu2 += step * dmu2
+    return best_g + affine, trace, converged
+
+
+@pytest.fixture(scope="module")
+def walking_axis(walking_raw):
+    """The first axis of the walking-size recording on its uniform grid."""
+    return interpolate_uniform(walking_raw, 120.0).samples[:, 0].copy()
+
+
 class TestDdtBanded:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 1000])
     def test_equals_dense_matrix_exactly(self, n):
@@ -185,3 +270,53 @@ class TestRemoveGravity:
     def test_too_short(self):
         with pytest.raises(ValidationError, match="gravity removal needs at least 3 samples"):
             remove_gravity(TriaxialSeries(rate=10.0, samples=np.zeros((2, 3))))
+
+
+class TestReferenceEquality:
+    """The in-place Newton loop gives the fresh-array loop's trend and
+    objective trace bit for bit."""
+
+    @pytest.mark.parametrize("case", ["walking axis", "random walk", "kink",
+                                      "tight tolerance", "iteration cap", "affine"])
+    def test_trend_and_trace(self, walking_axis, case):
+        rng = np.random.default_rng(7)
+        t = np.arange(500.0)
+        x, lam, settings = {
+            "walking axis": (walking_axis, default_lambda(walking_axis), {}),
+            "random walk": (np.cumsum(rng.normal(size=300)), 10.0, {}),
+            "kink": (np.where(t < 250, 0.02 * t, 5.0 - 0.01 * (t - 250))
+                     + rng.normal(0, 0.05, size=500), 50.0, {}),
+            "tight tolerance": (rng.normal(size=400), 20.0,
+                                dict(tolerance=1e-12, max_iterations=500)),
+            "iteration cap": (np.cumsum(rng.normal(size=300)), 10.0,
+                              dict(max_iterations=2)),
+            "affine": (0.3 * np.arange(100.0) - 2.0, 10.0, {}),
+        }[case]
+        expected, expected_trace, converged = reference_l1_trend_filter(x, lam, **settings)
+        trace = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = l1_trend_filter(series(x, 120.0), lam, trace_out=trace, **settings)
+        assert np.array_equal(out.values, expected)
+        assert trace == expected_trace
+        assert len(caught) == (0 if converged else 1)
+        if case == "walking axis":
+            # a walking axis takes 13-19 Newton steps
+            assert converged and len(trace) > 10
+
+
+class TestWorkingSet:
+    """Peak allocations on the walking benchmark's size (71,999 samples),
+    in float64 a sample."""
+
+    def test_trend_filter_peaks_at_most_22_per_sample(self, walking_axis, traced_peak):
+        l1_trend_filter(series(walking_axis[:100]))  # loads scipy.linalg first
+        out, peak = traced_peak(l1_trend_filter, series(walking_axis, 120.0))
+        assert peak <= 22 * 8 * len(out)
+
+    def test_remove_gravity_peaks_at_most_25_per_sample(self, walking_raw, traced_peak):
+        # the output's 3 float64 a sample and one axis's solver
+        uniform = interpolate_uniform(walking_raw, 120.0)
+        remove_gravity(TriaxialSeries(rate=120.0, samples=uniform.samples[:100]))
+        out, peak = traced_peak(remove_gravity, uniform)
+        assert peak <= 25 * 8 * len(out)
