@@ -229,9 +229,9 @@ def _cmd_evaluate(args, config: PipelineConfig) -> int:
 
 
 def _cmd_synth(args, config: PipelineConfig) -> int:
-    out_dir = _out_dir(args)
     spec = synth.SynthSpec(scenario=args.scenario, duration=args.duration,
                            rate=args.rate, seed=config.seed)
+    out_dir = _out_dir(args)
     meta = _meta(config)
     if args.scenario == "gravity-drift":
         raw, trend_truth, dynamic_truth = synth.gen_gravity_drift(spec)

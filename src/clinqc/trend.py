@@ -271,6 +271,9 @@ def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
         s2 += step_dy
         mu1 += np.multiply(step, dmu1, out=dmu1)
         mu2 += np.multiply(step, dmu2, out=dmu2)
+    if best_g is None:
+        raise ClinQcError("trend filter objective is not finite: the values are too "
+                          "large to square")
     if not converged:
         warnings.warn("trend filter hit the iteration cap; returning best iterate",
                       NoConvergenceWarning)

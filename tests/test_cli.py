@@ -354,9 +354,9 @@ class TestExitCodes:
 
     def test_too_many_synth_samples_exit_2(self, tmp_path, capsys):
         assert run(["synth", "--scenario", "two-cluster", "--duration", "1e9",
-                    "--out", tmp_path]) == 2
+                    "--out", tmp_path / "out"]) == 2
         assert "1e+09 s at 30 Hz is more than 100000000 samples" in capsys.readouterr().err
-        assert not (tmp_path / "feature.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--seed", "-1"],

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clinqc.errors import NoConvergenceWarning, ValidationError
+from clinqc.errors import ClinQcError, NoConvergenceWarning, ValidationError
 from clinqc.preprocess import interpolate_uniform
 from clinqc.series import ScalarSeries, TriaxialSeries
 from clinqc.synth import RegimeInterval, SynthSpec, gen_gravity_drift
@@ -228,6 +228,14 @@ class TestL1TrendFilter:
                               max_iterations=50_000).values
         # affine within 1e-3: second differences vanish
         assert np.max(np.abs(np.diff(out, 2))) < 1e-3
+
+
+class TestOverflow:
+    def test_values_too_large_to_square_raise(self):
+        # every objective overflows to inf, so no iterate is ever the best
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ClinQcError, match="objective is not finite"):
+            l1_trend_filter(series([0.0, 1e200, 0.0, -1e200, 0.0]))
 
 
 class TestRemoveGravity:
