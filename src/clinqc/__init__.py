@@ -10,7 +10,6 @@ from .series import (
     VIOLATION,
     AdherenceLabels,
     ScalarSeries,
-    SpectrumEstimate,
     StateSequence,
     TimestampedTriaxial,
     TriaxialSeries,
@@ -21,7 +20,6 @@ __all__ = [
     "VIOLATION",
     "AdherenceLabels",
     "ScalarSeries",
-    "SpectrumEstimate",
     "StateSequence",
     "TimestampedTriaxial",
     "TriaxialSeries",

@@ -3,7 +3,8 @@
 Subcommands: preprocess, segment-gmm, segment-ar, train-nb, classify,
 evaluate, synth, spectrum. Options may come from a JSON config file
 (``--config``); explicit flags win over the file. Exit codes: 0 success,
-2 validation error or unreadable input, 3 runtime/numerical error.
+2 validation error or unreadable input, 3 runtime/numerical error or
+out of memory.
 """
 from __future__ import annotations
 
@@ -146,10 +147,10 @@ def _cmd_preprocess(args, config: PipelineConfig) -> int:
 
 def _cmd_spectrum(args, config: PipelineConfig) -> int:
     series = serialize.read_scalar_csv(Path(args.input))
-    spectrum = preprocess.power_spectrum(series)
+    frequencies, power = preprocess.power_spectrum(series)
     out = _out_dir(args) / "spectrum.csv"
-    serialize.write_spectrum_csv(out, spectrum, _meta(config))
-    print(f"wrote {out} (peak at {spectrum.peak_frequency():g} Hz)")
+    serialize.write_spectrum_csv(out, frequencies, power, _meta(config))
+    print(f"wrote {out} (peak at {frequencies[np.argmax(power)]:g} Hz)")
     return 0
 
 
@@ -335,8 +336,8 @@ def main(argv: list[str] | None = None) -> int:
             NotADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ClinQcError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (ClinQcError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ClinQcError, ValidationError
-from .series import ScalarSeries, SpectrumEstimate, TimestampedTriaxial, TriaxialSeries
+from .series import ScalarSeries, TimestampedTriaxial, TriaxialSeries
 
 # Odd-extension length at each end of a filtered series: sosfiltfilt's
 # default 3 * (2 * sections + 1) for the two sections of a 4th-order filter.
@@ -248,12 +248,14 @@ def downsample(series: ScalarSeries, factor: int) -> ScalarSeries:
                         values=series.values[::factor])
 
 
-def power_spectrum(series: ScalarSeries, segment_length: int | None = None) -> SpectrumEstimate:
+def power_spectrum(series: ScalarSeries,
+                   segment_length: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Welch-averaged periodogram with half-overlapping, mean-removed segments.
 
-    Default segment length is 4 seconds of samples (capped at the series
-    length). Power is normalized so that the integral over frequency matches
-    the series variance (one-sided density).
+    Returns scipy's ``(frequencies, power)``: frequencies in Hz, increasing
+    from 0, and a one-sided density normalized so that its integral over
+    frequency matches the series variance. Default segment length is 4
+    seconds of samples (capped at the series length).
     """
     from scipy import signal as sps
 
@@ -262,8 +264,5 @@ def power_spectrum(series: ScalarSeries, segment_length: int | None = None) -> S
     if segment_length > len(series):
         raise ValidationError(
             f"segment length {segment_length} exceeds series length {len(series)}")
-    freqs, power = sps.welch(series.values, fs=series.rate,
-                             nperseg=segment_length,
-                             noverlap=segment_length // 2, detrend="constant")
-    power = np.maximum(power, 0.0)
-    return SpectrumEstimate(frequencies=freqs, power=power)
+    return sps.welch(series.values, fs=series.rate, nperseg=segment_length,
+                     noverlap=segment_length // 2, detrend="constant")

@@ -12,11 +12,11 @@ Every CSV reader accepts the same input:
 Anything else, such as a corrupt value, a short row or a table without
 rows, raises ``ValidationError`` (CLI exit code 2) naming the file line at
 fault, or the file if its text is not UTF-8 or every row has the wrong
-column count: no row is dropped silently, and neither is a negative or
-non-finite count or a label other than 1 or 2. An audio table's time
-column is parsed and checked like any other, but held at float32 (4 bytes
-a row) since nothing reads it; its values stay float64, a view into the
-parsed rows.
+column count: no row is dropped silently, and neither is a non-finite
+value, a negative count or a label other than 1 or 2. An audio table's time
+column is parsed like any other, but held at float32 (4 bytes a row) and
+not checked for finiteness, since nothing reads it; its values stay
+float64, a view into the parsed rows.
 
 Model artifacts are versioned JSON documents whose payload is the model
 dataclass's fields, so they round-trip field-for-field; the run's config
@@ -40,7 +40,6 @@ from .series import (
     VIOLATION,
     AdherenceLabels,
     ScalarSeries,
-    SpectrumEstimate,
     TimestampedTriaxial,
 )
 from .swar import ArPrior, ArState, SwitchingArModel
@@ -51,8 +50,9 @@ MODEL_KINDS = {"switching-ar": SwitchingArModel, "gmm": GmmParams,
                "naive-bayes": NaiveBayesModel}
 _FLOAT_FMT = "%.12g"
 _WRITE_BLOCK = 256    # rows write_table formats at a time
-#: An audio row: the time column is only checked, so 4 bytes hold it.
+#: An audio row: the time column is only parsed, so 4 bytes hold it.
 _AUDIO_ROW = np.dtype([("t", np.float32), ("v", np.float64)])
+_NON_FINITE = "values must be finite"
 
 
 def config_hash(config: dict) -> str:
@@ -174,17 +174,19 @@ def _reject_rows(path: Path, bad: np.ndarray, message: str) -> None:
 def read_accelerometer_csv(path: Path) -> TimestampedTriaxial:
     """Read ``t,x,y,z`` (seconds, m/s^2)."""
     data = _read_table(path, 4)
+    _reject_rows(path, ~np.isfinite(data).all(axis=1), _NON_FINITE)
     return TimestampedTriaxial(timestamps=data[:, 0], samples=data[:, 1:])
 
 
 def read_audio_csv(path: Path, *, rate: float) -> ScalarSeries:
     """Read ``t,v`` audio samples at ``rate``.
 
-    The time column is parsed and checked, but only at float32: it fixes
-    nothing, not even the rate. The values are float64, a view into the
-    parsed (float32, float64) rows, so a row takes 12 bytes.
+    The time column is parsed, but only at float32, and may hold any
+    number: it fixes nothing, not even the rate. The values are float64, a
+    view into the parsed (float32, float64) rows, so a row takes 12 bytes.
     """
     data = _read_table(path, 2, _AUDIO_ROW)
+    _reject_rows(path, ~np.isfinite(data["v"]), _NON_FINITE)
     return ScalarSeries(rate=rate, values=data["v"])
 
 
@@ -214,15 +216,15 @@ def _rate_of(path: Path, t: np.ndarray) -> float:
 
 def read_scalar_csv(path: Path) -> ScalarSeries:
     data = _read_table(path, 2)
+    _reject_rows(path, ~np.isfinite(data).all(axis=1), _NON_FINITE)
     if len(data) < 2:
         raise ValidationError(f"{path}: need at least 2 samples")
     return ScalarSeries(rate=_rate_of(path, data[:, 0]), values=data[:, 1])
 
 
-def write_spectrum_csv(path: Path, spectrum: SpectrumEstimate,
+def write_spectrum_csv(path: Path, frequencies: np.ndarray, power: np.ndarray,
                        meta: dict | None = None) -> None:
-    rows = np.column_stack([spectrum.frequencies, spectrum.power])
-    write_table(path, "f,power", rows, meta)
+    write_table(path, "f,power", np.column_stack([frequencies, power]), meta)
 
 
 def write_labels_csv(path: Path, labels: AdherenceLabels,

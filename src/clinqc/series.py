@@ -94,27 +94,6 @@ class ScalarSeries:
         return ScalarSeries(rate=self.rate, values=values)
 
 
-@dataclass
-class SpectrumEstimate:
-    """Power spectrum on a non-negative frequency grid."""
-
-    frequencies: np.ndarray  # Hz, increasing
-    power: np.ndarray        # >= 0
-
-    def __post_init__(self):
-        self.frequencies = _as_float_array(self.frequencies, "frequencies", 1)
-        self.power = _as_float_array(self.power, "power", 1)
-        if len(self.frequencies) != len(self.power):
-            raise ValidationError("frequencies and power must have equal length")
-        if np.any(self.frequencies < 0) or np.any(np.diff(self.frequencies) <= 0):
-            raise ValidationError("frequencies must be non-negative and increasing")
-        if np.any(self.power < -1e-15):
-            raise ValidationError("power must be non-negative")
-
-    def peak_frequency(self) -> float:
-        return float(self.frequencies[int(np.argmax(self.power))])
-
-
 #: Adherence / violation label codes used throughout.
 ADHERENCE = 1
 VIOLATION = 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ClinQcError, ValidationError
-from .series import ScalarSeries, SpectrumEstimate, StateSequence, check_simplex
+from .series import ScalarSeries, StateSequence, check_simplex
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -127,22 +127,18 @@ class SwArFit:
         return self.states.occupied
 
 
-def ar_psd(state: ArState, freqs: np.ndarray) -> SpectrumEstimate:
-    """Closed-form AR power spectral density on a frequency grid.
+def ar_psd(state: ArState, freqs: np.ndarray) -> np.ndarray:
+    """Closed-form AR power spectral density at each of ``freqs``.
 
     ``freqs`` are normalized frequencies, in cycles per sample; the density
     is two-sided, S(f) = variance / |1 - sum_j A_j exp(-i 2 pi f j)|^2,
-    per unit of normalized frequency.
+    per unit of normalized frequency (white noise at order 0).
     """
     freqs = np.asarray(freqs, dtype=float)
-    if state.order:
-        lags = np.arange(1, state.order + 1)
-        phase = np.exp(-1j * 2.0 * np.pi * np.outer(freqs, lags))
-        transfer = 1.0 - phase @ state.coefficients.astype(complex)
-    else:
-        transfer = np.ones(len(freqs), dtype=complex)
-    power = state.variance / np.abs(transfer) ** 2
-    return SpectrumEstimate(frequencies=freqs, power=power)
+    lags = np.arange(1, state.order + 1)
+    phase = np.exp(-1j * 2.0 * np.pi * np.outer(freqs, lags))
+    transfer = 1.0 - phase @ state.coefficients.astype(complex)
+    return state.variance / np.abs(transfer) ** 2
 
 
 def ar_path(states: list[ArState], z: np.ndarray,
@@ -391,12 +387,9 @@ def _sample_tables(counts: np.ndarray, model: SwitchingArModel,
     tables = np.bincount(cell, weights=opened, minlength=L * L).reshape(L, L)
     if model.kappa > 0:
         rho = model.kappa / (CONCENTRATION + model.kappa)
-        for j in range(L):
-            m_jj = int(tables[j, j])
-            if m_jj == 0:
-                continue
-            p_override = rho / (rho + model.beta[j] * (1.0 - rho))
-            tables[j, j] -= rng.binomial(m_jj, p_override)
+        # a count of 0 draws nothing from rng
+        tables[np.diag_indices(L)] -= rng.binomial(
+            np.diagonal(tables).astype(int), rho / (rho + model.beta * (1.0 - rho)))
     return tables
 
 
@@ -515,6 +508,10 @@ def fit(data: ScalarSeries, *, order: int, truncation: int, sweeps: int,
             f"with sweeps={sweeps}")
     if len(data) < max(50 * max(r, 1), r + 2):
         raise ValidationError(f"need at least {50 * max(r, 1)} points for order {r}")
+    if truncation > len(data) - r:
+        # n modelled points occupy at most n states
+        raise ValidationError(f"truncation must be at most the {len(data) - r} "
+                              f"modelled points, got {truncation}")
     rng = np.random.default_rng(seed)
     model = initial_model(data, order=r, truncation=truncation, kappa=kappa)
     X, y = _design(data.values, r)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import signal
 
 import clinqc
 from clinqc import serialize, swar
@@ -91,6 +92,21 @@ class TestPreprocessCommand:
         assert run(["preprocess", tmp_path / "nope.csv", "--kind", "walking",
                     "--out", tmp_path]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestSpectrumCommand:
+    def test_rows_are_welch_with_4_second_segments(self, tmp_path, capsys):
+        run(["synth", "--scenario", "switching-ar", "--duration", "60",
+             "--rate", "30", "--out", tmp_path])
+        assert run(["spectrum", tmp_path / "feature.csv", "--out", tmp_path]) == 0
+        series = serialize.read_scalar_csv(tmp_path / "feature.csv")
+        freqs, power = signal.welch(series.values, fs=series.rate, nperseg=120,
+                                    noverlap=60, detrend="constant")
+        lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+        assert lines[2] == "f,power"
+        assert lines[3:] == [f"{f:.12g},{p:.12g}" for f, p in zip(freqs, power)]
+        peak = freqs[np.argmax(power)]
+        assert f"(peak at {peak:g} Hz)" in capsys.readouterr().out
 
 
 class TestSegmentationCommands:
@@ -574,6 +590,31 @@ class TestExitCodes:
                     "--out", tmp_path / "seg"]) == 2
         assert "truncation must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "seg").exists()
+
+    @pytest.mark.parametrize("truncation", ["300", "1000000000"])
+    def test_truncation_beyond_modelled_points_exit_2(self, tmp_path, capsys, truncation):
+        # 10 s at 30 Hz is 300 points, 299 of them modelled at order 1
+        run(["synth", "--scenario", "switching-ar", "--duration", "10",
+             "--rate", "30", "--out", tmp_path / "data"])
+        capsys.readouterr()
+        assert run(["segment-ar", tmp_path / "data" / "feature.csv", "--order", "1",
+                    "--truncation", truncation, "--sweeps", "2", "--burn-in", "1",
+                    "--out", tmp_path / "seg"]) == 2
+        assert (f"truncation must be at most the 299 modelled points, got {truncation}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "seg").exists()
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+        ("", "MemoryError")])
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch, message, shown):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(swar, "fit", out_of_memory)
+        code, err = self.segment_ar_exit_code(tmp_path, capsys)
+        assert code == 3
+        assert f"runtime error: {shown}" in err
 
     @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--duration", "inf"],
                                        ["--rate", "nan"], ["--rate", "inf"]],

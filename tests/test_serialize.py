@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ from clinqc import serialize
 from clinqc.context import NaiveBayesModel
 from clinqc.errors import ValidationError
 from clinqc.gmm import GmmParams
-from clinqc.series import AdherenceLabels, ScalarSeries, SpectrumEstimate
+from clinqc.series import AdherenceLabels, ScalarSeries
 from clinqc.swar import ArState, SwitchingArModel
 
 
@@ -72,10 +73,8 @@ class TestCsvRoundTrips:
         assert np.array_equal(back.labels, labels.labels)
 
     def test_spectrum(self, tmp_path):
-        spec = SpectrumEstimate(frequencies=np.array([0.0, 1.0]),
-                                power=np.array([2.0, 0.5]))
         path = tmp_path / "spec.csv"
-        serialize.write_spectrum_csv(path, spec)
+        serialize.write_spectrum_csv(path, np.array([0.0, 1.0]), np.array([2.0, 0.5]))
         assert serialize._read_table(path, 2)[1, 1] == pytest.approx(0.5)
 
     def test_wrong_column_count(self, tmp_path):
@@ -108,6 +107,21 @@ class TestStrictReader:
         path.write_text(text)
         with pytest.raises(ValidationError, match=line):
             serialize.read_scalar_csv(path)
+
+    @pytest.mark.parametrize("reader, text, line", [
+        (serialize.read_scalar_csv, "# seed=0\nt,v\n0,1\n1,2\n2,nan\n3,4\n", 5),
+        (serialize.read_accelerometer_csv,
+         "t,x,y,z\n0,1,2,3\n0.01,1,inf,3\n0.02,1,2,3\n", 3),
+        (functools.partial(serialize.read_audio_csv, rate=44_100.0),
+         "t,v\n0,1\n\n1,-inf\n2,0\n", 4),
+    ], ids=["scalar", "accelerometer", "audio"])
+    def test_non_finite_value_names_file_line(self, tmp_path, reader, text, line):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError,
+                           match=f"line {line}: values must be finite") as info:
+            reader(path)
+        assert str(path) in str(info.value)
 
     def test_headerless_numeric_file(self, tmp_path):
         path = tmp_path / "audio.csv"

@@ -169,11 +169,11 @@ class TestGenSwitchingAr:
         spec = SynthSpec(scenario="switching-ar", duration=300.0, rate=rate,
                          schedule=[RegimeInterval(0, 0.0, 300.0)], seed=2)
         series, _ = synth.gen_switching_ar(spec, states=[periodic])
-        welch = preprocess.power_spectrum(series, segment_length=512)
-        closed = swar.ar_psd(periodic, welch.frequencies * (1.0 / rate))
-        bin_width = welch.frequencies[1] - welch.frequencies[0]
-        welch_peak = welch.frequencies[np.argmax(welch.power)]
-        closed_peak = welch.frequencies[np.argmax(closed.power)]
+        freqs, welch = preprocess.power_spectrum(series, segment_length=512)
+        closed = swar.ar_psd(periodic, freqs * (1.0 / rate))
+        bin_width = freqs[1] - freqs[0]
+        welch_peak = freqs[np.argmax(welch)]
+        closed_peak = freqs[np.argmax(closed)]
         assert abs(welch_peak - closed_peak) <= bin_width
         # the PSD maximum sits slightly below the pole angle at radius < 1
         assert abs(welch_peak - 2.0) <= 2 * bin_width
