@@ -8,7 +8,6 @@ each time point as adhering to or violating a test protocol.
 from .series import (
     ADHERENCE,
     VIOLATION,
-    AdherenceLabels,
     ScalarSeries,
     StateSequence,
     TimestampedTriaxial,
@@ -18,7 +17,6 @@ from .series import (
 __all__ = [
     "ADHERENCE",
     "VIOLATION",
-    "AdherenceLabels",
     "ScalarSeries",
     "StateSequence",
     "TimestampedTriaxial",

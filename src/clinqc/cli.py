@@ -20,7 +20,7 @@ import numpy as np
 
 from . import context, gmm, metrics, preprocess, serialize, swar, synth, trend
 from .errors import ClinQcError, ValidationError
-from .series import AdherenceLabels, ScalarSeries
+from .series import ScalarSeries
 
 DEFAULT_TARGET_RATE = 120.0
 DEFAULT_CUTOFF_HZ = 15.0
@@ -160,9 +160,10 @@ def _cmd_segment_gmm(args, config: PipelineConfig) -> int:
     params = gmm.fit_gmm_em(series, seed=config.seed)
     assigned = gmm.map_assign(params, series)
     smoothed = gmm.median_smooth_to_convergence(assigned, window)
-    labels = gmm.mean_rule_adherence(params, smoothed, config.kind, series.rate)
+    labels = gmm.mean_rule_adherence(params, smoothed, config.kind)
     out_dir = _out_dir(args)
-    serialize.write_labels_csv(out_dir / "labels.csv", labels, meta=_meta(config))
+    serialize.write_labels_csv(out_dir / "labels.csv", series.rate, labels,
+                               meta=_meta(config))
     serialize.save_model(out_dir / "gmm.json", params, asdict(config))
     print(f"wrote {out_dir / 'labels.csv'} and {out_dir / 'gmm.json'}")
     return 0
@@ -200,10 +201,9 @@ def _cmd_classify(args, config: PipelineConfig) -> int:
         raise ValidationError(f"{args.model}: not a naive-Bayes model artifact")
     counts = serialize.read_counts_csv(Path(args.counts))
     predictions, confidence = context.nb_predict(model, counts)
-    labels = AdherenceLabels(rate=args.rate, labels=predictions)
     out = _out_dir(args) / "predictions.csv"
-    serialize.write_labels_csv(out, labels, confidence=confidence.max(axis=1),
-                               meta=_meta(config))
+    serialize.write_labels_csv(out, args.rate, predictions,
+                               confidence=confidence.max(axis=1), meta=_meta(config))
     print(f"wrote {out}")
     return 0
 
@@ -243,7 +243,7 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
     elif args.scenario == "two-cluster":
         series, labels = synth.gen_two_cluster(spec)
         serialize.write_scalar_csv(out_dir / "feature.csv", series, meta)
-        serialize.write_labels_csv(out_dir / "truth.csv", labels, meta=meta)
+        serialize.write_labels_csv(out_dir / "truth.csv", spec.rate, labels, meta=meta)
     else:
         series, states = synth.gen_switching_ar(spec)
         serialize.write_scalar_csv(out_dir / "feature.csv", series, meta)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .series import ADHERENCE, VIOLATION, AdherenceLabels, check_simplex
+from .series import ADHERENCE, VIOLATION, check_simplex
 
 CLASSES = (ADHERENCE, VIOLATION)
 
@@ -65,7 +65,7 @@ class NaiveBayesModel:
         check_simplex(self.priors, "priors must sum to 1")
 
 
-def nb_train(counts: np.ndarray, labels: AdherenceLabels,
+def nb_train(counts: np.ndarray, labels: np.ndarray,
              smoothing: float = 1.0) -> NaiveBayesModel:
     """Estimate per-class attribute probabilities from count vectors.
 
@@ -76,9 +76,9 @@ def nb_train(counts: np.ndarray, labels: AdherenceLabels,
     if not (np.isfinite(smoothing) and smoothing > 0):
         raise ValidationError(f"smoothing must be finite and positive, got {smoothing!r}")
     counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 2 or len(counts) != len(labels):
+    u = np.asarray(labels)
+    if counts.ndim != 2 or u.shape != counts.shape[:1]:
         raise ValidationError("counts must be (T, K) matching labels")
-    u = labels.labels
     present = set(np.unique(u))
     if present != {ADHERENCE, VIOLATION}:
         raise ValidationError("training needs both classes present")

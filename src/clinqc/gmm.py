@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClinQcError, NoConvergenceWarning, ValidationError
-from .series import (ADHERENCE, VIOLATION, AdherenceLabels, ScalarSeries, StateSequence,
-                     check_simplex)
+from .series import ADHERENCE, VIOLATION, ScalarSeries, StateSequence, check_simplex
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -183,7 +182,7 @@ def median_smooth_to_convergence(states: StateSequence, window: int) -> StateSeq
 
 
 def mean_rule_adherence(params: GmmParams, smoothed: StateSequence,
-                        kind: str, rate: float) -> AdherenceLabels:
+                        kind: str) -> np.ndarray:
     """Orient the two components to adherence/violation by their means.
 
     ``kind`` is one of ``KINDS``. Walking and voice tests: the larger-mean
@@ -196,5 +195,4 @@ def mean_rule_adherence(params: GmmParams, smoothed: StateSequence,
     if abs(mu[0] - mu[1]) < 1e-9:
         raise ClinQcError("component means coincide; cannot orient labels")
     in_larger = smoothed.indicators == int(np.argmax(mu))
-    labels = np.where(in_larger != (kind == "balance"), ADHERENCE, VIOLATION)
-    return AdherenceLabels(rate=rate, labels=labels)
+    return np.where(in_larger != (kind == "balance"), ADHERENCE, VIOLATION)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ClinQcError, ValidationError
-from .series import ADHERENCE, AdherenceLabels
+from .series import ADHERENCE
 
 
 @dataclass
@@ -87,11 +87,11 @@ def tp_tn_ba(predicted: np.ndarray, truth: np.ndarray,
     return FoldMetrics(tp=tp, tn=tn, ba=ba)
 
 
-TrainFn = Callable[[np.ndarray, AdherenceLabels], object]
+TrainFn = Callable[[np.ndarray, np.ndarray], object]
 PredictFn = Callable[[object, np.ndarray], np.ndarray]
 
 
-def kfold_cv(inputs: np.ndarray, labels: AdherenceLabels, k: int,
+def kfold_cv(inputs: np.ndarray, labels: np.ndarray, k: int,
              train: TrainFn, predict: PredictFn,
              mode: str = "printed") -> MetricsReport:
     """Cross-validate a train/predict pair.
@@ -101,29 +101,28 @@ def kfold_cv(inputs: np.ndarray, labels: AdherenceLabels, k: int,
     series.
     """
     inputs = np.asarray(inputs)
+    labels = np.asarray(labels)
     n = len(inputs)
-    if n != len(labels):
+    if labels.shape != (n,):
         raise ValidationError("inputs and labels must have equal length")
     if k < 2:
         raise ValidationError("need at least 2 folds")
     if n < k:
         raise ValidationError("fewer points than folds")
-    u = labels.labels
     folds = []
     for held_out in np.array_split(np.arange(n), k):
         train_mask = np.ones(n, dtype=bool)
         train_mask[held_out] = False
-        train_labels = u[train_mask]
+        train_labels = labels[train_mask]
         if len(set(train_labels)) < 2:
             raise ValidationError("a training split lost one of the classes")
-        model = train(inputs[train_mask],
-                      AdherenceLabels(rate=labels.rate, labels=train_labels))
+        model = train(inputs[train_mask], train_labels)
         predictions = predict(model, inputs[held_out])
-        folds.append(tp_tn_ba(predictions, u[held_out], mode=mode))
+        folds.append(tp_tn_ba(predictions, labels[held_out], mode=mode))
     return MetricsReport(folds=folds)
 
 
-def shuffled_baseline(inputs: np.ndarray, labels: AdherenceLabels, k: int,
+def shuffled_baseline(inputs: np.ndarray, labels: np.ndarray, k: int,
                       train: TrainFn, predict: PredictFn, seed: int = 0,
                       mode: str = "printed") -> MetricsReport:
     """Randomized control: permute the inputs, keep the labels fixed.

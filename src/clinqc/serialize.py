@@ -13,10 +13,11 @@ Anything else, such as a corrupt value, a short row or a table without
 rows, raises ``ValidationError`` (CLI exit code 2) naming the file line at
 fault, or the file if its text is not UTF-8 or every row has the wrong
 column count: no row is dropped silently, and neither is a non-finite
-value, a negative count or a label other than 1 or 2. An audio table's time
-column is parsed like any other, but held at float32 (4 bytes a row) and
-not checked for finiteness, since nothing reads it; its values stay
-float64, a view into the parsed rows.
+value, a negative count, a label other than 1 or 2, or an accelerometer
+timestamp that does not advance or leaves a hole over ``MAX_GAP_S``
+seconds. An audio table's time column is parsed like any other, but held
+at float32 (4 bytes a row) and not checked for finiteness, since nothing
+reads it; its values stay float64, a view into the parsed rows.
 
 Model artifacts are versioned JSON documents whose payload is the model
 dataclass's fields, so they round-trip field-for-field; the run's config
@@ -35,13 +36,7 @@ import numpy as np
 from .context import NaiveBayesModel
 from .errors import ValidationError
 from .gmm import GmmParams
-from .series import (
-    ADHERENCE,
-    VIOLATION,
-    AdherenceLabels,
-    ScalarSeries,
-    TimestampedTriaxial,
-)
+from .series import ADHERENCE, VIOLATION, ScalarSeries, TimestampedTriaxial, check_rate
 from .swar import ArPrior, ArState, SwitchingArModel
 
 ARTIFACT_VERSION = 1
@@ -53,6 +48,9 @@ _WRITE_BLOCK = 256    # rows write_table formats at a time
 #: An audio row: the time column is only parsed, so 4 bytes hold it.
 _AUDIO_ROW = np.dtype([("t", np.float32), ("v", np.float64)])
 _NON_FINITE = "values must be finite"
+#: Longest step between accelerometer timestamps, in seconds: the resampling
+#: spline would invent the signal over a longer hole.
+MAX_GAP_S = 1.0
 
 
 def config_hash(config: dict) -> str:
@@ -172,9 +170,15 @@ def _reject_rows(path: Path, bad: np.ndarray, message: str) -> None:
 # -- sensor / feature CSV -----------------------------------------------------
 
 def read_accelerometer_csv(path: Path) -> TimestampedTriaxial:
-    """Read ``t,x,y,z`` (seconds, m/s^2)."""
+    """Read ``t,x,y,z`` (seconds, m/s^2); the timestamps must increase, by
+    at most ``MAX_GAP_S`` a row."""
     data = _read_table(path, 4)
     _reject_rows(path, ~np.isfinite(data).all(axis=1), _NON_FINITE)
+    step = np.diff(data[:, 0], prepend=np.nan)    # NaN: the first row has none
+    _reject_rows(path, step <= 0, "timestamps must be strictly increasing")
+    hole = step > MAX_GAP_S
+    _reject_rows(path, hole, f"a {step[np.argmax(hole)]:g}-s hole before this row; "
+                             f"steps over {MAX_GAP_S:g} s are not interpolated")
     return TimestampedTriaxial(timestamps=data[:, 0], samples=data[:, 1:])
 
 
@@ -227,23 +231,28 @@ def write_spectrum_csv(path: Path, frequencies: np.ndarray, power: np.ndarray,
     write_table(path, "f,power", np.column_stack([frequencies, power]), meta)
 
 
-def write_labels_csv(path: Path, labels: AdherenceLabels,
+def write_labels_csv(path: Path, rate: float, labels: np.ndarray,
                      confidence: np.ndarray | None = None,
                      meta: dict | None = None) -> None:
-    t = np.arange(len(labels)) / labels.rate
+    """Write labels sampled at ``rate`` as ``t,u`` (plus ``confidence``)."""
+    check_rate(rate)
+    columns = [np.arange(len(labels)) / rate, labels]
     if confidence is None:
-        write_table(path, "t,u", np.column_stack([t, labels.labels]), meta)
+        write_table(path, "t,u", np.column_stack(columns), meta)
     else:
         write_table(path, "t,u,confidence",
-                    np.column_stack([t, labels.labels, confidence]), meta)
+                    np.column_stack(columns + [confidence]), meta)
 
 
-def read_labels_csv(path: Path) -> AdherenceLabels:
+def read_labels_csv(path: Path) -> np.ndarray:
+    """Read the ``u`` column of a ``t,u`` table as ints; with two or more
+    rows the time column must advance."""
     data = _read_table(path, 2)
-    rate = _rate_of(path, data[:, 0]) if len(data) > 1 else 1.0
+    if len(data) > 1:
+        _rate_of(path, data[:, 0])
     _reject_rows(path, ~np.isin(data[:, 1], (ADHERENCE, VIOLATION)),
                  "labels must be 1 (adherence) or 2 (violation)")
-    return AdherenceLabels(rate=rate, labels=data[:, 1])
+    return data[:, 1].astype(int)
 
 
 def write_decomposition_csv(path: Path, times: np.ndarray, trend: np.ndarray,

@@ -17,7 +17,7 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _check_rate(rate: float) -> None:
+def check_rate(rate: float) -> None:
     """Raise ``ValidationError`` unless ``rate`` is finite and positive."""
     if not 0 < rate < np.inf:
         raise ValidationError(f"rate must be finite and positive, got {rate!r}")
@@ -63,7 +63,7 @@ class TriaxialSeries:
     samples: np.ndarray     # (T, 3) in m/s^2
 
     def __post_init__(self):
-        _check_rate(self.rate)
+        check_rate(self.rate)
         self.samples = _as_float_array(self.samples, "samples", 2)
         if self.samples.shape[1] != 3:
             raise ValidationError("samples must have 3 columns")
@@ -80,7 +80,7 @@ class ScalarSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_rate(self.rate)
+        check_rate(self.rate)
         self.values = _as_float_array(self.values, "values", 1)
 
     def __len__(self) -> int:
@@ -94,29 +94,10 @@ class ScalarSeries:
         return ScalarSeries(rate=self.rate, values=values)
 
 
-#: Adherence / violation label codes used throughout.
+#: Adherence / violation label codes; labels are 1-D int arrays of them,
+#: one per time point.
 ADHERENCE = 1
 VIOLATION = 2
-
-
-@dataclass
-class AdherenceLabels:
-    """Per-time binary protocol labels: 1 = adherence, 2 = violation."""
-
-    rate: float
-    labels: np.ndarray  # integers in {1, 2}
-
-    def __post_init__(self):
-        _check_rate(self.rate)
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1:
-            raise ValidationError("labels must be one-dimensional")
-        if not np.all(np.isin(labels, (ADHERENCE, VIOLATION))):
-            raise ValidationError("labels must be 1 (adherence) or 2 (violation)")
-        self.labels = labels.astype(int)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass

@@ -72,6 +72,8 @@ class ArPrior:
 
 #: The local (alpha) and global (gamma) concentrations of the sticky HDP.
 CONCENTRATION = 1.0
+#: Most sweeps ``fit`` runs: numpy can size its 8-byte-a-sweep traces.
+MAX_SWEEPS = np.iinfo(np.intp).max // 8
 
 
 @dataclass
@@ -512,6 +514,8 @@ def fit(data: ScalarSeries, *, order: int, truncation: int, sweeps: int,
         # n modelled points occupy at most n states
         raise ValidationError(f"truncation must be at most the {len(data) - r} "
                               f"modelled points, got {truncation}")
+    if sweeps > MAX_SWEEPS:
+        raise ValidationError(f"sweeps must be at most {MAX_SWEEPS}, got {sweeps}")
     rng = np.random.default_rng(seed)
     model = initial_model(data, order=r, truncation=truncation, kappa=kappa)
     X, y = _design(data.values, r)

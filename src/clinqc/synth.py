@@ -15,7 +15,6 @@ from .errors import ValidationError
 from .series import (
     ADHERENCE,
     VIOLATION,
-    AdherenceLabels,
     ScalarSeries,
     StateSequence,
     TimestampedTriaxial,
@@ -159,7 +158,7 @@ def gen_gravity_drift(spec: SynthSpec
     return TimestampedTriaxial(timestamps=t, samples=samples), trend, dynamic
 
 
-def gen_two_cluster(spec: SynthSpec) -> tuple[ScalarSeries, AdherenceLabels]:
+def gen_two_cluster(spec: SynthSpec) -> tuple[ScalarSeries, np.ndarray]:
     """Blockwise two-class signal with Gaussian emissions.
 
     Schedule state 0 is the adherence class; its emission mean sits
@@ -174,6 +173,5 @@ def gen_two_cluster(spec: SynthSpec) -> tuple[ScalarSeries, AdherenceLabels]:
     mean_adherence = spec.separation * sigma
     means = np.where(z == 0, mean_adherence, 0.0)
     values = means + rng.normal(0.0, sigma, size=len(z))
-    labels = np.where(z == 0, ADHERENCE, VIOLATION)
     return (ScalarSeries(rate=spec.rate, values=values),
-            AdherenceLabels(rate=spec.rate, labels=labels))
+            np.where(z == 0, ADHERENCE, VIOLATION))

@@ -11,7 +11,7 @@ import numpy as np
 
 from clinqc import context, gmm, metrics, preprocess, swar, synth, trend
 from clinqc.cli import main as cli_main
-from clinqc.series import ADHERENCE, VIOLATION, AdherenceLabels, ScalarSeries
+from clinqc.series import ADHERENCE, VIOLATION, ScalarSeries
 from clinqc.synth import RegimeInterval, SynthSpec
 from clinqc.trend import _objective, l1_trend_filter
 
@@ -205,8 +205,8 @@ def test_criterion_6_gmm_path():
     params = gmm.fit_gmm_em(series, seed=0)
     assigned = gmm.map_assign(params, series)
     smoothed = gmm.median_smooth_to_convergence(assigned, 61)
-    labels = gmm.mean_rule_adherence(params, smoothed, "voice", series.rate)
-    ba = metrics.tp_tn_ba(labels.labels, truth.labels).ba
+    labels = gmm.mean_rule_adherence(params, smoothed, "voice")
+    ba = metrics.tp_tn_ba(labels, truth).ba
 
     # E-M monotonicity is asserted inside the fit on every iteration; run a
     # spread of fixtures through it so a violation would raise here.
@@ -235,9 +235,7 @@ def test_criterion_7_end_to_end_pipelines():
     fit = swar.fit(series, order=1, truncation=10, kappa=20.0,
                    sweeps=500, burn_in=250, seed=1)
     counts = context.rescale_to_counts(fit.posteriors)
-    labels = AdherenceLabels(
-        rate=spec.rate,
-        labels=np.where(truth.indicators == 0, ADHERENCE, VIOLATION))
+    labels = np.where(truth.indicators == 0, ADHERENCE, VIOLATION)
 
     def train(c, u):
         return context.nb_train(c, u)
@@ -257,9 +255,8 @@ def test_criterion_7_end_to_end_pipelines():
     params = gmm.fit_gmm_em(voice_series, seed=0)
     smoothed = gmm.median_smooth_to_convergence(
         gmm.map_assign(params, voice_series), 61)
-    voice_labels = gmm.mean_rule_adherence(params, smoothed, "voice",
-                                           voice_series.rate)
-    voice_ba = metrics.tp_tn_ba(voice_labels.labels, voice_truth.labels).ba
+    voice_labels = gmm.mean_rule_adherence(params, smoothed, "voice")
+    voice_ba = metrics.tp_tn_ba(voice_labels, voice_truth).ba
     elapsed = time.time() - start
 
     ok = walking_ba >= 0.85 and voice_ba is not None and voice_ba >= 0.9 \
@@ -276,10 +273,9 @@ def test_criterion_8_shuffled_baseline():
     rng = np.random.default_rng(0)
     # informative counts: the attribute mix tracks the label
     n = 2000
-    labels = AdherenceLabels(
-        rate=1.0, labels=rng.permutation(np.r_[np.full(n // 2, ADHERENCE),
-                                               np.full(n // 2, VIOLATION)]))
-    probs = np.where(labels.labels[:, None] == ADHERENCE,
+    labels = rng.permutation(np.r_[np.full(n // 2, ADHERENCE),
+                                   np.full(n // 2, VIOLATION)])
+    probs = np.where(labels[:, None] == ADHERENCE,
                      [0.85, 0.15], [0.2, 0.8])
     counts = np.array([rng.multinomial(100, p) for p in probs])
 

@@ -12,8 +12,9 @@ import pytest
 from scipy import signal
 
 import clinqc
-from clinqc import serialize, swar
+from clinqc import serialize, swar, synth
 from clinqc.cli import main
+from clinqc.synth import SynthSpec
 
 
 def run(args):
@@ -39,7 +40,7 @@ class TestSynthCommand:
         assert run(["synth", "--scenario", "two-cluster", "--duration", "20",
                     "--rate", "10", "--out", tmp_path]) == 0
         labels = serialize.read_labels_csv(tmp_path / "truth.csv")
-        assert set(np.unique(labels.labels)) == {1, 2}
+        assert set(np.unique(labels)) == {1, 2}
 
     @pytest.mark.parametrize("scenario", ["walking-like", "balance-like",
                                           "voice-like"])
@@ -170,7 +171,7 @@ class TestClassifierCommands:
                     "--out", tmp_path / "pred"]) == 0
         pred = serialize._read_table(tmp_path / "pred" / "predictions.csv", 3)
         truth = serialize.read_labels_csv(labels_path)
-        agreement = (pred[:, 1].astype(int) == truth.labels).mean()
+        agreement = (pred[:, 1].astype(int) == truth).mean()
         assert agreement > 0.95
 
     def test_classify_output_independent_of_model_location(self, tmp_path):
@@ -408,6 +409,48 @@ class TestExitCodes:
         assert "timestamps must be strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "feat" / "feature.csv").exists()
 
+    @staticmethod
+    def raw_with_hole(tmp_path, start, length):
+        """A jittered 20-s, 120-Hz recording without its rows in
+        [start, start + length) s, the file line after the hole (line 1 is
+        the header) and the hole's length in seconds."""
+        spec = SynthSpec(scenario="gravity-drift", duration=20.0, rate=120.0,
+                         jitter=0.3, seed=0)
+        raw, _, _ = synth.gen_gravity_drift(spec)
+        keep = (raw.timestamps < start) | (raw.timestamps >= start + length)
+        path = tmp_path / "raw.csv"
+        serialize.write_table(path, "t,x,y,z",
+                              np.column_stack([raw.timestamps, raw.samples])[keep])
+        t = raw.timestamps[keep]
+        after = int(np.argmax(t >= start))
+        return path, after + 2, t[after] - t[after - 1]
+
+    @pytest.mark.parametrize("kind", ["walking", "balance"])
+    @pytest.mark.parametrize("length", [10.0, 2.0])
+    def test_hole_in_timestamps_exit_2(self, tmp_path, capsys, kind, length):
+        # the spline would otherwise invent the signal across the hole
+        path, line, hole = self.raw_with_hole(tmp_path, 5.0, length)
+        assert run(["preprocess", path, "--kind", kind,
+                    "--out", tmp_path / "feat"]) == 2
+        assert (f"{path}, line {line}: a {hole:g}-s hole before this row; "
+                "steps over 1 s are not interpolated") in capsys.readouterr().err
+        assert not (tmp_path / "feat").exists()
+
+    def test_short_hole_is_interpolated(self, tmp_path):
+        path, _, _ = self.raw_with_hole(tmp_path, 5.0, 0.5)
+        assert run(["preprocess", path, "--kind", "walking",
+                    "--out", tmp_path / "feat"]) == 0
+
+    def test_non_increasing_timestamp_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "raw.csv"
+        rows = [f"{i / 120:.6f},0.1,0.2,9.8" for i in range(600)]
+        rows[300] = rows[299]
+        path.write_text("t,x,y,z\n" + "\n".join(rows) + "\n")
+        assert run(["preprocess", path, "--kind", "walking",
+                    "--out", tmp_path / "feat"]) == 2
+        assert (f"{path}, line 302: timestamps must be strictly increasing"
+                in capsys.readouterr().err)
+
     def test_walking_too_short_to_filter_exit_2(self, tmp_path, capsys):
         path = tmp_path / "raw.csv"
         rows = [f"{i / 120:.6f},0.1,{0.2 + 0.01 * i:.2f},9.8" for i in range(10)]
@@ -601,6 +644,18 @@ class TestExitCodes:
                     "--truncation", truncation, "--sweeps", "2", "--burn-in", "1",
                     "--out", tmp_path / "seg"]) == 2
         assert (f"truncation must be at most the 299 modelled points, got {truncation}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "seg").exists()
+
+    @pytest.mark.parametrize("sweeps", ["10000000000000000000", "2000000000000000000"])
+    def test_sweeps_beyond_numpy_sizes_exit_2(self, tmp_path, capsys, sweeps):
+        # np.empty(sweeps) would raise ValueError, not MemoryError, here
+        run(["synth", "--scenario", "switching-ar", "--duration", "10",
+             "--rate", "30", "--out", tmp_path / "data"])
+        capsys.readouterr()
+        assert run(["segment-ar", tmp_path / "data" / "feature.csv", "--order", "1",
+                    "--sweeps", sweeps, "--out", tmp_path / "seg"]) == 2
+        assert (f"sweeps must be at most {swar.MAX_SWEEPS}, got {sweeps}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "seg").exists()
 

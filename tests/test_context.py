@@ -3,11 +3,11 @@ import pytest
 
 from clinqc import context
 from clinqc.errors import ValidationError
-from clinqc.series import ADHERENCE, VIOLATION, AdherenceLabels
+from clinqc.series import ADHERENCE, VIOLATION
 
 
 def labels(values):
-    return AdherenceLabels(rate=1.0, labels=np.asarray(values, dtype=int))
+    return np.asarray(values, dtype=int)
 
 
 class TestRescaleToCounts:
@@ -105,7 +105,7 @@ class TestNbPredict:
     def test_train_accuracy_on_separable(self):
         model, counts, u = self.make_separable()
         pred, conf = context.nb_predict(model, counts)
-        assert np.array_equal(pred, u.labels)
+        assert np.array_equal(pred, u)
         assert np.allclose(conf.sum(axis=1), 1.0)
 
     def test_unseen_state_forces_violation(self):

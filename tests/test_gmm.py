@@ -259,27 +259,24 @@ class TestMeanRuleAdherence:
     def test_walking_larger_mean_is_adherence(self):
         # the string the CLI and config files use, not balance's orientation
         smoothed = StateSequence(indicators=[0, 1, 1])
-        labels = gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed,
-                                         "walking", rate=1.0)
-        assert np.array_equal(labels.labels, [VIOLATION, ADHERENCE, ADHERENCE])
+        labels = gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed, "walking")
+        assert np.array_equal(labels, [VIOLATION, ADHERENCE, ADHERENCE])
 
     def test_balance_larger_mean_is_violation(self):
         smoothed = StateSequence(indicators=[0, 1, 1])
-        labels = gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed,
-                                         "balance", rate=1.0)
-        assert np.array_equal(labels.labels, [ADHERENCE, VIOLATION, VIOLATION])
+        labels = gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed, "balance")
+        assert np.array_equal(labels, [ADHERENCE, VIOLATION, VIOLATION])
 
     @pytest.mark.parametrize("kind", ["Walking", "jogging", ""])
     def test_unknown_kind_rejected(self, kind):
         smoothed = StateSequence(indicators=[0, 1, 1])
         with pytest.raises(ValidationError, match=f"unknown test kind {kind!r}"):
-            gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed, kind, rate=1.0)
+            gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed, kind)
 
     def test_equal_means_rejected(self):
         smoothed = StateSequence(indicators=[0, 1])
         with pytest.raises(ClinQcError, match="component means coincide") as info:
-            gmm.mean_rule_adherence(self.params([1.0, 1.0]), smoothed, "voice",
-                                    rate=1.0)
+            gmm.mean_rule_adherence(self.params([1.0, 1.0]), smoothed, "voice")
         assert not isinstance(info.value, ValidationError)
 
 
@@ -294,9 +291,9 @@ class TestFullGmmPath:
         params = gmm.fit_gmm_em(series, seed=0)
         states = gmm.map_assign(params, series)
         smoothed = gmm.median_smooth_to_convergence(states, 21)
-        labels = gmm.mean_rule_adherence(params, smoothed, "voice", series.rate)
-        tp = np.mean(labels.labels[truth == ADHERENCE] == ADHERENCE)
-        tn = np.mean(labels.labels[truth == VIOLATION] == VIOLATION)
+        labels = gmm.mean_rule_adherence(params, smoothed, "voice")
+        tp = np.mean(labels[truth == ADHERENCE] == ADHERENCE)
+        tn = np.mean(labels[truth == VIOLATION] == VIOLATION)
         assert 0.5 * (tp + tn) >= 0.95
 
 

@@ -3,11 +3,10 @@ import pytest
 
 from clinqc import metrics
 from clinqc.errors import ClinQcError, ValidationError
-from clinqc.series import AdherenceLabels
 
 
 def labels(values):
-    return AdherenceLabels(rate=1.0, labels=np.asarray(values, dtype=int))
+    return np.asarray(values, dtype=int)
 
 
 class TestTpTnBa:
@@ -122,7 +121,7 @@ class TestKfoldCv:
     def test_identity_pipeline_perfect(self):
         u = labels(np.r_[np.ones(50), np.full(50, 2)][np.random.default_rng(0)
                                                       .permutation(100)])
-        report = metrics.kfold_cv(u.labels.astype(float), u, 10,
+        report = metrics.kfold_cv(u.astype(float), u, 10,
                                   oracle_train, oracle_predict)
         assert report.mean("ba") == 1.0
         assert report.std("ba") == 0.0
@@ -131,13 +130,13 @@ class TestKfoldCv:
         u = labels(np.r_[np.ones(90), np.full(10, 2)])
         # block folds: the last fold holds all the violation points
         with pytest.raises(ValidationError, match="a training split lost one of the classes"):
-            metrics.kfold_cv(u.labels.astype(float), u, 10,
+            metrics.kfold_cv(u.astype(float), u, 10,
                              oracle_train, oracle_predict)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         u = labels(rng.choice([1, 2], size=60))
-        x = u.labels + rng.normal(0, 0.1, size=60)
+        x = u + rng.normal(0, 0.1, size=60)
 
         def train(inputs, labs):
             return 1.5
@@ -157,10 +156,10 @@ class TestKfoldCv:
         def predict_ones(model, inputs):
             return np.ones(len(inputs), dtype=int)
 
-        report = metrics.kfold_cv(u.labels.astype(float), u, 2,
+        report = metrics.kfold_cv(u.astype(float), u, 2,
                                   oracle_train, predict_ones, mode="recall")
         assert report.mean("ba") == pytest.approx(0.5)
-        printed = metrics.kfold_cv(u.labels.astype(float), u, 2,
+        printed = metrics.kfold_cv(u.astype(float), u, 2,
                                    oracle_train, predict_ones, mode="printed")
         assert printed.folds[0].tn is None
 
@@ -169,7 +168,7 @@ class TestShuffledBaseline:
     def test_breaks_association(self):
         rng = np.random.default_rng(5)
         u = labels(rng.permutation(np.r_[np.ones(500), np.full(500, 2)]))
-        x = u.labels.astype(float)  # perfectly informative before shuffling
+        x = u.astype(float)  # perfectly informative before shuffling
 
         def train(inputs, labs):
             return 1.5
@@ -184,7 +183,7 @@ class TestShuffledBaseline:
 
     def test_deterministic(self):
         u = labels(np.r_[np.ones(10), np.full(10, 2), np.ones(10), np.full(10, 2)])
-        x = u.labels.astype(float)
+        x = u.astype(float)
         a = metrics.shuffled_baseline(x, u, 4, oracle_train, oracle_predict,
                                       seed=7, mode="recall")
         b = metrics.shuffled_baseline(x, u, 4, oracle_train, oracle_predict,

@@ -11,7 +11,7 @@ from clinqc import serialize
 from clinqc.context import NaiveBayesModel
 from clinqc.errors import ValidationError
 from clinqc.gmm import GmmParams
-from clinqc.series import AdherenceLabels, ScalarSeries
+from clinqc.series import ScalarSeries
 from clinqc.swar import ArState, SwitchingArModel
 
 
@@ -50,6 +50,14 @@ class TestCsvRoundTrips:
         assert rec.samples.shape == (2, 3)
         assert rec.timestamps[1] == pytest.approx(0.01)
 
+    def test_accelerometer_hole(self, tmp_path):
+        # a step of exactly MAX_GAP_S is allowed, a longer one is not
+        path = tmp_path / "acc.csv"
+        path.write_text("t,x,y,z\n0,1,2,3\n1,4,5,6\n2.5,7,8,9\n")
+        assert serialize.MAX_GAP_S == 1.0
+        with pytest.raises(ValidationError, match=r"acc.csv, line 4: a 1.5-s hole"):
+            serialize.read_accelerometer_csv(path)
+
     def test_audio(self, tmp_path):
         path = tmp_path / "audio.csv"
         path.write_text("t,v\n0,0.1\n1,0.2\n")
@@ -58,19 +66,19 @@ class TestCsvRoundTrips:
         assert series.values.tolist() == [0.1, 0.2]
 
     def test_labels_with_confidence(self, tmp_path):
-        labels = AdherenceLabels(rate=2.0, labels=np.array([1, 2, 2]))
         path = tmp_path / "labels.csv"
-        serialize.write_labels_csv(path, labels,
+        serialize.write_labels_csv(path, 2.0, np.array([1, 2, 2]),
                                    confidence=np.array([0.9, 0.8, 0.7]))
         assert "t,u,confidence" in path.read_text()
 
     def test_labels_roundtrip(self, tmp_path):
-        labels = AdherenceLabels(rate=4.0, labels=np.array([1, 1, 2, 1]))
+        labels = np.array([1, 1, 2, 1])
         path = tmp_path / "labels.csv"
-        serialize.write_labels_csv(path, labels)
+        serialize.write_labels_csv(path, 4.0, labels)
+        assert np.array_equal(serialize._read_table(path, 2)[:, 0], np.arange(4) / 4.0)
         back = serialize.read_labels_csv(path)
-        assert back.rate == pytest.approx(4.0)
-        assert np.array_equal(back.labels, labels.labels)
+        assert back.dtype.kind == "i"
+        assert np.array_equal(back, labels)
 
     def test_spectrum(self, tmp_path):
         path = tmp_path / "spec.csv"

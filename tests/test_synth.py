@@ -218,8 +218,8 @@ class TestGenTwoCluster:
                          schedule=[RegimeInterval(0, 0.0, 2.0),
                                    RegimeInterval(1, 2.0, 4.0)], seed=1)
         _, labels = synth.gen_two_cluster(spec)
-        assert np.all(labels.labels[:20] == ADHERENCE)
-        assert np.all(labels.labels[20:] == VIOLATION)
+        assert np.all(labels[:20] == ADHERENCE)
+        assert np.all(labels[20:] == VIOLATION)
 
     def test_separation_in_noise_units(self):
         spec = SynthSpec(scenario="two-cluster", duration=200.0, rate=10.0,
@@ -227,8 +227,8 @@ class TestGenTwoCluster:
                          schedule=[RegimeInterval(0, 0.0, 100.0),
                                    RegimeInterval(1, 100.0, 200.0)], seed=2)
         series, labels = synth.gen_two_cluster(spec)
-        adh = series.values[labels.labels == ADHERENCE]
-        vio = series.values[labels.labels == VIOLATION]
+        adh = series.values[labels == ADHERENCE]
+        vio = series.values[labels == VIOLATION]
         assert abs(adh.mean() - vio.mean() - 3.0) < 0.1
         assert abs(adh.std() - 0.5) < 0.05
 
