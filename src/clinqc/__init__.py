@@ -11,7 +11,6 @@ from .series import (
     ScalarSeries,
     StateSequence,
     TimestampedTriaxial,
-    TriaxialSeries,
 )
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "ScalarSeries",
     "StateSequence",
     "TimestampedTriaxial",
-    "TriaxialSeries",
 ]
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import context, gmm, metrics, preprocess, serialize, swar, synth, trend
 from .errors import ClinQcError, ValidationError
-from .series import ScalarSeries
+from .series import ScalarSeries, check_rate
 
 DEFAULT_TARGET_RATE = 120.0
 DEFAULT_CUTOFF_HZ = 15.0
@@ -114,15 +114,17 @@ def preprocess_recipe(raw_path: Path, config: PipelineConfig) -> ScalarSeries:
     if config.kind == "voice":
         audio = serialize.read_audio_csv(raw_path, rate=config.audio_rate)
         return preprocess.windowed_energy(audio, DEFAULT_ENERGY_WINDOW)
-    # the raw recording is freed once resampled
+    # the raw recording is freed once resampled; the (n, 3) arrays carry
+    # no rate, which is attached once, to the scalar feature
     uniform = preprocess.interpolate_uniform(
         serialize.read_accelerometer_csv(raw_path), DEFAULT_TARGET_RATE)
     dynamic = trend.remove_gravity(uniform, config.lam)
-    if config.kind == "walking":
-        feature = preprocess.log_magnitude(dynamic)
-        filtered = preprocess.lowpass_filter(feature, DEFAULT_CUTOFF_HZ)
-        return preprocess.downsample(filtered, DEFAULT_DECIMATION)
-    return preprocess.magnitude(dynamic)
+    reduce = preprocess.log_magnitude if config.kind == "walking" else preprocess.magnitude
+    feature = ScalarSeries(rate=DEFAULT_TARGET_RATE, values=reduce(dynamic))
+    if config.kind == "balance":
+        return feature
+    filtered = preprocess.lowpass_filter(feature, DEFAULT_CUTOFF_HZ)
+    return preprocess.downsample(filtered, DEFAULT_DECIMATION)
 
 
 def _odd_window(seconds: float, series: ScalarSeries) -> int:
@@ -196,6 +198,7 @@ def _cmd_train_nb(args, config: PipelineConfig) -> int:
 
 
 def _cmd_classify(args, config: PipelineConfig) -> int:
+    check_rate(args.rate)
     model = serialize.load_model(Path(args.model))
     if not isinstance(model, context.NaiveBayesModel):
         raise ValidationError(f"{args.model}: not a naive-Bayes model artifact")
@@ -230,22 +233,26 @@ def _cmd_evaluate(args, config: PipelineConfig) -> int:
 
 
 def _cmd_synth(args, config: PipelineConfig) -> int:
+    # each branch generates its data before it makes the directory, so a
+    # spec the generator rejects leaves none
     spec = synth.SynthSpec(scenario=args.scenario, duration=args.duration,
                            rate=args.rate, seed=config.seed)
-    out_dir = _out_dir(args)
     meta = _meta(config)
     if args.scenario == "gravity-drift":
         raw, trend_truth, dynamic_truth = synth.gen_gravity_drift(spec)
+        out_dir = _out_dir(args)
         rows = np.column_stack([raw.timestamps, raw.samples])
         serialize.write_table(out_dir / "raw.csv", "t,x,y,z", rows, meta)
         serialize.write_decomposition_csv(out_dir / "truth.csv", raw.timestamps,
                                           trend_truth, dynamic_truth, meta)
     elif args.scenario == "two-cluster":
         series, labels = synth.gen_two_cluster(spec)
+        out_dir = _out_dir(args)
         serialize.write_scalar_csv(out_dir / "feature.csv", series, meta)
         serialize.write_labels_csv(out_dir / "truth.csv", spec.rate, labels, meta=meta)
     else:
         series, states = synth.gen_switching_ar(spec)
+        out_dir = _out_dir(args)
         serialize.write_scalar_csv(out_dir / "feature.csv", series, meta)
         rows = np.column_stack([series.times, states.indicators])
         serialize.write_table(out_dir / "truth.csv", "t,z", rows, meta)

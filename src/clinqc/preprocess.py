@@ -9,16 +9,19 @@ second-order section as a banded triangular solve (``dtbsv``). Only
 scipy is imported on first use, so importing this module (and the CLI)
 stays cheap for commands that never resample or filter.
 
-``interpolate_uniform`` holds one axis's working set at a time: it solves
-an axis's knot slopes with one ``dgtsv`` call and evaluates that axis's
-Hermite cubics into the output before it starts the next axis.
+Triaxial data passes between the steps as a plain ``(n, 3)`` array, one
+column per axis; only the scalar feature reduced from it is a
+``ScalarSeries`` with a rate. ``interpolate_uniform`` holds one column's
+working set at a time: it solves a column's knot slopes with one
+``dgtsv`` call and evaluates that column's Hermite cubics into the output
+before it starts the next column.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ClinQcError, ValidationError
-from .series import ScalarSeries, TimestampedTriaxial, TriaxialSeries
+from .series import ScalarSeries, TimestampedTriaxial, as_float_array, check_rate
 
 # Odd-extension length at each end of a filtered series: sosfiltfilt's
 # default 3 * (2 * sections + 1) for the two sections of a 4th-order filter.
@@ -29,7 +32,7 @@ _ENERGY_BLOCK = 256
 
 def _not_a_knot_slopes(t: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """Knot slopes of the not-a-knot cubic spline through knots ``t`` with
-    spacings ``dx`` and secant slopes ``slope`` (one axis).
+    spacings ``dx`` and secant slopes ``slope`` (one column).
 
     The tridiagonal system and its right-hand side are the ones scipy's
     ``CubicSpline`` builds, and LAPACK's ``dgtsv`` (its ``solve_banded``)
@@ -59,19 +62,22 @@ def _not_a_knot_slopes(t: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.n
     return slopes
 
 
-def interpolate_uniform(raw: TimestampedTriaxial, target_rate: float) -> TriaxialSeries:
+def interpolate_uniform(raw: TimestampedTriaxial, target_rate: float) -> np.ndarray:
     """Resample a non-uniform 3-axis recording to a uniform grid.
 
-    Each axis is interpolated independently with a not-a-knot cubic spline,
-    bit-identical to scipy's ``CubicSpline``. The output grid starts at the
-    first observed timestamp and never extends past the last one (no
-    extrapolation).
+    Returns the ``(n, 3)`` samples at ``t[0] + k / target_rate``, each
+    column contiguous. Each axis is interpolated independently with a
+    not-a-knot cubic spline, bit-identical to scipy's ``CubicSpline``. The
+    output grid starts at the first observed timestamp and never extends
+    past the last one (no extrapolation).
 
     The grid's intervals and offset powers are shared; everything else is
-    one axis's working set (secant and knot slopes, Hermite coefficients),
-    formed and evaluated into the output before the next axis starts. That
-    holds the peak at about 14 float64 a sample, the output's 3 included.
+    one column's working set (secant and knot slopes, Hermite
+    coefficients), formed and evaluated into the output before the next
+    column starts. That holds the peak at about 14 float64 a sample, the
+    output's 3 included.
     """
+    check_rate(target_rate)
     if len(raw) < 4:
         raise ValidationError("cubic spline interpolation needs at least 4 samples")
     t = raw.timestamps
@@ -109,21 +115,19 @@ def interpolate_uniform(raw: TimestampedTriaxial, target_rate: float) -> Triaxia
         row += np.take(y, k, out=gathered, mode="clip")
         row += np.multiply(np.take(c1, k, out=gathered, mode="clip"), h2, out=gathered)
         row += np.multiply(np.take(c0, k, out=gathered, mode="clip"), h3, out=gathered)
-        del s, c0, c1    # before the next axis's arrays are made
-    return TriaxialSeries(rate=target_rate, samples=out.T)
+        del s, c0, c1    # before the next column's arrays are made
+    return out.T
 
 
-def magnitude(series: TriaxialSeries) -> ScalarSeries:
-    """Euclidean norm of each 3-vector."""
-    return ScalarSeries(rate=series.rate,
-                        values=np.linalg.norm(series.samples, axis=1))
+def magnitude(samples: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an ``(n, k)`` array."""
+    return np.linalg.norm(as_float_array(samples, "samples", 2), axis=1)
 
 
-def log_magnitude(series: TriaxialSeries) -> ScalarSeries:
-    """log10 of the vector magnitude, floored at 1e-6 to guard idle sensors."""
-    mag = np.linalg.norm(series.samples, axis=1)
-    return ScalarSeries(rate=series.rate,
-                        values=np.log10(np.maximum(mag, 1e-6)))
+def log_magnitude(samples: np.ndarray) -> np.ndarray:
+    """log10 of each row's norm, floored at 1e-6 to guard idle sensors."""
+    mag = np.linalg.norm(as_float_array(samples, "samples", 2), axis=1)
+    return np.log10(np.maximum(mag, 1e-6))
 
 
 def windowed_energy(series: ScalarSeries, window: int) -> ScalarSeries:
@@ -233,7 +237,7 @@ def lowpass_filter(series: ScalarSeries, cutoff: float) -> ScalarSeries:
                           2 * x[-1] - x[-2:-_PADLEN - 2:-1]))
     forward = _sosfilt(sos, zi, ext)
     backward = _sosfilt(sos, zi, forward[::-1])
-    return series.with_values(backward[::-1][_PADLEN:-_PADLEN])
+    return ScalarSeries(rate=series.rate, values=backward[::-1][_PADLEN:-_PADLEN])
 
 
 def downsample(series: ScalarSeries, factor: int) -> ScalarSeries:

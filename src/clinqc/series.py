@@ -8,7 +8,9 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
+def as_float_array(values, name: str, ndim: int) -> np.ndarray:
+    """``values`` as a float array; ``ValidationError`` unless it has
+    ``ndim`` dimensions and only finite entries."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
@@ -42,8 +44,8 @@ class TimestampedTriaxial:
     samples: np.ndarray     # (T, 3) in m/s^2
 
     def __post_init__(self):
-        self.timestamps = _as_float_array(self.timestamps, "timestamps", 1)
-        self.samples = _as_float_array(self.samples, "samples", 2)
+        self.timestamps = as_float_array(self.timestamps, "timestamps", 1)
+        self.samples = as_float_array(self.samples, "samples", 2)
         if self.samples.shape[1] != 3:
             raise ValidationError("samples must have 3 columns")
         if len(self.timestamps) != len(self.samples):
@@ -56,23 +58,6 @@ class TimestampedTriaxial:
 
 
 @dataclass
-class TriaxialSeries:
-    """Uniformly sampled 3-axis acceleration."""
-
-    rate: float             # Hz
-    samples: np.ndarray     # (T, 3) in m/s^2
-
-    def __post_init__(self):
-        check_rate(self.rate)
-        self.samples = _as_float_array(self.samples, "samples", 2)
-        if self.samples.shape[1] != 3:
-            raise ValidationError("samples must have 3 columns")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass
 class ScalarSeries:
     """Uniformly sampled one-dimensional feature series."""
 
@@ -81,7 +66,7 @@ class ScalarSeries:
 
     def __post_init__(self):
         check_rate(self.rate)
-        self.values = _as_float_array(self.values, "values", 1)
+        self.values = as_float_array(self.values, "values", 1)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -89,9 +74,6 @@ class ScalarSeries:
     @property
     def times(self) -> np.ndarray:
         return np.arange(len(self.values)) / self.rate
-
-    def with_values(self, values: np.ndarray) -> "ScalarSeries":
-        return ScalarSeries(rate=self.rate, values=values)
 
 
 #: Adherence / violation label codes; labels are 1-D int arrays of them,
@@ -112,9 +94,6 @@ class StateSequence:
             raise ValidationError("indicators must be one-dimensional")
         if np.any(self.indicators < 0):
             raise ValidationError("indicators must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.indicators)
 
     @property
     def occupied(self) -> int:

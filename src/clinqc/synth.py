@@ -22,6 +22,10 @@ from .series import (
 from .swar import ArState, ar_path
 
 GRAVITY = 9.81
+#: Two-cluster separation of the class means, in noise units.
+SEPARATION = 6.0
+#: Amplitude of the gravity-drift scenario's dynamic bursts, in m/s^2.
+BURST_AMPLITUDE = 1.0
 #: Most samples a recording may hold: about 38 min of 44.1 kHz audio.
 MAX_SAMPLES = 10**8
 
@@ -50,8 +54,6 @@ class SynthSpec:
     rate: float              # Hz
     schedule: list[RegimeInterval] = field(default_factory=list)
     noise: float = 0.05
-    separation: float = 6.0  # cluster separation in noise units
-    burst_amplitude: float = 1.0
     jitter: float = 0.0      # timestamp jitter as a fraction of the spacing
     seed: int = 0
 
@@ -66,6 +68,9 @@ class SynthSpec:
             raise ValidationError(
                 f"{self.duration:g} s at {self.rate:g} Hz is more than "
                 f"{MAX_SAMPLES} samples")
+        if self.n_samples < 1:
+            raise ValidationError(
+                f"{self.duration:g} s at {self.rate:g} Hz rounds to 0 samples")
         if not self.schedule:
             states = SCENARIOS[self.scenario]
             edges = np.linspace(0.0, self.duration, len(states) + 1).tolist()
@@ -150,7 +155,7 @@ def gen_gravity_drift(spec: SynthSpec
     burst = z != 0
     phase = 2.0 * np.pi * 4.0 * t
     for axis in range(3):
-        dynamic[burst, axis] = spec.burst_amplitude * np.sin(
+        dynamic[burst, axis] = BURST_AMPLITUDE * np.sin(
             phase[burst] + axis * np.pi / 3.0)
 
     noise = rng.normal(0.0, spec.noise, size=(n, 3)) if spec.noise > 0 else 0.0
@@ -162,7 +167,7 @@ def gen_two_cluster(spec: SynthSpec) -> tuple[ScalarSeries, np.ndarray]:
     """Blockwise two-class signal with Gaussian emissions.
 
     Schedule state 0 is the adherence class; its emission mean sits
-    ``separation`` noise units above the violation mean, matching the
+    ``SEPARATION`` noise units above the violation mean, matching the
     larger-mean-is-adherence orientation of walking and voice tests.
     """
     rng = np.random.default_rng(spec.seed)
@@ -170,7 +175,7 @@ def gen_two_cluster(spec: SynthSpec) -> tuple[ScalarSeries, np.ndarray]:
     if np.any(z > 1):
         raise ValidationError("two-cluster schedules use states 0 and 1 only")
     sigma = spec.noise if spec.noise > 0 else 1.0
-    mean_adherence = spec.separation * sigma
+    mean_adherence = SEPARATION * sigma
     means = np.where(z == 0, mean_adherence, 0.0)
     values = means + rng.normal(0.0, sigma, size=len(z))
     return (ScalarSeries(rate=spec.rate, values=values),

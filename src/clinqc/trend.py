@@ -3,9 +3,10 @@
 The device-orientation component of raw acceleration is modelled as a
 piecewise-linear trend per axis and estimated by L1 trend filtering (Kim,
 Koh, Boyd & Gorinevsky, SIAM Review 2009): half the squared distance to the
-data plus an L1 penalty on second differences of the trend. Each axis is
-solved on its own from a cold start, so an axis's trend does not depend on
-the other axes.
+data plus an L1 penalty on second differences of the trend. The filter
+works on a plain 1-D sequence and never reads a sample rate.
+``remove_gravity`` solves each column of an ``(n, k)`` array on its own
+from a cold start, so a column's trend does not depend on the others.
 
 The solver works on the dual, a box-constrained QP in ``nu``: minimise
 ``0.5 nu^T D D^T nu - (D x)^T nu`` subject to ``|nu_i| <= lam``; the trend is
@@ -18,12 +19,12 @@ solver stops on the primal-dual gap, so the trend it returns comes with a
 certificate of how far its objective is from the optimum. Its settings
 are arguments of ``l1_trend_filter``. scipy is imported on first use.
 
-Memory is one axis's working set. ``l1_trend_filter`` allocates its
+Memory is one column's working set. ``l1_trend_filter`` allocates its
 Newton-step vectors once per call and updates them in place, with the
 same floating-point operations in the same order as the written
 formulas, so it peaks at about 20 float64 a sample. ``remove_gravity``
-subtracts each axis's trend straight into its output and keeps no
-(n, 3) trend.
+subtracts each column's trend straight into its output and keeps no
+(n, k) trend.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import warnings
 import numpy as np
 
 from .errors import ClinQcError, NoConvergenceWarning, ValidationError
-from .series import ScalarSeries, TriaxialSeries
+from .series import as_float_array
 
 
 def _second_difference(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -124,10 +125,10 @@ def check_lambda(lam: float | None) -> None:
         raise ValidationError(f"lambda must be finite and non-negative, got {lam}")
 
 
-def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
+def l1_trend_filter(values: np.ndarray, lam: float | None = None, *,
                     tolerance: float = 1e-6, max_iterations: int = 100,
-                    trace_out: list | None = None) -> ScalarSeries:
-    """Estimate the piecewise-linear trend of a scalar series.
+                    trace_out: list | None = None) -> np.ndarray:
+    """The piecewise-linear trend of ``values``, a finite 1-D sequence.
 
     Minimizes 0.5 * sum (x_t - g_t)^2 + lam * sum |g_{t-1} - 2 g_t + g_{t+1}|
     over interior points; ``lam=None`` selects ``default_lambda``, tuned on
@@ -144,13 +145,13 @@ def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
         raise ValidationError("max_iterations must be >= 1")
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
-    x = series.values
+    x = as_float_array(values, "values", 1)
     n = len(x)
     if n < 3:
         raise ValidationError("trend filtering needs at least 3 samples")
     lam = default_lambda(x) if lam is None else lam
     if lam == 0:
-        return series.with_values(x.copy())
+        return x.copy()
 
     # Solve on the residual of the least-squares affine fit. The affine part
     # is penalty-free and shifts the solution exactly, so this makes the
@@ -278,23 +279,20 @@ def l1_trend_filter(series: ScalarSeries, lam: float | None = None, *,
         warnings.warn("trend filter hit the iteration cap; returning best iterate",
                       NoConvergenceWarning)
     best_g += affine
-    return series.with_values(best_g)
+    return best_g
 
 
-def remove_gravity(series: TriaxialSeries, lam: float | None = None) -> TriaxialSeries:
-    """The gravity-free (dynamic) signal: input - trend, per axis.
+def remove_gravity(samples: np.ndarray, lam: float | None = None) -> np.ndarray:
+    """The gravity-free (dynamic) signal of an ``(n, k)`` array: input -
+    trend, per column.
 
-    Each axis is solved independently: its trend equals
-    ``l1_trend_filter(axis, lam)`` run on that axis alone, and is
-    subtracted straight into that axis of the output. So besides the
-    output only one axis's solver working set is alive at a time.
+    Each column is solved independently: its trend equals
+    ``l1_trend_filter(column, lam)`` run on that column alone, and is
+    subtracted straight into that column of the output. So besides the
+    output only one column's solver working set is alive at a time.
     """
-    if len(series) < 3:
-        raise ValidationError("gravity removal needs at least 3 samples")
-    dynamic = np.empty_like(series.samples)
-    for axis in range(3):
-        values = series.samples[:, axis]
-        trend = l1_trend_filter(ScalarSeries(rate=series.rate, values=values), lam)
-        np.subtract(values, trend.values, out=dynamic[:, axis])
-        del trend    # before the next axis's solve
-    return TriaxialSeries(rate=series.rate, samples=dynamic)
+    samples = as_float_array(samples, "samples", 2)
+    dynamic = np.empty_like(samples)
+    for column, out in zip(samples.T, dynamic.T):
+        np.subtract(column, l1_trend_filter(column, lam), out=out)
+    return dynamic

@@ -539,7 +539,7 @@ class TestExitCodes:
                     "--lambda", "nan", "--out", tmp_path / "feat"]) == 2
         assert "lambda must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_non_finite_classify_rate_exit_2(self, tmp_path, capsys, value):
         counts, labels = tmp_path / "counts.csv", tmp_path / "labels.csv"
         np.savetxt(counts, [[3, 0], [0, 3], [2, 1], [1, 2]], delimiter=",", fmt="%d")
@@ -549,7 +549,7 @@ class TestExitCodes:
         assert run(["classify", tmp_path / "nb.json", counts, "--rate", value,
                     "--out", tmp_path / "pred"]) == 2
         assert "rate must be finite and positive" in capsys.readouterr().err
-        assert not (tmp_path / "pred" / "predictions.csv").exists()
+        assert not (tmp_path / "pred").exists()
 
     def test_infinite_audio_rate_exit_2(self, tmp_path, capsys):
         audio = tmp_path / "audio.csv"
@@ -680,6 +680,20 @@ class TestExitCodes:
                     "--out", tmp_path]) == 2
         assert "rate and duration must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "feature.csv").exists()
+
+    @pytest.mark.parametrize("scenario", list(synth.SCENARIOS))
+    def test_synth_without_samples_exit_2(self, tmp_path, capsys, scenario):
+        assert run(["synth", "--scenario", scenario, "--duration", "0.1",
+                    "--rate", "1", "--out", tmp_path / "out"]) == 2
+        assert "0.1 s at 1 Hz rounds to 0 samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_generation_failure_leaves_no_directory(self, tmp_path, capsys):
+        # one sample passes the spec but not the AR(1) generator
+        assert run(["synth", "--scenario", "switching-ar", "--duration", "1",
+                    "--rate", "1", "--out", tmp_path / "out"]) == 2
+        assert "length must exceed the AR order" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def segment_ar_exit_code(self, tmp_path, capsys):
         run(["synth", "--scenario", "switching-ar", "--duration", "10",

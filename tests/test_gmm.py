@@ -5,8 +5,7 @@ import pytest
 
 from clinqc import gmm, preprocess
 from clinqc.errors import ClinQcError, NoConvergenceWarning, ValidationError
-from clinqc.series import (ADHERENCE, VIOLATION, ScalarSeries, StateSequence,
-                           TriaxialSeries)
+from clinqc.series import ADHERENCE, VIOLATION, ScalarSeries, StateSequence
 
 
 def scalar(values, rate=1.0):
@@ -44,7 +43,7 @@ def walking_like(seed):
     rng = np.random.default_rng(seed)
     moving = alternating_blocks(rng, 72_000, 1200, 3600)
     accel = rng.normal(size=(72_000, 3)) * np.where(moving, 2.0, 0.05)[:, None]
-    feature = preprocess.log_magnitude(TriaxialSeries(rate=120.0, samples=accel))
+    feature = ScalarSeries(rate=120.0, values=preprocess.log_magnitude(accel))
     return preprocess.downsample(preprocess.lowpass_filter(feature, 15.0), 4).values
 
 

@@ -5,11 +5,7 @@ import pytest
 
 from clinqc import preprocess
 from clinqc.errors import ValidationError
-from clinqc.series import ScalarSeries, TimestampedTriaxial, TriaxialSeries
-
-
-def triaxial(values, rate=120.0):
-    return TriaxialSeries(rate=rate, samples=np.asarray(values, dtype=float))
+from clinqc.series import ScalarSeries, TimestampedTriaxial
 
 
 class TestInterpolateUniform:
@@ -18,8 +14,7 @@ class TestInterpolateUniform:
         samples = np.column_stack([np.sin(t), np.cos(t), t])
         raw = TimestampedTriaxial(timestamps=t, samples=samples)
         out = preprocess.interpolate_uniform(raw, 120.0)
-        assert out.rate == 120.0
-        assert np.max(np.abs(out.samples - samples)) < 1e-9
+        assert np.max(np.abs(out - samples)) < 1e-9
 
     def test_jittered_sine_recovered(self):
         rng = np.random.default_rng(7)
@@ -30,7 +25,7 @@ class TestInterpolateUniform:
         out = preprocess.interpolate_uniform(raw, 120.0)
         grid = t[0] + np.arange(len(out)) / 120.0
         interior = (grid > t[0] + 0.2) & (grid < t[-1] - 0.2)
-        err = np.abs(out.samples[interior, 0] - np.sin(2 * np.pi * grid[interior]))
+        err = np.abs(out[interior, 0] - np.sin(2 * np.pi * grid[interior]))
         assert err.max() < 1e-3
 
     def test_exact_on_cubics(self):
@@ -41,13 +36,20 @@ class TestInterpolateUniform:
         out = preprocess.interpolate_uniform(raw, 77.0)
         grid = t[0] + np.arange(len(out)) / 77.0
         expected = 0.3 * grid**3 - grid**2 + 2 * grid - 1
-        assert np.max(np.abs(out.samples[:, 0] - expected)) < 1e-9
+        assert np.max(np.abs(out[:, 0] - expected)) < 1e-9
 
     def test_no_extrapolation(self):
         t = np.array([0.0, 0.11, 0.21, 0.33, 0.45])
         raw = TimestampedTriaxial(timestamps=t, samples=np.zeros((5, 3)))
         out = preprocess.interpolate_uniform(raw, 10.0)
         assert t[0] + (len(out) - 1) / 10.0 <= t[-1] + 1e-12
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        t = np.arange(10) / 10.0
+        raw = TimestampedTriaxial(timestamps=t, samples=np.zeros((10, 3)))
+        with pytest.raises(ValidationError, match="rate must be finite and positive"):
+            preprocess.interpolate_uniform(raw, rate)
 
     def test_too_few_samples(self):
         raw = TimestampedTriaxial(timestamps=np.array([0.0, 0.1, 0.2]),
@@ -83,7 +85,7 @@ class TestInterpolateUniformMatchesCubicSpline:
         samples = np.cumsum(rng.normal(size=(6000, 3)), axis=0)
         raw = TimestampedTriaxial(timestamps=t, samples=samples)
         out = preprocess.interpolate_uniform(raw, 120.0)
-        assert np.array_equal(out.samples, cubic_spline_oracle(raw, 120.0))
+        assert np.array_equal(out, cubic_spline_oracle(raw, 120.0))
 
     def test_random_irregular_grids(self):
         rng = np.random.default_rng(5)
@@ -94,7 +96,7 @@ class TestInterpolateUniformMatchesCubicSpline:
             rate = float(rng.uniform(0.2, 20) * n / (t[-1] - t[0]))
             raw = TimestampedTriaxial(timestamps=t, samples=samples)
             out = preprocess.interpolate_uniform(raw, rate)
-            assert np.array_equal(out.samples, cubic_spline_oracle(raw, rate))
+            assert np.array_equal(out, cubic_spline_oracle(raw, rate))
 
     def test_four_samples(self):
         t = np.array([0.0, 0.13, 0.2, 0.41])
@@ -102,7 +104,7 @@ class TestInterpolateUniformMatchesCubicSpline:
                                   samples=np.array([[1.0, -2.0, 0.5], [0.3, 4.0, 2.0],
                                                     [-1.0, 0.0, 1.0], [2.0, 1.0, -3.0]]))
         out = preprocess.interpolate_uniform(raw, 50.0)
-        assert np.array_equal(out.samples, cubic_spline_oracle(raw, 50.0))
+        assert np.array_equal(out, cubic_spline_oracle(raw, 50.0))
 
     def test_grid_ends_on_last_timestamp(self):
         t = np.array([0.0, 0.07, 0.25, 0.3, 0.42, 0.5])
@@ -110,22 +112,22 @@ class TestInterpolateUniformMatchesCubicSpline:
         raw = TimestampedTriaxial(timestamps=t, samples=samples)
         out = preprocess.interpolate_uniform(raw, 10.0)
         assert t[0] + (len(out) - 1) / 10.0 == t[-1]
-        assert np.array_equal(out.samples, cubic_spline_oracle(raw, 10.0))
-        assert np.allclose(out.samples[-1], samples[-1], rtol=0, atol=1e-12)
+        assert np.array_equal(out, cubic_spline_oracle(raw, 10.0))
+        assert np.allclose(out[-1], samples[-1], rtol=0, atol=1e-12)
 
 
 class TestMagnitude:
     def test_pythagorean(self):
-        out = preprocess.magnitude(triaxial([[3.0, 4.0, 0.0]]))
-        assert out.values[0] == pytest.approx(5.0)
+        out = preprocess.magnitude(np.array([[3.0, 4.0, 0.0]]))
+        assert out[0] == pytest.approx(5.0)
 
     def test_zero(self):
-        out = preprocess.magnitude(triaxial([[0.0, 0.0, 0.0]]))
-        assert out.values[0] == 0.0
+        out = preprocess.magnitude(np.array([[0.0, 0.0, 0.0]]))
+        assert out[0] == 0.0
 
     def test_stationary_gravity(self):
-        out = preprocess.magnitude(triaxial([[0.0, 0.0, 9.81]] * 10))
-        assert np.allclose(out.values, 9.81)
+        out = preprocess.magnitude(np.array([[0.0, 0.0, 9.81]] * 10))
+        assert np.allclose(out, 9.81)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(3)
@@ -133,23 +135,33 @@ class TestMagnitude:
         # random rotation via QR
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rotated = samples @ q.T
-        a = preprocess.magnitude(triaxial(samples)).values
-        b = preprocess.magnitude(triaxial(rotated)).values
+        a = preprocess.magnitude(samples)
+        b = preprocess.magnitude(rotated)
         assert np.max(np.abs(a - b)) < 1e-9
+
+    @pytest.mark.parametrize("reduce", [preprocess.magnitude, preprocess.log_magnitude])
+    def test_rejects_1d(self, reduce):
+        with pytest.raises(ValidationError, match="samples must be 2-dimensional"):
+            reduce(np.array([3.0, 4.0, 0.0]))
+
+    @pytest.mark.parametrize("reduce", [preprocess.magnitude, preprocess.log_magnitude])
+    def test_rejects_non_finite(self, reduce):
+        with pytest.raises(ValidationError, match="samples contains non-finite"):
+            reduce(np.array([[3.0, np.inf, 0.0]]))
 
 
 class TestLogMagnitude:
     def test_power_of_ten(self):
-        out = preprocess.log_magnitude(triaxial([[10.0, 0.0, 0.0]]))
-        assert out.values[0] == pytest.approx(1.0)
+        out = preprocess.log_magnitude(np.array([[10.0, 0.0, 0.0]]))
+        assert out[0] == pytest.approx(1.0)
 
     def test_floor_engages(self):
-        out = preprocess.log_magnitude(triaxial([[0.0, 0.0, 0.0]]))
-        assert out.values[0] == pytest.approx(-6.0)
+        out = preprocess.log_magnitude(np.array([[0.0, 0.0, 0.0]]))
+        assert out[0] == pytest.approx(-6.0)
 
     def test_gravity_magnitude(self):
-        out = preprocess.log_magnitude(triaxial([[0.0, 0.0, 9.81]]))
-        assert out.values[0] == pytest.approx(np.log10(9.81), abs=1e-5)
+        out = preprocess.log_magnitude(np.array([[0.0, 0.0, 9.81]]))
+        assert out[0] == pytest.approx(np.log10(9.81), abs=1e-5)
 
 
 class TestWindowedEnergy:

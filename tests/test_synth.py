@@ -24,7 +24,9 @@ class TestSynthSpec:
         durations += np.random.default_rng(0).uniform(0.1, 1e4, size=200).tolist()
         for scenario, states in visits.items():
             for duration in durations:
-                spec = SynthSpec(scenario=scenario, duration=duration, rate=30.0)
+                # at least one sample, which 1e-3 s at 30 Hz does not hold
+                spec = SynthSpec(scenario=scenario, duration=duration,
+                                 rate=max(30.0, 1.0 / duration))
                 step = duration / len(states)
                 edges = [k * step for k in range(len(states))] + [duration]
                 assert [(iv.state, iv.start, iv.end) for iv in spec.schedule] == list(
@@ -73,6 +75,12 @@ class TestSynthSpec:
     def test_too_many_samples(self, duration, rate):
         # rejected while the spec is built, before any array is allocated
         with pytest.raises(ValidationError, match="more than 100000000 samples"):
+            SynthSpec(scenario="two-cluster", duration=duration, rate=rate)
+
+    @pytest.mark.parametrize("duration, rate", [(0.1, 1.0), (0.5, 1.0), (1e-9, 120.0)])
+    def test_no_samples(self, duration, rate):
+        # every reader rejects a table without data rows
+        with pytest.raises(ValidationError, match="rounds to 0 samples"):
             SynthSpec(scenario="two-cluster", duration=duration, rate=rate)
 
     def test_sample_cap_itself_accepted(self):
@@ -201,7 +209,7 @@ class TestGenGravityDrift:
         z = spec.states_per_sample()
         assert np.all(dynamic[z == 0] == 0.0)
         assert np.abs(dynamic[z != 0]).max() == pytest.approx(
-            spec.burst_amplitude, abs=0.01)
+            synth.BURST_AMPLITUDE, abs=0.01)
 
     def test_jitter_perturbs_timestamps_monotonically(self):
         spec = SynthSpec(scenario="gravity-drift", duration=5.0, rate=120.0,
@@ -223,7 +231,7 @@ class TestGenTwoCluster:
 
     def test_separation_in_noise_units(self):
         spec = SynthSpec(scenario="two-cluster", duration=200.0, rate=10.0,
-                         noise=0.5, separation=6.0,
+                         noise=0.5,
                          schedule=[RegimeInterval(0, 0.0, 100.0),
                                    RegimeInterval(1, 100.0, 200.0)], seed=2)
         series, labels = synth.gen_two_cluster(spec)

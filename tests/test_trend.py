@@ -5,7 +5,6 @@ import pytest
 
 from clinqc.errors import ClinQcError, NoConvergenceWarning, ValidationError
 from clinqc.preprocess import interpolate_uniform
-from clinqc.series import ScalarSeries, TriaxialSeries
 from clinqc.synth import RegimeInterval, SynthSpec, gen_gravity_drift
 from clinqc.trend import (
     _ddt_banded,
@@ -14,10 +13,6 @@ from clinqc.trend import (
     l1_trend_filter,
     remove_gravity,
 )
-
-
-def series(values, rate=1.0):
-    return ScalarSeries(rate=rate, values=np.asarray(values, dtype=float))
 
 
 def reference_l1_trend_filter(x, lam, tolerance=1e-6, max_iterations=100):
@@ -102,7 +97,7 @@ def reference_l1_trend_filter(x, lam, tolerance=1e-6, max_iterations=100):
 @pytest.fixture(scope="module")
 def walking_axis(walking_raw):
     """The first axis of the walking-size recording on its uniform grid."""
-    return interpolate_uniform(walking_raw, 120.0).samples[:, 0].copy()
+    return interpolate_uniform(walking_raw, 120.0)[:, 0].copy()
 
 
 class TestDdtBanded:
@@ -126,11 +121,37 @@ class TestTrendFilterConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, field, name, value):
         with pytest.raises(ValidationError, match=name):
-            l1_trend_filter(series(np.arange(10.0)), **{field: value})
+            l1_trend_filter(np.arange(10.0), **{field: value})
 
     def test_iteration_cap_below_one_rejected(self):
         with pytest.raises(ValidationError, match="max_iterations must be >= 1"):
-            l1_trend_filter(series(np.arange(10.0)), max_iterations=0)
+            l1_trend_filter(np.arange(10.0), max_iterations=0)
+
+
+class TestInputArrays:
+    """The trend filter takes a finite 1-D array, gravity removal a finite
+    2-D one."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_trend_filter_rejects_non_finite(self, value):
+        x = np.arange(10.0)
+        x[4] = value
+        with pytest.raises(ValidationError, match="values contains non-finite"):
+            l1_trend_filter(x)
+
+    def test_trend_filter_rejects_2d(self):
+        with pytest.raises(ValidationError, match="values must be 1-dimensional"):
+            l1_trend_filter(np.zeros((10, 3)))
+
+    def test_remove_gravity_rejects_1d(self):
+        with pytest.raises(ValidationError, match="samples must be 2-dimensional"):
+            remove_gravity(np.arange(10.0))
+
+    def test_remove_gravity_rejects_non_finite(self):
+        samples = np.zeros((10, 3))
+        samples[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="samples contains non-finite"):
+            remove_gravity(samples)
 
 
 class TestL1TrendFilter:
@@ -138,46 +159,45 @@ class TestL1TrendFilter:
         t = np.arange(200.0)
         x = 2 * t + 1
         for lam in (0.0, 1.0, 100.0):
-            out = l1_trend_filter(series(x), lam)
-            assert np.max(np.abs(out.values - x)) < 1e-9
+            out = l1_trend_filter(x, lam)
+            assert np.max(np.abs(out - x)) < 1e-9
 
     def test_lambda_zero_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=50)
-        out = l1_trend_filter(series(x), 0.0)
-        assert np.array_equal(out.values, x)
+        out = l1_trend_filter(x, 0.0)
+        assert np.array_equal(out, x)
 
     def test_kink_recovery_and_oracle(self, trend_filter_oracle):
         rng = np.random.default_rng(42)
         t = np.arange(500.0)
         truth = np.where(t < 250, 0.02 * t, 5.0 - 0.01 * (t - 250))
         x = truth + rng.normal(0, 0.05, size=500)
-        out = l1_trend_filter(series(x), 50.0, tolerance=1e-8)
-        assert np.max(np.abs(out.values - truth)) < 0.1
+        out = l1_trend_filter(x, 50.0, tolerance=1e-8)
+        assert np.max(np.abs(out - truth)) < 0.1
 
         # small-scale oracle comparison
         x50 = x[:50]
         _, oracle_obj = trend_filter_oracle(x50, 5.0)
-        ours = l1_trend_filter(series(x50), 5.0, tolerance=1e-12,
-                               max_iterations=50_000)
-        assert _objective(x50, ours.values, 5.0) <= oracle_obj + 1e-6
+        ours = l1_trend_filter(x50, 5.0, tolerance=1e-12, max_iterations=50_000)
+        assert _objective(x50, ours, 5.0) <= oracle_obj + 1e-6
 
     def test_default_settings_reach_oracle(self, trend_filter_oracle):
         rng = np.random.default_rng(1)
         x = np.cumsum(rng.normal(size=200))
         _, oracle_obj = trend_filter_oracle(x, default_lambda(x))
-        ours = l1_trend_filter(series(x))
-        assert _objective(x, ours.values, default_lambda(x)) <= oracle_obj * (1 + 1e-6)
+        ours = l1_trend_filter(x)
+        assert _objective(x, ours, default_lambda(x)) <= oracle_obj * (1 + 1e-6)
 
     def test_too_short(self):
         with pytest.raises(ValidationError, match="trend filtering needs at least 3 samples"):
-            l1_trend_filter(series([1.0, 2.0]))
+            l1_trend_filter([1.0, 2.0])
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(4)
         x = np.cumsum(rng.normal(size=200))
         trace = []
-        l1_trend_filter(series(x), 10.0, trace_out=trace)
+        l1_trend_filter(x, 10.0, trace_out=trace)
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs <= 1e-12)
 
@@ -185,21 +205,21 @@ class TestL1TrendFilter:
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.normal(size=300))
         trace = []
-        out = l1_trend_filter(series(x), 10.0, trace_out=trace)
-        assert trace[-1] == pytest.approx(_objective(x, out.values, 10.0), rel=1e-9)
+        out = l1_trend_filter(x, 10.0, trace_out=trace)
+        assert trace[-1] == pytest.approx(_objective(x, out, 10.0), rel=1e-9)
 
     def test_trace_out_is_keyword_only(self):
         with pytest.raises(TypeError, match="positional argument"):
-            l1_trend_filter(series(np.arange(10.0)), 1.0, 1e-6, 100, [])
+            l1_trend_filter(np.arange(10.0), 1.0, 1e-6, 100, [])
 
     def test_iteration_cap_warns_and_returns_best_iterate(self):
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.normal(size=300))
         trace = []
         with pytest.warns(NoConvergenceWarning):
-            out = l1_trend_filter(series(x), 10.0, max_iterations=1, trace_out=trace)
+            out = l1_trend_filter(x, 10.0, max_iterations=1, trace_out=trace)
         assert len(trace) == 1
-        assert trace[-1] == pytest.approx(_objective(x, out.values, 10.0), rel=1e-9)
+        assert trace[-1] == pytest.approx(_objective(x, out, 10.0), rel=1e-9)
 
     @pytest.mark.parametrize("values", [0.3 * np.arange(100.0) - 2.0, np.full(100, 9.81)],
                              ids=["affine", "constant"])
@@ -207,25 +227,24 @@ class TestL1TrendFilter:
         trace = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = l1_trend_filter(series(values), 10.0, trace_out=trace)
+            out = l1_trend_filter(values, 10.0, trace_out=trace)
         assert len(trace) == 1
-        assert np.max(np.abs(out.values - values)) < 1e-9
+        assert np.max(np.abs(out - values)) < 1e-9
 
     def test_affine_shift_moves_trend_only(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=300)
         t = np.arange(300.0)
         cfg = dict(lam=20.0, tolerance=1e-11, max_iterations=20_000)
-        base = l1_trend_filter(series(x), **cfg).values
-        shifted = l1_trend_filter(series(x + 0.3 * t - 2.0), **cfg).values
+        base = l1_trend_filter(x, **cfg)
+        shifted = l1_trend_filter(x + 0.3 * t - 2.0, **cfg)
         assert np.max(np.abs(shifted - (base + 0.3 * t - 2.0))) < 1e-6
 
     def test_large_lambda_affine_limit(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=200) * 2.0
         lam = 1e6 * np.std(x)
-        out = l1_trend_filter(series(x), lam, tolerance=1e-12,
-                              max_iterations=50_000).values
+        out = l1_trend_filter(x, lam, tolerance=1e-12, max_iterations=50_000)
         # affine within 1e-3: second differences vanish
         assert np.max(np.abs(np.diff(out, 2))) < 1e-3
 
@@ -235,15 +254,15 @@ class TestOverflow:
         # every objective overflows to inf, so no iterate is ever the best
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ClinQcError, match="objective is not finite"):
-            l1_trend_filter(series([0.0, 1e200, 0.0, -1e200, 0.0]))
+            l1_trend_filter([0.0, 1e200, 0.0, -1e200, 0.0])
 
 
 class TestRemoveGravity:
     def test_constant_input(self):
         samples = np.tile([0.0, 0.0, 9.81], (100, 1))
-        dynamic = remove_gravity(TriaxialSeries(rate=120.0, samples=samples), 5.0)
+        dynamic = remove_gravity(samples, 5.0)
         # the trend, input - dynamic, is the input within 1e-6
-        assert np.max(np.abs(dynamic.samples)) < 1e-6
+        assert np.max(np.abs(dynamic)) < 1e-6
 
     def test_drift_plus_sinusoid(self):
         rate = 120.0
@@ -251,11 +270,11 @@ class TestRemoveGravity:
         drift = np.column_stack([9.81 - 0.01 * t, 0.005 * t, 0.2 + 0.002 * t])
         sinusoid = 0.8 * np.sin(2 * np.pi * 4.0 * t)
         samples = drift + sinusoid[:, None]
-        dynamic = remove_gravity(TriaxialSeries(rate=rate, samples=samples), 400.0)
-        trend = samples - dynamic.samples
+        dynamic = remove_gravity(samples, 400.0)
+        trend = samples - dynamic
         rms = lambda v: np.sqrt(np.mean(v**2))
         for axis in range(3):
-            dyn = dynamic.samples[:, axis]
+            dyn = dynamic[:, axis]
             assert rms(dyn) >= 0.9 * rms(sinusoid)
             trend_err = trend[:, axis] - drift[:, axis]
             assert rms(trend_err) < 0.05 * rms(drift[:, axis] - drift[:, axis].mean() + 1e-9) + 0.05
@@ -269,15 +288,14 @@ class TestRemoveGravity:
         raw, _, _ = gen_gravity_drift(spec)
         uniform = interpolate_uniform(raw, spec.rate)
         dynamic = remove_gravity(uniform)
-        assert dynamic.rate == uniform.rate
         for axis in range(3):
-            axis_values = uniform.samples[:, axis]
-            alone = l1_trend_filter(series(axis_values, uniform.rate))
-            assert np.array_equal(dynamic.samples[:, axis], axis_values - alone.values)
+            axis_values = uniform[:, axis]
+            alone = l1_trend_filter(axis_values)
+            assert np.array_equal(dynamic[:, axis], axis_values - alone)
 
     def test_too_short(self):
-        with pytest.raises(ValidationError, match="gravity removal needs at least 3 samples"):
-            remove_gravity(TriaxialSeries(rate=10.0, samples=np.zeros((2, 3))))
+        with pytest.raises(ValidationError, match="trend filtering needs at least 3 samples"):
+            remove_gravity(np.zeros((2, 3)))
 
 
 class TestReferenceEquality:
@@ -304,8 +322,8 @@ class TestReferenceEquality:
         trace = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = l1_trend_filter(series(x, 120.0), lam, trace_out=trace, **settings)
-        assert np.array_equal(out.values, expected)
+            out = l1_trend_filter(x, lam, trace_out=trace, **settings)
+        assert np.array_equal(out, expected)
         assert trace == expected_trace
         assert len(caught) == (0 if converged else 1)
         if case == "walking axis":
@@ -318,13 +336,13 @@ class TestWorkingSet:
     in float64 a sample."""
 
     def test_trend_filter_peaks_at_most_22_per_sample(self, walking_axis, traced_peak):
-        l1_trend_filter(series(walking_axis[:100]))  # loads scipy.linalg first
-        out, peak = traced_peak(l1_trend_filter, series(walking_axis, 120.0))
+        l1_trend_filter(walking_axis[:100])  # loads scipy.linalg first
+        out, peak = traced_peak(l1_trend_filter, walking_axis)
         assert peak <= 22 * 8 * len(out)
 
     def test_remove_gravity_peaks_at_most_25_per_sample(self, walking_raw, traced_peak):
         # the output's 3 float64 a sample and one axis's solver
         uniform = interpolate_uniform(walking_raw, 120.0)
-        remove_gravity(TriaxialSeries(rate=120.0, samples=uniform.samples[:100]))
+        remove_gravity(uniform[:100])
         out, peak = traced_peak(remove_gravity, uniform)
         assert peak <= 25 * 8 * len(out)
