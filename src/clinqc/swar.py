@@ -14,7 +14,14 @@ steps (block transfer matrices, messages at the block ends, then every
 block's messages at once), so a sweep takes about 3 sqrt(n) numpy steps
 instead of n. Its messages match the sequential recursion to rounding, and
 the draws equal the sequential recursion's unless a rounding difference at
-the 1e-16 level moves a uniform across a cumulative weight.
+the 1e-16 level moves a uniform across a cumulative weight. A state is
+closed when no other state moves into it: the Dirichlet draws of states
+that hold no data underflow to exact zeros, so most of the L states are
+closed once the chain settles. A closed state's column of a block transfer
+matrix is a known unit vector times a running product, so the filter
+builds only the open states' columns. Emission likelihoods, the forward
+table's weights and its cumulative sums are state-major, (L, n), so the
+sums over the L states are contiguous row adds.
 """
 from __future__ import annotations
 
@@ -190,14 +197,13 @@ def _design(values: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _loglik_matrix(model: SwitchingArModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-time, per-state emission log-likelihoods, shape (T - r, L)."""
-    n = len(y)
-    out = np.empty((n, model.truncation))
+    """Per-state, per-time emission log-likelihoods, shape (L, T - r)."""
+    out = np.empty((model.truncation, len(y)))
     for k, st in enumerate(model.states):
         w = np.concatenate([st.coefficients, [st.mean]])
         resid = y - X @ w
-        out[:, k] = (-0.5 * (_LOG_2PI + np.log(st.variance))
-                     - 0.5 * resid ** 2 / st.variance)
+        out[k] = (-0.5 * (_LOG_2PI + np.log(st.variance))
+                  - 0.5 * resid ** 2 / st.variance)
     return out
 
 
@@ -208,65 +214,85 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Jointly sample the chain by backward filtering / forward sampling.
 
-    The chain starts from the global weights ``beta``. Per-time likelihoods
-    are max-shifted before exponentiation and the backward messages are
-    renormalized every step; ``_backward_messages`` computes them in three
-    passes over blocks of about sqrt(n) steps. The forward pass looks each
-    draw up in a table: per block of steps and previous state j, one
-    vectorized pass draws the next state of every step in the block, the
-    first time the chain is in j within that block. Draws equal those of
+    ``loglik`` is state-major, shape (L, n), as ``_loglik_matrix`` returns
+    it. The chain starts from the global weights ``beta``. Per-time
+    likelihoods are max-shifted before exponentiation and the backward
+    messages are renormalized every step; ``_backward_messages`` computes
+    them in three passes over blocks of about sqrt(n) steps. The forward
+    pass looks each draw up in a table: per block of steps and previous
+    state j, one vectorized pass draws the next state of every step in the
+    block, the first time the chain is in j within that block, and the
+    path is filled one run of equal draws at a time. Draws equal those of
     the sequential recursion ``m_t = pi @ (lik_{t+1} * m_{t+1}) / total``
     unless a rounding difference at the 1e-16 level moves a uniform across
     a cumulative weight.
     """
-    n, L = loglik.shape
-    shift = loglik.max(axis=1, keepdims=True)
+    L, n = loglik.shape
+    shift = loglik.max(axis=0)
     if not np.all(np.isfinite(shift)):
         raise ClinQcError("emission likelihoods are not finite")
-    lik = np.exp(loglik - shift)
+    lik = np.subtract(loglik, shift, order="C")
+    np.exp(lik, out=lik)
     pi = model.transitions
-    messages = _backward_messages(lik, pi)
+    weights = np.multiply(lik, _backward_messages(lik, pi).T, out=lik)
     uniforms = rng.random(n)
-    weights = lik * messages
-    state = _draw_column(weights[:1], model.beta, uniforms[:1])[0]
+    state = _draw_column(weights[:, :1], model.beta, uniforms[:1])[0]
     if state < 0:
         raise ClinQcError("all state probabilities underflowed")
-    path = [state]
+    path = np.empty(n, dtype=int)
+    path[0] = state
     for start in range(1, n, _BLOCK):
-        block = slice(start, min(start + _BLOCK, n))
-        block_weights, block_uniforms = weights[block], uniforms[block]
-        table = [None] * L
-        for i in range(len(block_uniforms)):
-            column = table[state]
-            if column is None:
-                column = table[state] = _draw_column(block_weights, pi[state],
-                                                     block_uniforms)
-            state = column[i]
+        stop = min(start + _BLOCK, n)
+        block_weights, block_uniforms = weights[:, start:stop], uniforms[start:stop]
+        # per previous state: its column of draws and the steps where the
+        # draw leaves that state
+        table = {}
+        t = start
+        while t < stop:
+            if state not in table:
+                column = _draw_column(block_weights, pi[state], block_uniforms)
+                table[state] = column, np.flatnonzero(column != state) + start
+            column, exits = table[state]
+            leave = exits.searchsorted(t)
+            leave = exits[leave] if leave < len(exits) else stop
+            path[t:leave] = state
+            if leave == stop:
+                break
+            state = int(column[leave - start])
             if state < 0:
                 raise ClinQcError("all state probabilities underflowed")
-            path.append(state)
-    return np.array(path, dtype=int)
+            path[leave] = state
+            t = leave + 1
+    return path
 
 
 def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Normalized backward messages ``m_t ~ pi @ (lik[t+1] * m_{t+1})``.
+    """Normalized backward messages ``m_t ~ pi @ (lik[:, t+1] * m_{t+1})``.
 
-    ``m_{n-1}`` is all ones. The n - 1 steps are cut into blocks of
-    B = ceil(sqrt(n - 1)) steps, the first block taking the remainder, and
-    run in three passes of about sqrt(n) numpy steps each:
+    ``lik`` is state-major, shape (L, n); the messages come back
+    time-major, shape (n, L), and ``m_{n-1}`` is all ones. The n - 1 steps
+    are cut into blocks of B = ceil(sqrt(n - 1)) steps, the first block
+    taking the remainder, and run in three passes of about sqrt(n) numpy
+    steps each:
 
     1. For every block but the first, at once, the transfer matrix P (the
        product of the block's ``pi @ diag(lik)`` factors, which maps the
        message at the block's end to the one at its start) is built from
-       the identity in B steps. The columns of all the blocks' P sit side
-       by side in one ``(L, (blocks - 1) * L)`` array, so each step is one
-       contiguous ``(L, L) @ (L, (blocks - 1) * L)`` product. Every column
-       is renormalized by its total at every step and the logs of the
-       totals are summed; a column whose total is 0 stays zero with
-       log-scale -inf (a dead state, not an error).
+       the identity in B steps. Only the columns of open states are built.
+       A state j is closed when no other state moves into it (``pi[i, j]
+       == 0`` for every i != j): its column of every factor is
+       ``pi[j, j] * lik[j] * e_j``, so its column of P stays e_j and its
+       log-scale is the running sum of ``log(pi[j, j] * lik[j])``, -inf
+       once that product underflows to 0. The E open columns of all the
+       blocks' P sit side by side in one ``(L, (blocks - 1) * E)`` array,
+       so each step is one contiguous ``(L, L) @ (L, (blocks - 1) * E)``
+       product. Every column is renormalized by its total at every step
+       and the logs of the totals are summed; a column whose total is 0
+       stays zero with log-scale -inf (a dead state, not an error).
     2. From the last block back, the message at each block's start is the
        sum of its P columns weighted by ``exp(log m + logscale - max)``,
-       with m the message at the block's end.
+       with m the message at the block's end; each block's L x L matrix
+       is its open columns beside the closed states' e_j.
     3. Every block at once fills its messages by the sequential recursion,
        starting from the message at its end.
 
@@ -275,7 +301,7 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
     empty states) into normal numbers, which multiply far faster. A
     message whose total is 0 or not finite raises ``ClinQcError``.
     """
-    n, L = lik.shape
+    L, n = lik.shape
     messages = np.empty((n, L))
     messages[n - 1] = 1.0
     steps = n - 1
@@ -287,41 +313,54 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
     # block b >= 1 runs from message first + (b-1)*width to first + b*width
     pi = np.ldexp(pi, 64)
     ones = np.ones(L)
+    entered = pi != 0
+    np.fill_diagonal(entered, False)
+    is_open = entered.any(axis=0)
+    closed = ~is_open
 
     with np.errstate(divide="ignore"):        # log(0) = -inf marks a dead column
-        # pass 1: columns[:, i, b - 1] is column i of block b's P
-        columns = np.repeat(np.eye(L)[:, :, None], blocks - 1, axis=2)
+        # pass 1: columns[:, e, b - 1] is open column e of block b's P
+        columns = np.repeat(np.eye(L)[:, is_open, None], blocks - 1, axis=2)
         flat = columns.reshape(L, -1)
         product = np.empty_like(flat)
         total = np.empty(flat.shape[1])
-        logscale = np.zeros(flat.shape[1])
-        # step_lik[k, :, 0, b - 1] = lik[first + b*width - k]: step k of
-        # every block, counted from the block's end
-        tail = lik[first + 1:].reshape(blocks - 1, width, L)
-        step_lik = tail[:, ::-1].transpose(1, 2, 0)[:, :, None, :].copy()
+        open_scale = np.zeros(flat.shape[1])
+        # closed_steps[c, t] = log(pi_cc * lik[c, t]) for each closed state c
+        closed_steps = lik[closed]
+        closed_steps *= np.diagonal(pi)[closed][:, None]
+        np.log(closed_steps, out=closed_steps)
+        closed_scale = np.zeros((len(closed_steps), blocks - 1))
         for k in range(width):
-            np.multiply(columns, step_lik[k], out=columns)
+            # step k of every block b, counted from its end: t = first + b*width - k
+            step = slice(first + width - k, steps - k + 1, width)
+            np.multiply(columns, lik[:, None, step], out=columns)
             np.matmul(pi, flat, out=product)
             np.matmul(ones, product, out=total)
-            logscale += np.log(total)
+            open_scale += np.log(total)
             total[total == 0] = 1.0           # a dead column stays zero
             np.divide(product, total, out=flat)
+            closed_scale += closed_steps[:, step]
+        del closed_steps
+        logscale = np.empty((L, blocks - 1))
+        logscale[is_open] = open_scale.reshape(columns.shape[1:])
+        logscale[closed] = closed_scale
         # pass 2: the message at each block's start, from the last block back
-        logscale = logscale.reshape(L, -1)
+        transfer = np.eye(L)
         for b in range(blocks - 1, 0, -1):
             log_weight = np.log(messages[first + b * width]) + logscale[:, b - 1]
             top = log_weight.max()
             if not np.isfinite(top):
                 raise ClinQcError("backward message underflowed")
-            msg = columns[:, :, b - 1] @ np.exp(log_weight - top)
+            transfer[:, is_open] = columns[:, :, b - 1]
+            msg = transfer @ np.exp(log_weight - top)
             messages[first + (b - 1) * width] = msg / msg.sum()
     # pass 3: the recursion inside every block at once, last step first
     for k in range(width):
         lo = first - 1 - k
         if lo < 0:                             # the first block is filled
             lo += width
-        msg = np.multiply(lik[lo + 1: steps - k + 1: width],
-                          messages[lo + 1: steps - k + 1: width]) @ pi.T
+        rows = slice(lo + 1, steps - k + 1, width)
+        msg = np.multiply(lik[:, rows].T, messages[rows], order="C") @ pi.T
         total = msg @ ones
         if not (total.min() > 0 and total.max() < np.inf):
             raise ClinQcError("backward message underflowed")
@@ -330,20 +369,25 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def _draw_column(weights: np.ndarray, row: np.ndarray,
-                 uniforms: np.ndarray) -> list[int]:
-    """One categorical draw per step from ``weights[t] * row``.
+                 uniforms: np.ndarray) -> np.ndarray:
+    """One categorical draw per step from ``weights[:, t] * row``.
 
-    Draw t is ``searchsorted(cum, u_t * cum[-1], side="right")`` capped at
-    L - 1 with ``cum = cumsum(weights[t] * row)``: the number of the first
-    L - 1 cumulative weights at most u_t times the total, as they never
-    decrease. A step whose total is not positive and finite draws -1.
+    ``weights`` is state-major, shape (L, m). Draw t is
+    ``searchsorted(cum, u_t * cum[-1], side="right")`` capped at L - 1 with
+    ``cum = cumsum(weights[:, t] * row)``: the number of the first L - 1
+    cumulative weights at most u_t times the total, as they never
+    decrease. The cumulative sums run as L - 1 row adds, in the order
+    ``np.cumsum`` adds. A step whose total is not positive and finite
+    draws -1.
     """
     last = len(row) - 1
-    cum = np.add.accumulate(weights * row, axis=1)
-    total = cum[:, last]
-    picks = (cum[:, :last] <= (uniforms * total)[:, None]).sum(axis=1)
+    cum = weights * row[:, None]
+    for k in range(last):
+        np.add(cum[k], cum[k + 1], out=cum[k + 1])
+    total = cum[last]
+    picks = (cum[:last] <= uniforms * total).sum(axis=0)
     picks[~((total > 0) & (total < np.inf))] = -1
-    return picks.tolist()
+    return picks
 
 
 def _transition_counts(z: np.ndarray, L: int) -> np.ndarray:
@@ -402,12 +446,11 @@ def _sample_emission(X: np.ndarray, y: np.ndarray, prior: ArPrior, order: int,
     With no data this is a draw from the prior.
     """
     d = order + 1
-    v0_inv = np.eye(d) / prior.coef_scale ** 2
     if len(y) == 0:
         variance = 1.0 / rng.gamma(prior.shape, 1.0 / prior.scale)
         w = np.sqrt(variance * prior.coef_scale ** 2) * rng.standard_normal(d)
     else:
-        vn_inv = v0_inv + X.T @ X
+        vn_inv = np.eye(d) / prior.coef_scale ** 2 + X.T @ X
         vn = np.linalg.inv(vn_inv)
         wn = vn @ (X.T @ y)
         an = prior.shape + 0.5 * len(y)
@@ -442,11 +485,11 @@ def gibbs_sweep(model: SwitchingArModel, X: np.ndarray, y: np.ndarray,
     tables = _sample_tables(counts, model, rng)
     beta = _sample_dirichlet(CONCENTRATION / L + tables.sum(axis=0), rng)
 
-    states = []
-    for k in range(L):
-        mask = z == k
-        states.append(_sample_emission(X[mask], y[mask], model.prior,
-                                       model.order, rng))
+    # by_state[bounds[k]:bounds[k + 1]] are the steps in state k, in order
+    by_state = np.argsort(z, kind="stable")
+    bounds = np.searchsorted(z[by_state], np.arange(L + 1))
+    states = [_sample_emission(X[steps], y[steps], model.prior, model.order, rng)
+              for steps in np.split(by_state, bounds[1:-1])]
 
     updated = replace(model, states=states, transitions=transitions, beta=beta)
     return updated, z
@@ -467,7 +510,7 @@ def complete_data_loglik(model: SwitchingArModel, data: ScalarSeries,
 
 def _score(model: SwitchingArModel, loglik: np.ndarray, z: np.ndarray) -> float:
     """``complete_data_loglik`` from the model's log-likelihood matrix."""
-    emission = float(loglik[np.arange(len(z)), z].sum())
+    emission = float(loglik[z, np.arange(len(z))].sum())
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.transitions)
     transition = float(log_pi[z[:-1], z[1:]].sum())
@@ -476,7 +519,9 @@ def _score(model: SwitchingArModel, loglik: np.ndarray, z: np.ndarray) -> float:
 
 def initial_model(data: ScalarSeries, *, order: int, truncation: int,
                   kappa: float) -> SwitchingArModel:
-    """Initialization: all mass on state 0 (single occupied hidden state)."""
+    """Initialization: L identical AR(r) states (zero coefficients and mean,
+    innovation variance the data's variance), uniform transitions and a
+    uniform beta, so the first sweeps' chains occupy up to all L states."""
     L = truncation
     prior = ArPrior(coef_scale=1.0, shape=2.0,
                     scale=max(float(np.var(data.values)), 1e-12))
@@ -531,7 +576,7 @@ def fit(data: ScalarSeries, *, order: int, truncation: int, sweeps: int,
         loglik = _loglik_matrix(model, X, y)     # scores z and drives the next sweep
         ll = _score(model, loglik, z)
         trace[sweep] = ll
-        occupied_trace[sweep] = len(np.unique(z))
+        occupied_trace[sweep] = np.count_nonzero(np.bincount(z))
         if sweep >= burn_in:
             freq[np.arange(n), z] += 1.0
             if best is None or ll > best[0]:

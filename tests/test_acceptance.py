@@ -144,7 +144,7 @@ def test_criterion_4_sampler_exactness_micro():
         beta=np.array([0.6, 0.4]))
     values = np.array([0.2, 0.9, 1.4, -0.3, 0.5])
     X, y = swar._design(values, 1)
-    loglik = swar._loglik_matrix(model, X, y)  # (4, 2)
+    loglik = swar._loglik_matrix(model, X, y)  # (2, 4)
     lik = np.exp(loglik)
 
     # exact posterior over all 2^4 chains
@@ -152,9 +152,9 @@ def test_criterion_4_sampler_exactness_micro():
     exact = {}
     for code in range(2**n_steps):
         z = [(code >> t) & 1 for t in range(n_steps)]
-        p = model.beta[z[0]] * lik[0, z[0]]
+        p = model.beta[z[0]] * lik[z[0], 0]
         for t in range(1, n_steps):
-            p *= model.transitions[z[t - 1], z[t]] * lik[t, z[t]]
+            p *= model.transitions[z[t - 1], z[t]] * lik[z[t], t]
         exact[tuple(z)] = p
     total = sum(exact.values())
     exact = {k: v / total for k, v in exact.items()}

@@ -709,7 +709,7 @@ class TestExitCodes:
 
         def with_nan_row(model, X, y):
             out = loglik_matrix(model, X, y)
-            out[5] = np.nan
+            out[:, 5] = np.nan
             return out
 
         monkeypatch.setattr(swar, "_loglik_matrix", with_nan_row)

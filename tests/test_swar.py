@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -344,6 +345,56 @@ def reference_messages(pi, lik):
     return messages
 
 
+def all_column_messages(lik, pi):
+    """The blocked filter with every column of every block's transfer matrix
+    built in pass 1, closed states included; ``lik`` is time-major (n, L)."""
+    n, L = lik.shape
+    messages = np.empty((n, L))
+    messages[n - 1] = 1.0
+    steps = n - 1
+    if steps == 0:
+        return messages
+    width = math.isqrt(steps - 1) + 1
+    blocks = -(-steps // width)
+    first = steps - (blocks - 1) * width
+    pi = np.ldexp(pi, 64)
+    ones = np.ones(L)
+    with np.errstate(divide="ignore"):
+        columns = np.repeat(np.eye(L)[:, :, None], blocks - 1, axis=2)
+        flat = columns.reshape(L, -1)
+        product = np.empty_like(flat)
+        total = np.empty(flat.shape[1])
+        logscale = np.zeros(flat.shape[1])
+        tail = lik[first + 1:].reshape(blocks - 1, width, L)
+        step_lik = tail[:, ::-1].transpose(1, 2, 0)[:, :, None, :].copy()
+        for k in range(width):
+            np.multiply(columns, step_lik[k], out=columns)
+            np.matmul(pi, flat, out=product)
+            np.matmul(ones, product, out=total)
+            logscale += np.log(total)
+            total[total == 0] = 1.0
+            np.divide(product, total, out=flat)
+        logscale = logscale.reshape(L, -1)
+        for b in range(blocks - 1, 0, -1):
+            log_weight = np.log(messages[first + b * width]) + logscale[:, b - 1]
+            top = log_weight.max()
+            if not np.isfinite(top):
+                raise ClinQcError("backward message underflowed")
+            msg = columns[:, :, b - 1] @ np.exp(log_weight - top)
+            messages[first + (b - 1) * width] = msg / msg.sum()
+    for k in range(width):
+        lo = first - 1 - k
+        if lo < 0:
+            lo += width
+        msg = np.multiply(lik[lo + 1: steps - k + 1: width],
+                          messages[lo + 1: steps - k + 1: width]) @ pi.T
+        total = msg @ ones
+        if not (total.min() > 0 and total.max() < np.inf):
+            raise ClinQcError("backward message underflowed")
+        np.divide(msg, total[:, None], out=messages[lo: steps - k: width])
+    return messages
+
+
 def reference_sample_categorical(weights, u):
     total = weights.sum()
     if total <= 0 or not np.isfinite(total):
@@ -353,6 +404,7 @@ def reference_sample_categorical(weights, u):
 
 
 def reference_sample_states(model, loglik, rng):
+    loglik = loglik.T                      # (n, L), from the (L, n) input
     n, L = loglik.shape
     shift = loglik.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(shift)):
@@ -435,9 +487,12 @@ def reference_gibbs_sweep(model, X, y, loglik, rng):
     return replace(model, states=states, transitions=transitions, beta=beta), z
 
 
-def random_model(L, kappa, seed):
+def random_model(L, kappa, seed, closed=()):
+    """Dirichlet rows plus kappa on the diagonal; no other state moves into
+    the states ``closed``."""
     rng = np.random.default_rng(seed)
     transitions = rng.dirichlet(np.full(L, 0.5), size=L) + kappa * np.eye(L)
+    transitions[:, closed] *= np.eye(L)[:, closed]
     transitions /= transitions.sum(axis=1, keepdims=True)
     return swar.SwitchingArModel(
         states=[ar1_state(0.0) for _ in range(L)],
@@ -450,12 +505,47 @@ class TestReferenceEquality:
     @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025])
     def test_sample_states(self, n, L, kappa):
         model = random_model(L, kappa, seed=n + L)
-        loglik = np.random.default_rng(n).normal(scale=5.0, size=(n, L))
+        loglik = np.random.default_rng(n).normal(scale=5.0, size=(n, L)).T.copy()
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         z = swar.sample_states(model, loglik, rng)
         assert np.array_equal(z, reference_sample_states(model, loglik, ref_rng))
         assert z.dtype == np.dtype(int)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("start_closed", [False, True])
+    @pytest.mark.parametrize("kappa", [0.0, 20.0])
+    @pytest.mark.parametrize("L, closed", [(2, [1]), (20, [0, 3, 4, 11, 19]),
+                                           (20, list(range(1, 20))),
+                                           (20, list(range(20)))],
+                             ids=["L2-one", "L20-some", "L20-all-but-one", "L20-all"])
+    @pytest.mark.parametrize("n", [2, 513, 1801])
+    def test_sample_states_closed(self, n, L, closed, kappa, start_closed):
+        # closed states take the short path through the backward filter
+        model = random_model(L, kappa, seed=n + L, closed=closed)
+        if start_closed:            # beta puts all mass on a closed state
+            model = replace(model, beta=np.eye(L)[closed[-1]])
+        loglik = np.random.default_rng(n).normal(scale=5.0, size=(n, L)).T.copy()
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        z = swar.sample_states(model, loglik, rng)
+        assert np.array_equal(z, reference_sample_states(model, loglik, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if start_closed:
+            assert z[0] == closed[-1]
+
+    def test_sample_states_peak(self, traced_peak):
+        # live (L, T) float64 arrays at the peak: the likelihoods (later the
+        # weights, in place), the backward messages, and pass 1's work,
+        # which is the closed states' step logs beside the open columns and
+        # their product, at most about one more array; the uniforms, the
+        # path and the forward table take under half of one
+        L, T = 20, 1800
+        loglik = np.random.default_rng(0).normal(scale=5.0, size=(L, T))
+        array = 8 * L * T
+        for closed in [(), list(range(10)), list(range(20))]:
+            model = random_model(L, 20.0, seed=1, closed=closed)
+            _, peak = traced_peak(swar.sample_states, model, loglik,
+                                  np.random.default_rng(0))
+            assert peak <= 3.5 * array, (closed, peak / array)
 
     def test_sample_states_ties(self):
         # u * total landing exactly on a cumulative weight picks the next
@@ -468,7 +558,7 @@ class TestReferenceEquality:
         model = swar.SwitchingArModel(
             states=[ar1_state(0.0), ar1_state(0.0)],
             transitions=[[0.0, 1.0], [0.5, 0.5]], beta=[0.0, 1.0])
-        loglik = np.zeros((9, 2))
+        loglik = np.zeros((2, 9))
         z = swar.sample_states(model, loglik, FixedUniforms())
         assert np.array_equal(z, reference_sample_states(model, loglik, FixedUniforms()))
         # u = 0 from state 1 picks 0; u = 0.5 from 1 ties with the first of
@@ -564,10 +654,38 @@ class TestBackwardMessages:
         dropped = lik[::2, 1:]
         dropped[rng.random(dropped.shape) < 0.3] = 0.0
         lik /= lik.max(axis=1, keepdims=True)
-        messages = swar._backward_messages(lik, pi)
+        messages = swar._backward_messages(lik.T.copy(), pi)
         ref = reference_messages(pi, lik)
         assert messages.shape == ref.shape
         assert np.all(np.abs(messages - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("case", ["none-closed", "some-closed", "all-closed",
+                                      "closed-never-stays", "closed-underflows"])
+    @pytest.mark.parametrize("L", [2, 20])
+    @pytest.mark.parametrize("n", [2, 50, 1801])
+    def test_closed_states_match_all_columns(self, n, L, case):
+        rng = np.random.default_rng(n + L)
+        lik = np.exp(rng.normal(scale=5.0, size=(n, L)))
+        lik /= lik.max(axis=1, keepdims=True)
+        pi = rng.dirichlet(np.ones(L), size=L)
+        closed = {"none-closed": [], "some-closed": [1] if L == 2 else [0, 3, 4, 19],
+                  "all-closed": list(range(L))}.get(case, [L - 1])
+        stay = {"closed-never-stays": 0.0, "closed-underflows": 1e-300}.get(case, 0.8)
+        if case == "all-closed":
+            pi = np.eye(L)
+        elif closed:
+            pi[:, closed] = 0.0
+            pi /= pi.sum(axis=1, keepdims=True)
+            pi[closed] *= 1.0 - stay
+            pi[closed, closed] = stay
+        if case == "closed-underflows":
+            # the closed state's factor underflows to 0 at steps a few apart
+            # within their blocks (n = 50: blocks of 7 steps; n = 1801: of 43)
+            assert np.ldexp(stay, 64) * 1e-60 == 0.0
+            lik[n // 2:: 97, L - 1] = 1e-60
+        messages = swar._backward_messages(lik.T.copy(), pi)
+        ref = all_column_messages(lik, pi)
+        assert np.all(np.abs(messages - ref) <= 1e-15 * ref.max(axis=1, keepdims=True))
 
     @pytest.mark.parametrize("row", [3, 14, 15, 49],
                              ids=["first-block", "anchor-lik", "anchor-message",
@@ -578,20 +696,20 @@ class TestBackwardMessages:
         model = swar.SwitchingArModel(
             states=[ar1_state(0.0), ar1_state(0.0)],
             transitions=[[1.0, 0.0], [1.0, 0.0]], beta=[0.5, 0.5])
-        loglik = np.zeros((50, 2))
-        loglik[row, 0] = -1000.0
+        loglik = np.zeros((2, 50))
+        loglik[0, row] = -1000.0
         with pytest.raises(ClinQcError, match="backward message") as info:
             swar.sample_states(model, loglik, np.random.default_rng(0))
         assert not isinstance(info.value, ValidationError)
         with pytest.raises(ClinQcError, match="backward message"):
-            reference_messages(model.transitions, np.exp(loglik))
+            reference_messages(model.transitions, np.exp(loglik.T))
 
 
 class TestNumericalFailures:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_loglik(self, bad):
-        loglik = np.zeros((6, 2))
-        loglik[3, 1] = bad
+        loglik = np.zeros((2, 6))
+        loglik[1, 3] = bad
         with pytest.raises(ClinQcError, match="not finite") as info:
             swar.sample_states(two_state_model(), loglik, np.random.default_rng(0))
         assert not isinstance(info.value, ValidationError)
@@ -600,7 +718,7 @@ class TestNumericalFailures:
         model = swar.SwitchingArModel(
             states=[ar1_state(0.0), ar1_state(0.0)],
             transitions=[[1.0, 0.0], [1.0, 0.0]], beta=[0.5, 0.5])
-        loglik = np.array([[0.0, 0.0], [-1000.0, 0.0]])
+        loglik = np.array([[0.0, -1000.0], [0.0, 0.0]])
         with pytest.raises(ClinQcError, match="backward message") as info:
             swar.sample_states(model, loglik, np.random.default_rng(0))
         assert not isinstance(info.value, ValidationError)
