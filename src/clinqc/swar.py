@@ -354,17 +354,18 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
             transfer[:, is_open] = columns[:, :, b - 1]
             msg = transfer @ np.exp(log_weight - top)
             messages[first + (b - 1) * width] = msg / msg.sum()
-    # pass 3: the recursion inside every block at once, last step first
-    for k in range(width):
-        lo = first - 1 - k
-        if lo < 0:                             # the first block is filled
-            lo += width
-        rows = slice(lo + 1, steps - k + 1, width)
-        msg = np.multiply(lik[:, rows].T, messages[rows], order="C") @ pi.T
-        total = msg @ ones
-        if not (total.min() > 0 and total.max() < np.inf):
-            raise ClinQcError("backward message underflowed")
-        np.divide(msg, total[:, None], out=messages[lo: steps - k: width])
+    # pass 3: the recursion inside every block at once, last step first; a
+    # total of 0 leaves 0/0 = nan in its message, for the check after it
+    with np.errstate(invalid="ignore"):
+        for k in range(width):
+            lo = first - 1 - k
+            if lo < 0:                         # the first block is filled
+                lo += width
+            rows = slice(lo + 1, steps - k + 1, width)
+            msg = np.multiply(lik[:, rows].T, messages[rows], order="C") @ pi.T
+            np.divide(msg, (msg @ ones)[:, None], out=messages[lo: steps - k: width])
+    if not np.isfinite(messages).all():
+        raise ClinQcError("backward message underflowed")
     return messages
 
 
@@ -391,9 +392,7 @@ def _draw_column(weights: np.ndarray, row: np.ndarray,
 
 
 def _transition_counts(z: np.ndarray, L: int) -> np.ndarray:
-    counts = np.zeros((L, L))
-    np.add.at(counts, (z[:-1], z[1:]), 1.0)
-    return counts
+    return np.bincount(z[:-1] * L + z[1:], minlength=L * L).reshape(L, L).astype(float)
 
 
 def _sample_dirichlet(alphas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
