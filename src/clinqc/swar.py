@@ -227,7 +227,7 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     unless a rounding difference at the 1e-16 level moves a uniform across
     a cumulative weight.
     """
-    L, n = loglik.shape
+    n = loglik.shape[1]
     shift = loglik.max(axis=0)
     if not np.all(np.isfinite(shift)):
         raise ClinQcError("emission likelihoods are not finite")
@@ -340,7 +340,6 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
             total[total == 0] = 1.0           # a dead column stays zero
             np.divide(product, total, out=flat)
             closed_scale += closed_steps[:, step]
-        del closed_steps
         logscale = np.empty((L, blocks - 1))
         logscale[is_open] = open_scale.reshape(columns.shape[1:])
         logscale[closed] = closed_scale
