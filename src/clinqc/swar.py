@@ -221,11 +221,11 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     them in three passes over blocks of about sqrt(n) steps. The forward
     pass looks each draw up in a table: per block of steps and previous
     state j, one vectorized pass draws the next state of every step in the
-    block, the first time the chain is in j within that block, and the
-    path is filled one run of equal draws at a time. Draws equal those of
-    the sequential recursion ``m_t = pi @ (lik_{t+1} * m_{t+1}) / total``
-    unless a rounding difference at the 1e-16 level moves a uniform across
-    a cumulative weight.
+    block, the first time the chain is in j within that block. Draws equal
+    those of the sequential recursion
+    ``m_t = pi @ (lik_{t+1} * m_{t+1}) / total`` unless a rounding
+    difference at the 1e-16 level moves a uniform across a cumulative
+    weight.
     """
     n = loglik.shape[1]
     shift = loglik.max(axis=0)
@@ -236,34 +236,24 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     pi = model.transitions
     weights = np.multiply(lik, _backward_messages(lik, pi).T, out=lik)
     uniforms = rng.random(n)
-    state = _draw_column(weights[:, :1], model.beta, uniforms[:1])[0]
+    state = int(_draw_column(weights[:, :1], model.beta, uniforms[:1])[0])
     if state < 0:
         raise ClinQcError("all state probabilities underflowed")
-    path = np.empty(n, dtype=int)
-    path[0] = state
+    path = [state]
     for start in range(1, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        block_weights, block_uniforms = weights[:, start:stop], uniforms[start:stop]
-        # per previous state: its column of draws and the steps where the
-        # draw leaves that state
-        table = {}
-        t = start
-        while t < stop:
-            if state not in table:
-                column = _draw_column(block_weights, pi[state], block_uniforms)
-                table[state] = column, np.flatnonzero(column != state) + start
-            column, exits = table[state]
-            leave = exits.searchsorted(t)
-            leave = exits[leave] if leave < len(exits) else stop
-            path[t:leave] = state
-            if leave == stop:
-                break
-            state = int(column[leave - start])
+        block = slice(start, min(start + _BLOCK, n))
+        block_weights, block_uniforms = weights[:, block], uniforms[block]
+        table = [None] * len(pi)
+        for i in range(len(block_uniforms)):
+            column = table[state]
+            if column is None:
+                column = table[state] = _draw_column(block_weights, pi[state],
+                                                     block_uniforms).tolist()
+            state = column[i]
             if state < 0:
                 raise ClinQcError("all state probabilities underflowed")
-            path[leave] = state
-            t = leave + 1
-    return path
+            path.append(state)
+    return np.array(path, dtype=int)
 
 
 def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:

@@ -499,35 +499,35 @@ def random_model(L, kappa, seed, closed=()):
         transitions=transitions, beta=rng.dirichlet(np.ones(L)), kappa=kappa)
 
 
-class TestReferenceEquality:
-    @pytest.mark.parametrize("kappa", [0.0, 20.0])
-    @pytest.mark.parametrize("L", [2, 20])
-    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025])
-    def test_sample_states(self, n, L, kappa):
-        model = random_model(L, kappa, seed=n + L)
-        loglik = np.random.default_rng(n).normal(scale=5.0, size=(n, L)).T.copy()
-        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        z = swar.sample_states(model, loglik, rng)
-        assert np.array_equal(z, reference_sample_states(model, loglik, ref_rng))
-        assert z.dtype == np.dtype(int)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+def sample_states_cases():
+    """(n, L, kappa, closed, start_closed) for ``test_sample_states``: every
+    state open, with ids n-L-kappa; then sets of closed states, which take
+    the short path through the backward filter, with beta on the last
+    closed state when start_closed."""
+    cases = [pytest.param(n, L, kappa, (), False, id=f"{n}-{L}-{kappa}")
+             for kappa in [0.0, 20.0] for L in [2, 20]
+             for n in [1, 2, 511, 512, 513, 1025]]
+    closed_sets = {"L2-one": (2, [1]), "L20-some": (20, [0, 3, 4, 11, 19]),
+                   "L20-all-but-one": (20, list(range(1, 20))),
+                   "L20-all": (20, list(range(20)))}
+    cases += [pytest.param(n, L, kappa, closed, start_closed,
+                           id=f"{n}-{name}-{kappa}" + "-start" * start_closed)
+              for start_closed in [False, True] for kappa in [0.0, 20.0]
+              for name, (L, closed) in closed_sets.items() for n in [2, 513, 1801]]
+    return cases
 
-    @pytest.mark.parametrize("start_closed", [False, True])
-    @pytest.mark.parametrize("kappa", [0.0, 20.0])
-    @pytest.mark.parametrize("L, closed", [(2, [1]), (20, [0, 3, 4, 11, 19]),
-                                           (20, list(range(1, 20))),
-                                           (20, list(range(20)))],
-                             ids=["L2-one", "L20-some", "L20-all-but-one", "L20-all"])
-    @pytest.mark.parametrize("n", [2, 513, 1801])
-    def test_sample_states_closed(self, n, L, closed, kappa, start_closed):
-        # closed states take the short path through the backward filter
+
+class TestReferenceEquality:
+    @pytest.mark.parametrize("n, L, kappa, closed, start_closed", sample_states_cases())
+    def test_sample_states(self, n, L, kappa, closed, start_closed):
         model = random_model(L, kappa, seed=n + L, closed=closed)
-        if start_closed:            # beta puts all mass on a closed state
+        if start_closed:
             model = replace(model, beta=np.eye(L)[closed[-1]])
         loglik = np.random.default_rng(n).normal(scale=5.0, size=(n, L)).T.copy()
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         z = swar.sample_states(model, loglik, rng)
         assert np.array_equal(z, reference_sample_states(model, loglik, ref_rng))
+        assert z.dtype == np.dtype(int)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if start_closed:
             assert z[0] == closed[-1]
