@@ -224,7 +224,7 @@ def _cmd_evaluate(args, config: PipelineConfig) -> int:
                                            train, predict, seed=config.seed)
     else:
         report = metrics.kfold_cv(counts, labels, config.folds, train, predict)
-    doc = {**_meta(config), "metrics": report.to_dict(),
+    doc = {**_meta(config), "metrics": report,
            "config": asdict(config), "baseline": args.baseline}
     out = _out_dir(args) / (args.name or "report.json")
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -5,15 +5,20 @@ The TP and TN rates follow the printed form: both are normalized by
 predicted-class counts (a precision-style quantity). The conventional
 recall-style normalization by true-class counts is available via
 ``mode="recall"``.
+
+Cross validation returns its report as the plain dict the CLI's
+``evaluate`` writes under ``"metrics"``: the per-fold rates, and their mean
+and (population) standard deviation, each None when any fold's rate is
+undefined.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ClinQcError, ValidationError
+from .errors import ValidationError
 from .series import ADHERENCE
 
 
@@ -24,38 +29,6 @@ class FoldMetrics:
     tp: float | None
     tn: float | None
     ba: float | None
-
-
-@dataclass
-class MetricsReport:
-    """Per-fold TP/TN/BA with aggregate mean and standard deviation."""
-
-    folds: list[FoldMetrics]
-
-    def _collect(self, attr: str) -> np.ndarray:
-        vals = [getattr(f, attr) for f in self.folds]
-        if any(v is None for v in vals):
-            raise ClinQcError(f"{attr} undefined on at least one fold")
-        return np.asarray(vals, dtype=float)
-
-    def mean(self, attr: str = "ba") -> float:
-        return float(self._collect(attr).mean())
-
-    def std(self, attr: str = "ba") -> float:
-        return float(self._collect(attr).std())
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": "blocks",
-            "folds": [{"tp": f.tp, "tn": f.tn, "ba": f.ba} for f in self.folds],
-            "mean": {a: (self.mean(a) if self._all_defined(a) else None)
-                     for a in ("tp", "tn", "ba")},
-            "std": {a: (self.std(a) if self._all_defined(a) else None)
-                    for a in ("tp", "tn", "ba")},
-        }
-
-    def _all_defined(self, attr: str) -> bool:
-        return all(getattr(f, attr) is not None for f in self.folds)
 
 
 def tp_tn_ba(predicted: np.ndarray, truth: np.ndarray,
@@ -93,8 +66,9 @@ PredictFn = Callable[[object, np.ndarray], np.ndarray]
 
 def kfold_cv(inputs: np.ndarray, labels: np.ndarray, k: int,
              train: TrainFn, predict: PredictFn,
-             mode: str = "printed") -> MetricsReport:
-    """Cross-validate a train/predict pair.
+             mode: str = "printed") -> dict:
+    """Cross-validate a train/predict pair; returns the report described in
+    the module docstring.
 
     The k folds are contiguous time blocks of 0..n-1 (``np.array_split``),
     preventing temporal leakage between train and test in autocorrelated
@@ -119,12 +93,18 @@ def kfold_cv(inputs: np.ndarray, labels: np.ndarray, k: int,
         model = train(inputs[train_mask], train_labels)
         predictions = predict(model, inputs[held_out])
         folds.append(tp_tn_ba(predictions, labels[held_out], mode=mode))
-    return MetricsReport(folds=folds)
+    rates = {rate: [getattr(f, rate) for f in folds] for rate in ("tp", "tn", "ba")}
+    return {
+        "strategy": "blocks",
+        "folds": [asdict(f) for f in folds],
+        "mean": {r: None if None in v else float(np.mean(v)) for r, v in rates.items()},
+        "std": {r: None if None in v else float(np.std(v)) for r, v in rates.items()},
+    }
 
 
 def shuffled_baseline(inputs: np.ndarray, labels: np.ndarray, k: int,
                       train: TrainFn, predict: PredictFn, seed: int = 0,
-                      mode: str = "printed") -> MetricsReport:
+                      mode: str = "printed") -> dict:
     """Randomized control: permute the inputs, keep the labels fixed.
 
     Destroying the indicator/label association should drive BA to about

@@ -4,8 +4,8 @@ Every CSV reader accepts the same input:
 
 - blank lines and ``#`` comments (whole lines or line ends) are skipped;
   every table writer puts the config hash and seed there, header or not;
-- the first remaining line is a header and is skipped if any of its fields
-  is not a number; at most one such line is skipped;
+- the first remaining line is a header and is skipped if none of its
+  fields is a number; at most one such line is skipped;
 - every other line is a row of comma-separated numbers, as many as the
   table has columns (a count matrix: as many as its first row).
 
@@ -91,13 +91,13 @@ def _numbered_lines(path: Path):
 
 
 def _rows_to_skip(path: Path) -> int:
-    """Lines ``np.loadtxt`` must skip: through the header, if there is one."""
+    """Lines ``np.loadtxt`` must skip: through the header, if there is one.
+
+    The first content line is a header only if none of its fields is a
+    number; a row with one corrupt field is a row, and is reported as one.
+    """
     for number, fields in _numbered_lines(path):
-        try:
-            [float(field) for field in fields]
-        except ValueError:
-            return number
-        break
+        return 0 if any(map(_parses_like_loadtxt, fields)) else number
     return 0
 
 

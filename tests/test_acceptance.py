@@ -242,7 +242,7 @@ def test_criterion_7_end_to_end_pipelines():
         return context.nb_predict(model, c)[0]
 
     walking = metrics.kfold_cv(counts, labels, 10, train, predict)
-    walking_ba = walking.mean("ba")
+    walking_ba = walking["mean"]["ba"]
 
     # GMM path on a voice-like two-cluster series
     voice_spec = SynthSpec(scenario="two-cluster", duration=120.0, rate=30.0, seed=2,
@@ -285,7 +285,7 @@ def test_criterion_8_shuffled_baseline():
     # recall-mode rates stay defined even if a fold's predictions collapse
     # onto a single class, which shuffling makes possible
     bas = [metrics.shuffled_baseline(counts, labels, 10, train, predict,
-                                     seed=rep, mode="recall").mean("ba")
+                                     seed=rep, mode="recall")["mean"]["ba"]
            for rep in range(20)]
     bas = np.asarray(bas)
     mean_ba = float(bas.mean())

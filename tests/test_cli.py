@@ -1,5 +1,6 @@
 import ast
 import errno
+import functools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from scipy import signal
 
 import clinqc
-from clinqc import serialize, swar, synth
+from clinqc import context, metrics, serialize, swar, synth
 from clinqc.cli import main
 from clinqc.synth import SynthSpec
 
@@ -198,6 +199,11 @@ class TestClassifierCommands:
         assert doc["metrics"]["mean"]["ba"] > 0.9
         assert doc["metrics"]["strategy"] == "blocks"
         assert len(doc["metrics"]["folds"]) == 5
+        # the CLI writes the library's report, nothing else
+        train = functools.partial(context.nb_train, smoothing=doc["config"]["smoothing"])
+        assert doc["metrics"] == metrics.kfold_cv(
+            serialize.read_counts_csv(counts_path), serialize.read_labels_csv(labels_path),
+            5, train, lambda model, c: context.nb_predict(model, c)[0])
 
     def test_evaluate_shuffled_baseline(self, tmp_path):
         counts_path, labels_path = self.prepare(tmp_path)

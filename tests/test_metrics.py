@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clinqc import metrics
-from clinqc.errors import ClinQcError, ValidationError
+from clinqc.errors import ValidationError
 
 
 def labels(values):
@@ -54,28 +54,43 @@ class TestTpTnBa:
             metrics.tp_tn_ba(np.array([1]), np.array([1]), mode="accuracy")
 
 
-class TestMetricsReport:
+class TestReport:
+    """The dict ``kfold_cv`` returns, from a scripted ``predict``.
+
+    Labels ``[1, 1, 1, 2 | 1, 2, 1, 2]`` in two block folds; predicting
+    ``[1, 1, 2, 2]`` on each gives TP 1.0, TN 0.5 on the first fold and
+    TP 0.5, TN 0.5 on the second.
+    """
+
+    truth = labels([1, 1, 1, 2, 1, 2, 1, 2])
+
+    def report(self, *predictions):
+        scripted = iter(labels(p) for p in predictions)
+        return metrics.kfold_cv(np.arange(8), self.truth, 2,
+                                lambda inputs, u: None,
+                                lambda model, inputs: next(scripted))
+
     def test_mean_std(self):
-        report = metrics.MetricsReport(folds=[
-            metrics.FoldMetrics(tp=1.0, tn=0.5, ba=0.75),
-            metrics.FoldMetrics(tp=0.5, tn=0.5, ba=0.5)])
-        assert report.mean("ba") == pytest.approx(0.625)
-        assert report.std("ba") == pytest.approx(0.125)
+        report = self.report([1, 1, 2, 2], [1, 1, 2, 2])
+        assert report["mean"]["ba"] == pytest.approx(0.625)
+        assert report["std"]["ba"] == pytest.approx(0.125)
 
-    def test_undefined_fold_raises_on_aggregate(self):
-        report = metrics.MetricsReport(folds=[
-            metrics.FoldMetrics(tp=1.0, tn=None, ba=None)])
-        with pytest.raises(ClinQcError, match="tn undefined on at least one fold") as info:
-            report.mean("tn")
-        assert not isinstance(info.value, ValidationError)
-        assert report.to_dict()["mean"]["tn"] is None
+    def test_undefined_fold_makes_aggregate_none(self):
+        # nothing predicted violation on the first fold: its TN is undefined
+        report = self.report([1, 1, 1, 1], [1, 1, 2, 2])
+        assert report["folds"][0] == {"tp": 0.75, "tn": None, "ba": None}
+        for aggregate in ("mean", "std"):
+            assert report[aggregate]["tn"] is None
+            assert report[aggregate]["ba"] is None
+        assert report["mean"]["tp"] == pytest.approx(0.625)
+        assert report["std"]["tp"] == pytest.approx(0.125)
 
-    def test_to_dict_roundtrippable(self):
-        report = metrics.MetricsReport(
-            folds=[metrics.FoldMetrics(tp=1.0, tn=1.0, ba=1.0)])
-        d = report.to_dict()
-        assert d["strategy"] == "blocks"
-        assert d["folds"][0] == {"tp": 1.0, "tn": 1.0, "ba": 1.0}
+    def test_report_layout(self):
+        report = self.report([1, 1, 2, 2], [1, 1, 2, 2])
+        assert report["strategy"] == "blocks"
+        assert report["folds"] == [{"tp": 1.0, "tn": 0.5, "ba": 0.75},
+                                   {"tp": 0.5, "tn": 0.5, "ba": 0.5}]
+        assert set(report) == {"strategy", "folds", "mean", "std"}
 
 
 class TestFoldPlan:
@@ -123,8 +138,8 @@ class TestKfoldCv:
                                                       .permutation(100)])
         report = metrics.kfold_cv(u.astype(float), u, 10,
                                   oracle_train, oracle_predict)
-        assert report.mean("ba") == 1.0
-        assert report.std("ba") == 0.0
+        assert report["mean"]["ba"] == 1.0
+        assert report["std"]["ba"] == 0.0
 
     def test_lost_class_raises(self):
         u = labels(np.r_[np.ones(90), np.full(10, 2)])
@@ -146,7 +161,7 @@ class TestKfoldCv:
 
         a = metrics.kfold_cv(x, u, 5, train, predict)
         b = metrics.kfold_cv(x, u, 5, train, predict)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_degenerate_single_prediction_recall_mode(self):
         # predictor collapses to one class on balanced truth: recall-style
@@ -158,10 +173,10 @@ class TestKfoldCv:
 
         report = metrics.kfold_cv(u.astype(float), u, 2,
                                   oracle_train, predict_ones, mode="recall")
-        assert report.mean("ba") == pytest.approx(0.5)
+        assert report["mean"]["ba"] == pytest.approx(0.5)
         printed = metrics.kfold_cv(u.astype(float), u, 2,
                                    oracle_train, predict_ones, mode="printed")
-        assert printed.folds[0].tn is None
+        assert printed["folds"][0]["tn"] is None
 
 
 class TestShuffledBaseline:
@@ -177,9 +192,9 @@ class TestShuffledBaseline:
             return np.where(inputs < threshold, 1, 2)
 
         honest = metrics.kfold_cv(x, u, 10, train, predict)
-        assert honest.mean("ba") == 1.0
+        assert honest["mean"]["ba"] == 1.0
         baseline = metrics.shuffled_baseline(x, u, 10, train, predict, seed=6)
-        assert 0.4 < baseline.mean("ba") < 0.6
+        assert 0.4 < baseline["mean"]["ba"] < 0.6
 
     def test_deterministic(self):
         u = labels(np.r_[np.ones(10), np.full(10, 2), np.ones(10), np.full(10, 2)])
@@ -188,4 +203,4 @@ class TestShuffledBaseline:
                                       seed=7, mode="recall")
         b = metrics.shuffled_baseline(x, u, 4, oracle_train, oracle_predict,
                                       seed=7, mode="recall")
-        assert a.to_dict() == b.to_dict()
+        assert a == b

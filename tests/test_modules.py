@@ -1,16 +1,18 @@
-"""Static checks on the package source, and on the names the benchmark
-tracer reaches into."""
+"""Static checks on the package source, and on what the benchmark's tracer
+and recipes reach into."""
 import ast
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import clinqc
 from clinqc import swar, trend
 
 SOURCES = sorted(Path(clinqc.__file__).parent.glob("*.py"))
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def private_uses_across_modules(tree: ast.Module) -> list[str]:
@@ -67,13 +69,19 @@ def test_no_assert_statements():
     assert not found, "assert statements in src/clinqc:\n" + "\n".join(found)
 
 
+def load_perfbench(name: str, monkeypatch):
+    """Import ``perfbench/<name>.py`` for the length of one test."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
     # the tracer getattr()s every name it wraps on entry and puts them back
     # on exit, so a renamed or deleted public function fails here
-    spec = importlib.util.spec_from_file_location("tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "tracing", tracing)
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing", monkeypatch)
     fit = swar.fit
     with tracing.Tracer().installed():
         assert swar.fit is not fit
@@ -83,3 +91,14 @@ def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
     trace_out = inspect.signature(trend.l1_trend_filter).parameters["trace_out"]
     assert trace_out.kind is inspect.Parameter.KEYWORD_ONLY
     assert isinstance(swar.SwArFit.occupied, property)
+
+
+def test_benchmark_recipes_run_at_tiny_size(monkeypatch, tmp_path):
+    # the recipes and their checks call the library outside the tracer
+    # (FoldMetrics.ba, the synth truth's indicators, rescale_to_counts), so
+    # run each workload once, as the benchmark does, at its smallest size
+    workloads = load_perfbench("workloads", monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        rec = workload.make(np.random.default_rng(0), 0, tmp_path, True)
+        workload.run(rec, tmp_path / name, True)
+        assert workload.check(rec, tmp_path / name) >= workloads.BA_FLOOR[name], name

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -136,6 +137,24 @@ class TestStrictReader:
         path.write_text("0,0.5\n1,0.25\n2,-1\n")
         series = serialize.read_audio_csv(path, rate=44_100.0)
         assert series.values.tolist() == [0.5, 0.25, -1.0]
+
+    @pytest.mark.parametrize("reader, text, field", [
+        (serialize.read_scalar_csv, "0.0,abc\n0.1,2.0\n0.2,3.0\n", "abc"),
+        (serialize.read_scalar_csv, "\ufeff0.0,1.0\n0.1,2.0\n0.2,3.0\n", "\ufeff0.0"),
+        (serialize.read_counts_csv, "1,x\n2,3\n4,5\n6,7\n", "x"),
+        (serialize.read_accelerometer_csv,
+         "0,1,2,x\n0.01,1,2,3\n0.02,1,2,3\n", "x"),
+        (functools.partial(serialize.read_audio_csv, rate=44_100.0),
+         "0,abc\n1,0.25\n2,-1\n", "abc"),
+    ], ids=["scalar", "scalar-bom", "counts", "accelerometer", "audio"])
+    def test_headerless_corrupt_first_row_names_line_1(self, tmp_path, reader,
+                                                        text, field):
+        # a line with a numeric field is a row, not a header to skip
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"line 1: could not convert {field!r}")):
+            reader(path)
 
     def test_comments_blank_lines_and_header(self, tmp_path):
         path = tmp_path / "scalar.csv"
