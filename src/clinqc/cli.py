@@ -3,8 +3,8 @@
 Subcommands: preprocess, segment-gmm, segment-ar, train-nb, classify,
 evaluate, synth, spectrum. Options may come from a JSON config file
 (``--config``); explicit flags win over the file. Exit codes: 0 success,
-2 validation error or unreadable input, 3 runtime/numerical error or
-out of memory.
+2 validation error or any OS error on a path, 3 runtime/numerical error
+or out of memory.
 """
 from __future__ import annotations
 
@@ -178,7 +178,7 @@ def _cmd_segment_ar(args, config: PipelineConfig) -> int:
                       kappa=config.kappa, seed=config.seed)
     out_dir = _out_dir(args)
     serialize.save_model(out_dir / "swar.json", result.model, asdict(config))
-    rows = np.column_stack([series.times, result.states.indicators])
+    rows = np.column_stack([series.times, result.states])
     serialize.write_table(out_dir / "states.csv", "t,z", rows, _meta(config))
     # header-less, so a bare np.loadtxt reads it past the meta comments
     serialize.write_table(out_dir / "posteriors.csv", None, result.posteriors,
@@ -339,8 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, _load_config(args))
-    except (ValidationError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, FileExistsError, PermissionError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ClinQcError, MemoryError) as exc:

@@ -2,8 +2,8 @@
 
 The simpler quality-control path: fit a two-component GMM to the scalar
 feature by E-M, assign each time point to its more probable component,
-smooth the indicator sequence with a repeated moving median, and orient the
-components to adherence or violation by comparing their means. ``KINDS``
+smooth that 1-D int indicator array with a repeated moving median, and orient
+the components to adherence or violation by comparing their means. ``KINDS``
 names the test protocols; the protocol decides that orientation.
 
 E-M and MAP assignment hold per-point arrays component-major, shape (2, T).
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClinQcError, NoConvergenceWarning, ValidationError
-from .series import ADHERENCE, VIOLATION, ScalarSeries, StateSequence, check_simplex
+from .series import ADHERENCE, VIOLATION, ScalarSeries, check_simplex
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -147,13 +147,12 @@ def fit_gmm_em(data: ScalarSeries, *, seed: int = 0) -> GmmParams:
     return params
 
 
-def map_assign(params: GmmParams, data: ScalarSeries) -> StateSequence:
-    """Assign each point to its most probable component.
+def map_assign(params: GmmParams, data: ScalarSeries) -> np.ndarray:
+    """Each point's most probable component, as a 1-D int array.
 
     Ties break toward the lower component index (argmax on exact equality).
     """
-    lr = _log_responsibilities(params, data.values)
-    return StateSequence(indicators=np.argmax(lr, axis=0))
+    return np.argmax(_log_responsibilities(params, data.values), axis=0)
 
 
 def _median_pass(values: np.ndarray, window: int) -> np.ndarray:
@@ -164,24 +163,24 @@ def _median_pass(values: np.ndarray, window: int) -> np.ndarray:
     return np.median(stacked, axis=1).astype(values.dtype)
 
 
-def median_smooth_to_convergence(states: StateSequence, window: int) -> StateSequence:
-    """Repeat a moving median over the indicators until a pass changes nothing.
+def median_smooth_to_convergence(indicators: np.ndarray, window: int) -> np.ndarray:
+    """Repeat a moving median over ``indicators`` until a pass changes nothing.
 
     At most 100 passes are made. Edges are handled by replicating the
     boundary value.
     """
     if window < 3 or window % 2 == 0:
         raise ValidationError("window must be odd and >= 3")
-    values = states.indicators.copy()
+    values = np.array(indicators, dtype=int)
     for _ in range(100):
         smoothed = _median_pass(values, window)
         if np.array_equal(smoothed, values):
             break
         values = smoothed
-    return StateSequence(indicators=values)
+    return values
 
 
-def mean_rule_adherence(params: GmmParams, smoothed: StateSequence,
+def mean_rule_adherence(params: GmmParams, smoothed: np.ndarray,
                         kind: str) -> np.ndarray:
     """Orient the two components to adherence/violation by their means.
 
@@ -194,5 +193,5 @@ def mean_rule_adherence(params: GmmParams, smoothed: StateSequence,
     mu = params.means
     if abs(mu[0] - mu[1]) < 1e-9:
         raise ClinQcError("component means coincide; cannot orient labels")
-    in_larger = smoothed.indicators == int(np.argmax(mu))
+    in_larger = np.asarray(smoothed) == int(np.argmax(mu))
     return np.where(in_larger != (kind == "balance"), ADHERENCE, VIOLATION)

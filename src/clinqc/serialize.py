@@ -13,11 +13,12 @@ Anything else, such as a corrupt value, a short row or a table without
 rows, raises ``ValidationError`` (CLI exit code 2) naming the file line at
 fault, or the file if its text is not UTF-8 or every row has the wrong
 column count: no row is dropped silently, and neither is a non-finite
-value, a negative count, a label other than 1 or 2, or an accelerometer
+value, a negative count, a label other than 1 or 2, an accelerometer
 timestamp that does not advance or leaves a hole over ``MAX_GAP_S``
-seconds. An audio table's time column is parsed like any other, but held
-at float32 (4 bytes a row) and not checked for finiteness, since nothing
-reads it; its values stay float64, a view into the parsed rows.
+seconds, or a feature time step more than half a median step off the
+median step. An audio table's time column is parsed like any other, but
+held at float32 (4 bytes a row) and not checked for finiteness, since
+nothing reads it; its values stay float64, a view into the parsed rows.
 
 Model artifacts are versioned JSON documents whose payload is the model
 dataclass's fields, so they round-trip field-for-field; the run's config
@@ -219,11 +220,17 @@ def _rate_of(path: Path, t: np.ndarray) -> float:
 
 
 def read_scalar_csv(path: Path) -> ScalarSeries:
+    """Read a ``t,v`` feature; every time step lies within half the median one."""
     data = _read_table(path, 2)
     _reject_rows(path, ~np.isfinite(data).all(axis=1), _NON_FINITE)
     if len(data) < 2:
         raise ValidationError(f"{path}: need at least 2 samples")
-    return ScalarSeries(rate=_rate_of(path, data[:, 0]), values=data[:, 1])
+    rate = _rate_of(path, data[:, 0])
+    step = np.diff(data[:, 0], prepend=np.nan)    # NaN: the first row has none
+    off = np.abs(step * rate - 1.0) > 0.5
+    _reject_rows(path, off, f"a {step[np.argmax(off)]:g}-s time step before this row; "
+                            f"the grid steps {1.0 / rate:g} s")
+    return ScalarSeries(rate=rate, values=data[:, 1])
 
 
 def write_spectrum_csv(path: Path, frequencies: np.ndarray, power: np.ndarray,

@@ -76,15 +76,15 @@ class ScalarSeries:
         return np.arange(len(self.values)) / self.rate
 
 
-#: Adherence / violation label codes; labels are 1-D int arrays of them,
-#: one per time point.
+#: Adherence / violation label codes. Labels, like the segmenters' state
+#: paths, are plain 1-D int arrays, one entry per time point.
 ADHERENCE = 1
 VIOLATION = 2
 
 
 @dataclass
 class StateSequence:
-    """Discrete per-time state indicators."""
+    """Discrete per-time state indicators: ``synth.gen_switching_ar``'s truth."""
 
     indicators: np.ndarray                  # (T,) integers >= 0
 
@@ -94,8 +94,3 @@ class StateSequence:
             raise ValidationError("indicators must be one-dimensional")
         if np.any(self.indicators < 0):
             raise ValidationError("indicators must be non-negative")
-
-    @property
-    def occupied(self) -> int:
-        """Number of distinct states the sequence visits (K+)."""
-        return len(np.unique(self.indicators))

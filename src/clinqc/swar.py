@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ClinQcError, ValidationError
-from .series import ScalarSeries, StateSequence, check_simplex
+from .series import ScalarSeries, check_simplex
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -121,11 +121,11 @@ class SwitchingArModel:
 
 @dataclass
 class SwArFit:
-    """Result of a switching-AR fit: the point estimate, the kept sweeps'
-    per-time state frequencies (``posteriors``) and per-sweep traces."""
+    """Result of a switching-AR fit: the point estimate (a model and an int
+    state path), the kept sweeps' per-time state frequencies and traces."""
 
     model: SwitchingArModel
-    states: StateSequence          # point estimate, full length T
+    states: np.ndarray             # (T,) int state path of the point estimate
     posteriors: np.ndarray         # (T, L) kept sweeps' state frequencies
     loglik_trace: np.ndarray       # complete-data log-likelihood per sweep
     occupied_trace: np.ndarray     # K+ of the sampled chain per sweep
@@ -133,7 +133,7 @@ class SwArFit:
     @property
     def occupied(self) -> int:
         """K+ of the point estimate."""
-        return self.states.occupied
+        return len(np.unique(self.states))
 
 
 def ar_psd(state: ArState, freqs: np.ndarray) -> np.ndarray:
@@ -164,22 +164,6 @@ def ar_path(states: list[ArState], z: np.ndarray,
                 pred += st.coefficients[j - 1] * x[t - j]
         x[t] = pred + np.sqrt(st.variance) * noise[t]
     return x
-
-
-def simulate(model: SwitchingArModel, length: int, seed: int = 0
-             ) -> tuple[ScalarSeries, StateSequence]:
-    """Draw a path from the generative model: the Markov chain started from
-    ``beta``, then ``ar_path``."""
-    if length <= model.order:
-        raise ValidationError("length must exceed the AR order")
-    rng = np.random.default_rng(seed)
-    L = model.truncation
-    z = np.empty(length, dtype=int)
-    z[0] = rng.choice(L, p=model.beta)
-    for t in range(1, length):
-        z[t] = rng.choice(L, p=model.transitions[z[t - 1]])
-    return (ScalarSeries(rate=1.0, values=ar_path(model.states, z, rng)),
-            StateSequence(indicators=z))
 
 
 def _design(values: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -571,6 +555,6 @@ def fit(data: ScalarSeries, *, order: int, truncation: int, sweeps: int,
                 best = (ll, model, z)
     _, best_model, best_z = best
     expand = np.concatenate([np.zeros(r, dtype=int), np.arange(n)])
-    return SwArFit(model=best_model, states=StateSequence(indicators=best_z[expand]),
+    return SwArFit(model=best_model, states=best_z[expand],
                    posteriors=freq[expand] / (sweeps - burn_in),
                    loglik_trace=trace, occupied_trace=occupied_trace)

@@ -53,7 +53,7 @@ class SynthSpec:
     duration: float          # seconds
     rate: float              # Hz
     schedule: list[RegimeInterval] = field(default_factory=list)
-    noise: float = 0.05
+    noise: float = 0.05      # noise standard deviation, finite and > 0
     jitter: float = 0.0      # timestamp jitter as a fraction of the spacing
     seed: int = 0
 
@@ -63,6 +63,8 @@ class SynthSpec:
         if not (np.isfinite(self.rate) and np.isfinite(self.duration)
                 and self.rate > 0 and self.duration > 0):
             raise ValidationError("rate and duration must be finite and positive")
+        if not 0 < self.noise < np.inf:
+            raise ValidationError(f"noise must be finite and positive, got {self.noise!r}")
         # duration * rate may overflow to inf, which n_samples cannot round
         if self.duration * self.rate >= MAX_SAMPLES + 1 or self.n_samples > MAX_SAMPLES:
             raise ValidationError(
@@ -158,8 +160,7 @@ def gen_gravity_drift(spec: SynthSpec
         dynamic[burst, axis] = BURST_AMPLITUDE * np.sin(
             phase[burst] + axis * np.pi / 3.0)
 
-    noise = rng.normal(0.0, spec.noise, size=(n, 3)) if spec.noise > 0 else 0.0
-    samples = trend + dynamic + noise
+    samples = trend + dynamic + rng.normal(0.0, spec.noise, size=(n, 3))
     return TimestampedTriaxial(timestamps=t, samples=samples), trend, dynamic
 
 
@@ -174,9 +175,7 @@ def gen_two_cluster(spec: SynthSpec) -> tuple[ScalarSeries, np.ndarray]:
     z = spec.states_per_sample()
     if np.any(z > 1):
         raise ValidationError("two-cluster schedules use states 0 and 1 only")
-    sigma = spec.noise if spec.noise > 0 else 1.0
-    mean_adherence = SEPARATION * sigma
-    means = np.where(z == 0, mean_adherence, 0.0)
-    values = means + rng.normal(0.0, sigma, size=len(z))
+    means = np.where(z == 0, SEPARATION * spec.noise, 0.0)
+    values = means + rng.normal(0.0, spec.noise, size=len(z))
     return (ScalarSeries(rate=spec.rate, values=values),
             np.where(z == 0, ADHERENCE, VIOLATION))

@@ -112,10 +112,8 @@ def test_criterion_3_ar_psd_vs_welch():
     radius, angle = 0.95, 0.4 * np.pi
     state = swar.ArState(coefficients=[2 * radius * np.cos(angle), -radius**2],
                          mean=0.0, variance=1.0)
-    model = swar.SwitchingArModel(
-        states=[state, state],
-        transitions=np.full((2, 2), 0.5), beta=np.array([0.5, 0.5]))
-    series, _ = swar.simulate(model, 2**17, seed=0)
+    values = swar.ar_path([state], np.zeros(2**17, dtype=int), np.random.default_rng(0))
+    series = ScalarSeries(rate=1.0, values=values)
     freqs, welch = preprocess.power_spectrum(series, segment_length=512)
     # one-sided Welch vs the two-sided closed form
     closed = 2 * swar.ar_psd(state, freqs)
@@ -182,7 +180,7 @@ def test_criterion_5_switching_ar_recovery():
     series, truth = synth.gen_switching_ar(spec)
     fit = swar.fit(series, order=1, truncation=10, kappa=20.0,
                    sweeps=500, burn_in=250, seed=0)
-    ari = adjusted_rand(fit.states.indicators, truth.indicators)
+    ari = adjusted_rand(fit.states, truth.indicators)
     k_mode = np.bincount(fit.occupied_trace[250:]).argmax()
     elapsed = time.time() - start
 

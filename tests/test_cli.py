@@ -365,6 +365,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Not a directory" in err and str(named) in err
 
+    @pytest.mark.parametrize("case", ["name too long", "symlink loop"])
+    def test_any_os_error_on_a_path_exit_2(self, tmp_path, capsys, case):
+        path, code = {"name too long": (tmp_path / ("x" * 5000), errno.ENAMETOOLONG),
+                      "symlink loop": (tmp_path / "loop.csv", errno.ELOOP)}[case]
+        if case == "symlink loop":
+            path.symlink_to(path)
+        assert run(["segment-gmm", path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and os.strerror(code) in err and str(path) in err
+        assert not (tmp_path / "out").exists()
+
     def test_permission_denied_exit_2(self, tmp_path, capsys, monkeypatch):
         # the tests may run as root, who may write anywhere, so mkdir is patched
         def denied(self, *args, **kwargs):
@@ -589,6 +600,26 @@ class TestExitCodes:
         assert run([command, *args, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert f"{table}: the time column must advance" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["hole", "step back"])
+    def test_feature_off_its_time_grid_exit_2(self, tmp_path, capsys, case):
+        # the rate comes from the median step, so the rows after a 60-s hole
+        # or a step back would otherwise be shifted onto the wrong times
+        series, _ = synth.gen_two_cluster(SynthSpec(scenario="two-cluster",
+                                                    duration=180.0, rate=30.0))
+        rows = np.column_stack([series.times, series.values])
+        if case == "hole":
+            rows = np.delete(rows, slice(1800, 3600), axis=0)
+        else:
+            rows[1800, 0] = rows[1799, 0] - 1.0
+        feature = tmp_path / "feature.csv"
+        serialize.write_table(feature, "t,v", rows)
+        assert run(["segment-gmm", feature, "--kind", "voice",
+                    "--out", tmp_path / "out"]) == 2
+        step = rows[1800, 0] - rows[1799, 0]
+        assert (f"{feature}, line 1802: a {step:g}-s time step before this row"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):

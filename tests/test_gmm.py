@@ -5,7 +5,7 @@ import pytest
 
 from clinqc import gmm, preprocess
 from clinqc.errors import ClinQcError, NoConvergenceWarning, ValidationError
-from clinqc.series import ADHERENCE, VIOLATION, ScalarSeries, StateSequence
+from clinqc.series import ADHERENCE, VIOLATION, ScalarSeries
 
 
 def scalar(values, rate=1.0):
@@ -194,20 +194,19 @@ class TestMapAssign:
         params = gmm.GmmParams(means=[0.0, 10.0], variances=[1.0, 1.0],
                                weights=[0.5, 0.5])
         states = gmm.map_assign(params, scalar([0.0]))
-        assert states.indicators[0] == 0
+        assert states[0] == 0
 
     def test_tie_breaks_to_lower_index(self):
         params = gmm.GmmParams(means=[0.0, 10.0], variances=[1.0, 1.0],
                                weights=[0.5, 0.5])
         states = gmm.map_assign(params, scalar([5.0]))
-        assert states.indicators[0] == 0
+        assert states[0] == 0
 
     def test_agreement_with_generator(self):
         values, truth = two_gaussians(seed=2)
         params = gmm.fit_gmm_em(scalar(values), seed=0)
-        states = gmm.map_assign(params, scalar(values))
+        z = gmm.map_assign(params, scalar(values))
         # align component order with the generator order
-        z = states.indicators
         if params.means[0] > params.means[1]:
             z = 1 - z
         assert np.mean(z == truth) >= 0.99
@@ -218,37 +217,37 @@ class TestMapAssign:
         swapped = gmm.GmmParams(means=params.means[::-1],
                                 variances=params.variances[::-1],
                                 weights=params.weights[::-1])
-        a = gmm.map_assign(params, scalar(values)).indicators
-        b = gmm.map_assign(swapped, scalar(values)).indicators
+        a = gmm.map_assign(params, scalar(values))
+        b = gmm.map_assign(swapped, scalar(values))
         assert np.array_equal(a, 1 - b)
 
 
 class TestMedianSmooth:
     def test_isolated_spike_removed(self):
-        states = StateSequence(indicators=[1, 1, 2, 1, 1])
+        states = np.array([1, 1, 2, 1, 1])
         out = gmm.median_smooth_to_convergence(states, 3)
-        assert np.array_equal(out.indicators, [1, 1, 1, 1, 1])
+        assert np.array_equal(out, [1, 1, 1, 1, 1])
 
     def test_constant_unchanged(self):
-        states = StateSequence(indicators=[1] * 7)
+        states = np.array([1] * 7)
         out = gmm.median_smooth_to_convergence(states, 3)
-        assert np.array_equal(out.indicators, [1] * 7)
+        assert np.array_equal(out, [1] * 7)
 
     def test_alternating_converges(self):
-        states = StateSequence(indicators=[1, 2, 1, 2, 1])
+        states = np.array([1, 2, 1, 2, 1])
         out = gmm.median_smooth_to_convergence(states, 3)
-        assert np.array_equal(out.indicators, [1, 1, 1, 1, 1])
+        assert np.array_equal(out, [1, 1, 1, 1, 1])
 
     def test_output_is_fixed_point(self):
         rng = np.random.default_rng(9)
-        states = StateSequence(indicators=rng.integers(1, 3, 200))
+        states = rng.integers(1, 3, 200)
         out = gmm.median_smooth_to_convergence(states, 5)
         again = gmm.median_smooth_to_convergence(out, 5)
-        assert np.array_equal(out.indicators, again.indicators)
+        assert np.array_equal(out, again)
 
     def test_even_window_rejected(self):
         with pytest.raises(ValidationError, match="window must be odd and >= 3"):
-            gmm.median_smooth_to_convergence(StateSequence(indicators=[1, 2]), 4)
+            gmm.median_smooth_to_convergence(np.array([1, 2]), 4)
 
 
 class TestMeanRuleAdherence:
@@ -257,23 +256,23 @@ class TestMeanRuleAdherence:
 
     def test_walking_larger_mean_is_adherence(self):
         # the string the CLI and config files use, not balance's orientation
-        smoothed = StateSequence(indicators=[0, 1, 1])
+        smoothed = np.array([0, 1, 1])
         labels = gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed, "walking")
         assert np.array_equal(labels, [VIOLATION, ADHERENCE, ADHERENCE])
 
     def test_balance_larger_mean_is_violation(self):
-        smoothed = StateSequence(indicators=[0, 1, 1])
+        smoothed = np.array([0, 1, 1])
         labels = gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed, "balance")
         assert np.array_equal(labels, [ADHERENCE, VIOLATION, VIOLATION])
 
     @pytest.mark.parametrize("kind", ["Walking", "jogging", ""])
     def test_unknown_kind_rejected(self, kind):
-        smoothed = StateSequence(indicators=[0, 1, 1])
+        smoothed = np.array([0, 1, 1])
         with pytest.raises(ValidationError, match=f"unknown test kind {kind!r}"):
             gmm.mean_rule_adherence(self.params([0.1, 1.4]), smoothed, kind)
 
     def test_equal_means_rejected(self):
-        smoothed = StateSequence(indicators=[0, 1])
+        smoothed = np.array([0, 1])
         with pytest.raises(ClinQcError, match="component means coincide") as info:
             gmm.mean_rule_adherence(self.params([1.0, 1.0]), smoothed, "voice")
         assert not isinstance(info.value, ValidationError)
@@ -371,9 +370,9 @@ class TestReferenceEquality:
     def test_map_assign_ties(self, means, variances, weights, x, expected):
         params = gmm.GmmParams(means=means, variances=variances, weights=weights)
         states = self.check_map_assign(params, np.array(x))
-        assert states.indicators.tolist() == expected
+        assert states.tolist() == expected
 
     def check_map_assign(self, params, x):
         states = gmm.map_assign(params, scalar(x))
-        assert np.array_equal(states.indicators, reference_map_assign(params, x))
+        assert np.array_equal(states, reference_map_assign(params, x))
         return states

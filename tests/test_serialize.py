@@ -59,6 +59,30 @@ class TestCsvRoundTrips:
         with pytest.raises(ValidationError, match=r"acc.csv, line 4: a 1.5-s hole"):
             serialize.read_accelerometer_csv(path)
 
+    @pytest.mark.parametrize("t", ["%.6f", "%.3f"])
+    def test_scalar_series_rounded_times(self, tmp_path, t):
+        # times rounded to fixed decimals step unevenly, within half a step
+        path = tmp_path / "scalar.csv"
+        rows = np.column_stack([np.arange(900) / 30, np.ones(900)])
+        np.savetxt(path, rows, fmt=[t, "%g"], delimiter=",", header="t,v", comments="")
+        assert len(serialize.read_scalar_csv(path)) == 900
+
+    @pytest.mark.parametrize("times, line, step", [
+        ("0,0.1,0.2,0.3,0.46,0.56", 6, 0.16),    # over half a step late
+        ("0,0.1,0.2,0.15,0.3,0.4", 5, -0.05),    # backwards
+        ("0,0.1,0.2,0.26,0.36,0.46", None, None),  # under half a step early: kept
+    ])
+    def test_scalar_series_off_grid(self, tmp_path, times, line, step):
+        path = tmp_path / "scalar.csv"
+        path.write_text("t,v\n" + "".join(f"{t},1\n" for t in times.split(",")))
+        if line is None:
+            assert len(serialize.read_scalar_csv(path)) == 6
+            return
+        with pytest.raises(ValidationError, match=re.escape(
+                f"scalar.csv, line {line}: a {step:g}-s time step before this row; "
+                "the grid steps 0.1 s")):
+            serialize.read_scalar_csv(path)
+
     def test_audio(self, tmp_path):
         path = tmp_path / "audio.csv"
         path.write_text("t,v\n0,0.1\n1,0.2\n")

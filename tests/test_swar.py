@@ -29,6 +29,13 @@ def two_state_model(p_stay=0.99, states=None):
                                  beta=np.array([0.5, 0.5]))
 
 
+def two_state_path(length, seed):
+    """Values and states of ``two_state_model``'s regimes, switching every
+    100 steps."""
+    z = np.arange(length) // 100 % 2
+    return swar.ar_path(two_state_model().states, z, np.random.default_rng(seed)), z
+
+
 class TestModelValidation:
     @pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, np.nan]])
     def test_bad_transition_row(self, row):
@@ -123,10 +130,9 @@ class TestArPsd:
         state = swar.ArState(
             coefficients=[2 * radius * np.cos(angle), -radius**2],
             mean=0.0, variance=1.0)
-        model = swar.SwitchingArModel(
-            states=[state, state],
-            transitions=np.full((2, 2), 0.5), beta=np.array([0.5, 0.5]))
-        series, _ = swar.simulate(model, 2**15, seed=0)
+        values = swar.ar_path([state], np.zeros(2**15, dtype=int),
+                              np.random.default_rng(0))
+        series = ScalarSeries(rate=1.0, values=values)
         freqs, welch = preprocess.power_spectrum(series, segment_length=512)
         # Welch is one-sided; the closed form is a two-sided density
         one_sided = 2 * swar.ar_psd(state, freqs)
@@ -135,47 +141,18 @@ class TestArPsd:
         assert abs(one_sided[peak] - welch[peak]) < 0.15 * one_sided[peak]
 
 
-class TestSimulate:
-    def test_degenerate_chain_iid(self):
-        model = two_state_model(states=[ar1_state(0.0, mean=5.0, var=1.0),
-                                        ar1_state(0.0, mean=5.0, var=1.0)])
-        series, _ = swar.simulate(model, 40_000, seed=4)
-        assert abs(series.values.mean() - 5.0) < 3.0 / np.sqrt(40_000)
-
-    def test_dwell_time(self):
-        model = two_state_model(p_stay=0.99)
-        _, states = swar.simulate(model, 100_000, seed=1)
-        z = states.indicators
-        switches = np.flatnonzero(np.diff(z) != 0)
-        dwells = np.diff(switches)
-        assert abs(dwells.mean() - 100) < 20
-
-    def test_determinism(self):
-        model = two_state_model()
-        a, za = swar.simulate(model, 500, seed=11)
-        b, zb = swar.simulate(model, 500, seed=11)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(za.indicators, zb.indicators)
-
-    def test_length_validation(self):
-        with pytest.raises(ValidationError):
-            swar.simulate(two_state_model(), 1, seed=0)
-
-
 class TestGibbsSweep:
     def test_determinism_bit_identical(self):
-        series, _ = swar.simulate(two_state_model(), 400, seed=2)
-        data = ScalarSeries(rate=1.0, values=series.values)
+        data = ScalarSeries(rate=1.0, values=two_state_path(400, seed=2)[0])
         cfg = dict(order=1, truncation=5, sweeps=10, burn_in=0, seed=7)
         fit_a = swar.fit(data, **cfg)
         fit_b = swar.fit(data, **cfg)
-        assert np.array_equal(fit_a.states.indicators, fit_b.states.indicators)
+        assert np.array_equal(fit_a.states, fit_b.states)
         assert np.array_equal(fit_a.loglik_trace, fit_b.loglik_trace)
         assert np.array_equal(fit_a.model.beta, fit_b.model.beta)
 
     def test_simplex_invariants_after_sweeps(self):
-        series, _ = swar.simulate(two_state_model(), 400, seed=3)
-        data = ScalarSeries(rate=1.0, values=series.values)
+        data = ScalarSeries(rate=1.0, values=two_state_path(400, seed=3)[0])
         model = swar.initial_model(data, order=1, truncation=6, kappa=0.0)
         X, y = swar._design(data.values, 1)
         rng = np.random.default_rng(0)
@@ -206,7 +183,7 @@ class TestGibbsSweep:
         fit = swar.fit(data, order=1, truncation=4, sweeps=3, burn_in=2, seed=0)
         assert fit.posteriors.shape == (200, 4)
         # one kept sweep: the posteriors are the estimate's one-hot rows
-        assert np.array_equal(fit.posteriors, np.eye(4)[fit.states.indicators])
+        assert np.array_equal(fit.posteriors, np.eye(4)[fit.states])
 
     def test_posteriors_are_kept_sweep_frequencies(self):
         rng = np.random.default_rng(1)
@@ -226,7 +203,8 @@ class TestGibbsSweep:
         values = swar.ar_path(states, z, np.random.default_rng(6))
         data = ScalarSeries(rate=1.0, values=values)
         fit = swar.fit(data, order=1, truncation=2, sweeps=40, burn_in=20, seed=2)
-        assert fit.occupied == fit.states.occupied == 2
+        assert fit.occupied == 2
+        assert np.array_equal(np.unique(fit.states), [0, 1])
 
 
 class TestCompleteDataLoglik:
@@ -258,10 +236,10 @@ class TestCompleteDataLoglik:
         assert swar.complete_data_loglik(model, data, z) == pytest.approx(by_hand, abs=1e-12)
 
     def test_inflated_variance_lowers_loglik(self):
-        series, states = swar.simulate(two_state_model(), 300, seed=8)
-        data = ScalarSeries(rate=1.0, values=series.values)
+        values, z = two_state_path(300, seed=8)
+        data = ScalarSeries(rate=1.0, values=values)
         model = two_state_model()
-        z = states.indicators[1:]
+        z = z[1:]
         base = swar.complete_data_loglik(model, data, z)
         inflated_states = [swar.ArState(coefficients=s.coefficients,
                                         mean=s.mean, variance=s.variance * 1e6)
@@ -272,8 +250,7 @@ class TestCompleteDataLoglik:
         assert swar.complete_data_loglik(inflated, data, z) < base
 
     def test_fit_trace_scores_each_sweep_once(self, monkeypatch):
-        series, _ = swar.simulate(two_state_model(), 300, seed=9)
-        data = ScalarSeries(rate=1.0, values=series.values)
+        data = ScalarSeries(rate=1.0, values=two_state_path(300, seed=9)[0])
         sweeps, matrices = [], []
         gibbs_sweep, loglik_matrix = swar.gibbs_sweep, swar._loglik_matrix
 
@@ -614,7 +591,7 @@ class TestReferenceEquality:
         fit = swar.fit(series, **cfg)
         monkeypatch.setattr(swar, "gibbs_sweep", reference_gibbs_sweep)
         ref = swar.fit(series, **cfg)
-        assert np.array_equal(fit.states.indicators, ref.states.indicators)
+        assert np.array_equal(fit.states, ref.states)
         assert np.array_equal(fit.posteriors, ref.posteriors)
         assert np.array_equal(fit.loglik_trace, ref.loglik_trace)
         assert np.array_equal(fit.model.transitions, ref.model.transitions)

@@ -52,6 +52,14 @@ class TestSynthSpec:
             SynthSpec(scenario="switching-ar", **{"duration": 1.0, "rate": 10.0,
                                                   name: value})
 
+    @pytest.mark.parametrize("noise", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("scenario", ["two-cluster", "gravity-drift"])
+    def test_noise_must_be_finite_and_positive(self, scenario, noise):
+        # a generator would otherwise swap in unit noise or none at all
+        with pytest.raises(ValidationError,
+                           match=f"^noise must be finite and positive, got {noise}$"):
+            SynthSpec(scenario=scenario, duration=1.0, rate=10.0, noise=noise)
+
     def test_gap_in_schedule(self):
         with pytest.raises(ValidationError, match="cover the duration without gaps"):
             SynthSpec(scenario="switching-ar", duration=2.0, rate=10.0,
