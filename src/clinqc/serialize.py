@@ -15,8 +15,8 @@ fault, or the file if its text is not UTF-8 or every row has the wrong
 column count: no row is dropped silently, and neither is a non-finite
 value, a negative count, a label other than 1 or 2, an accelerometer
 timestamp that does not advance or leaves a hole over ``MAX_GAP_S``
-seconds, or a feature time step more than half a median step off the
-median step. An audio table's time column is parsed like any other, but
+seconds, or a feature or label time step more than half a median step off
+the median step. An audio table's time column is parsed like any other, but
 held at float32 (4 bytes a row) and not checked for finiteness, since
 nothing reads it; its values stay float64, a view into the parsed rows.
 
@@ -210,13 +210,19 @@ def write_scalar_csv(path: Path, series: ScalarSeries,
     write_table(path, "t,v", rows, meta)
 
 
-def _rate_of(path: Path, t: np.ndarray) -> float:
-    """Sampling rate from the median step of the time column ``t``."""
-    step = float(np.median(np.diff(t)))
-    if not 0 < step < np.inf:
+def _grid_rate(path: Path, t: np.ndarray) -> float:
+    """Sampling rate from the median step of the time column ``t``, whose
+    every step must lie within half a median step of it."""
+    median = float(np.median(np.diff(t)))
+    if not 0 < median < np.inf:
         raise ValidationError(
-            f"{path}: the time column must advance; its median step is {step:g}")
-    return 1.0 / step
+            f"{path}: the time column must advance; its median step is {median:g}")
+    rate = 1.0 / median
+    step = np.diff(t, prepend=np.nan)             # NaN: the first row has none
+    off = np.abs(step * rate - 1.0) > 0.5
+    _reject_rows(path, off, f"a {step[np.argmax(off)]:g}-s time step before this row; "
+                            f"the grid steps {1.0 / rate:g} s")
+    return rate
 
 
 def read_scalar_csv(path: Path) -> ScalarSeries:
@@ -225,12 +231,7 @@ def read_scalar_csv(path: Path) -> ScalarSeries:
     _reject_rows(path, ~np.isfinite(data).all(axis=1), _NON_FINITE)
     if len(data) < 2:
         raise ValidationError(f"{path}: need at least 2 samples")
-    rate = _rate_of(path, data[:, 0])
-    step = np.diff(data[:, 0], prepend=np.nan)    # NaN: the first row has none
-    off = np.abs(step * rate - 1.0) > 0.5
-    _reject_rows(path, off, f"a {step[np.argmax(off)]:g}-s time step before this row; "
-                            f"the grid steps {1.0 / rate:g} s")
-    return ScalarSeries(rate=rate, values=data[:, 1])
+    return ScalarSeries(rate=_grid_rate(path, data[:, 0]), values=data[:, 1])
 
 
 def write_spectrum_csv(path: Path, frequencies: np.ndarray, power: np.ndarray,
@@ -253,10 +254,10 @@ def write_labels_csv(path: Path, rate: float, labels: np.ndarray,
 
 def read_labels_csv(path: Path) -> np.ndarray:
     """Read the ``u`` column of a ``t,u`` table as ints; with two or more
-    rows the time column must advance."""
+    rows every time step lies within half the median one, as in a feature."""
     data = _read_table(path, 2)
     if len(data) > 1:
-        _rate_of(path, data[:, 0])
+        _grid_rate(path, data[:, 0])
     _reject_rows(path, ~np.isin(data[:, 1], (ADHERENCE, VIOLATION)),
                  "labels must be 1 (adherence) or 2 (violation)")
     return data[:, 1].astype(int)

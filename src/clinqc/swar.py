@@ -21,7 +21,12 @@ closed once the chain settles. A closed state's column of a block transfer
 matrix is a known unit vector times a running product, so the filter
 builds only the open states' columns. Emission likelihoods, the forward
 table's weights and its cumulative sums are state-major, (L, n), so the
-sums over the L states are contiguous row adds.
+sums over the L states are contiguous row adds. The states reachable from
+state j are those it moves into, ``flatnonzero(pi[j])``; the forward draws
+from j sum over those only, since every other state adds an exact zero.
+The per-state stages run batched where that keeps every bit: the
+log-likelihoods' Gaussian terms over all L rows at once, and the emission
+draws' inverses and Cholesky factors as one stacked call each.
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ class ArState:
         if not 0 < self.variance < np.inf:
             raise ValidationError(
                 f"innovation variance must be positive and finite, got {self.variance!r}")
-        if not np.all(np.isfinite(self.coefficients)) or not np.isfinite(self.mean):
+        if not (np.isfinite(self.coefficients).all() and math.isfinite(self.mean)):
             raise ValidationError("AR parameters must be finite")
 
     @property
@@ -181,17 +186,23 @@ def _design(values: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _loglik_matrix(model: SwitchingArModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-state, per-time emission log-likelihoods, shape (L, T - r)."""
+    """Per-state, per-time emission log-likelihoods, shape (L, T - r): one
+    ``X @ w`` per state, then the Gaussian terms over all rows at once."""
+    variance = np.array([st.variance for st in model.states])
     out = np.empty((model.truncation, len(y)))
+    w = np.empty(X.shape[1])
     for k, st in enumerate(model.states):
-        w = np.concatenate([st.coefficients, [st.mean]])
-        resid = y - X @ w
-        out[k] = (-0.5 * (_LOG_2PI + np.log(st.variance))
-                  - 0.5 * resid ** 2 / st.variance)
+        w[:-1], w[-1] = st.coefficients, st.mean
+        np.matmul(X, w, out=out[k])
+    np.subtract(y, out, out=out)                  # the residuals
+    np.square(out, out=out)
+    out *= 0.5
+    out /= variance[:, None]
+    np.subtract((-0.5 * (_LOG_2PI + np.log(variance)))[:, None], out, out=out)
     return out
 
 
-_BLOCK = 512   # time steps per block of the forward table
+_BLOCK = 1024  # time steps per block of the forward table
 
 
 def sample_states(model: SwitchingArModel, loglik: np.ndarray,
@@ -205,11 +216,14 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     them in three passes over blocks of about sqrt(n) steps. The forward
     pass looks each draw up in a table: per block of steps and previous
     state j, one vectorized pass draws the next state of every step in the
-    block, the first time the chain is in j within that block. Draws equal
-    those of the sequential recursion
+    block, the first time the chain is in j within that block. It draws
+    over the states reachable from j only, ``flatnonzero(pi[j])``, found
+    once per state per call. Draws equal those of the sequential recursion
     ``m_t = pi @ (lik_{t+1} * m_{t+1}) / total`` unless a rounding
     difference at the 1e-16 level moves a uniform across a cumulative
-    weight.
+    weight, or ``u * total`` rounds up to the total: then the recursion
+    picks state L - 1, which may have zero weight, and this picks the last
+    reachable state.
     """
     n = loglik.shape[1]
     shift = loglik.max(axis=0)
@@ -220,10 +234,12 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     pi = model.transitions
     weights = np.multiply(lik, _backward_messages(lik, pi).T, out=lik)
     uniforms = rng.random(n)
-    state = int(_draw_column(weights[:, :1], model.beta, uniforms[:1])[0])
+    state = int(_draw_column(weights[:, :1], model.beta, model.beta.nonzero()[0],
+                             uniforms[:1])[0])
     if state < 0:
         raise ClinQcError("all state probabilities underflowed")
     path = [state]
+    reachable = [row.nonzero()[0] for row in pi]
     for start in range(1, n, _BLOCK):
         block = slice(start, min(start + _BLOCK, n))
         block_weights, block_uniforms = weights[:, block], uniforms[block]
@@ -232,6 +248,7 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
             column = table[state]
             if column is None:
                 column = table[state] = _draw_column(block_weights, pi[state],
+                                                     reachable[state],
                                                      block_uniforms).tolist()
             state = column[i]
             if state < 0:
@@ -265,8 +282,10 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
        stays zero with log-scale -inf (a dead state, not an error).
     2. From the last block back, the message at each block's start is the
        sum of its P columns weighted by ``exp(log m + logscale - max)``,
-       with m the message at the block's end; each block's L x L matrix
-       is its open columns beside the closed states' e_j.
+       with m the message at the block's end. Every block's L x L matrix
+       (its open columns beside the closed states' e_j) and log-scales are
+       stacked once, after pass 1's work is freed, so each block is a few
+       in-place steps and one matrix-vector product.
     3. Every block at once fills its messages by the sequential recursion,
        starting from the message at its end.
 
@@ -314,19 +333,30 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
             total[total == 0] = 1.0           # a dead column stays zero
             np.divide(product, total, out=flat)
             closed_scale += closed_steps[:, step]
-        logscale = np.empty((L, blocks - 1))
-        logscale[is_open] = open_scale.reshape(columns.shape[1:])
-        logscale[closed] = closed_scale
+        del product, closed_steps             # pass 1's work, before the stack
+        # transfer[b - 1] is block b's P and logscale[b - 1] its log-scales:
+        # the open columns beside the closed states' e_j
+        transfer = np.zeros((blocks - 1, L, L))
+        transfer[:, :, is_open] = columns.transpose(2, 0, 1)
+        shut = np.flatnonzero(closed)
+        transfer[:, shut, shut] = 1.0
+        logscale = np.empty((blocks - 1, L))
+        logscale[:, is_open] = open_scale.reshape(columns.shape[1:]).T
+        logscale[:, closed] = closed_scale.T
+        del columns, flat
         # pass 2: the message at each block's start, from the last block back
-        transfer = np.eye(L)
+        weight = np.empty(L)
         for b in range(blocks - 1, 0, -1):
-            log_weight = np.log(messages[first + b * width]) + logscale[:, b - 1]
-            top = log_weight.max()
-            if not np.isfinite(top):
+            np.log(messages[first + b * width], out=weight)
+            weight += logscale[b - 1]
+            top = weight.max()
+            if not math.isfinite(top):
                 raise ClinQcError("backward message underflowed")
-            transfer[:, is_open] = columns[:, :, b - 1]
-            msg = transfer @ np.exp(log_weight - top)
-            messages[first + (b - 1) * width] = msg / msg.sum()
+            weight -= top
+            np.exp(weight, out=weight)
+            msg = messages[first + (b - 1) * width]
+            np.matmul(transfer[b - 1], weight, out=msg)
+            msg /= msg.sum()
     # pass 3: the recursion inside every block at once, last step first; a
     # total of 0 leaves 0/0 = nan in its message, for the check after it
     with np.errstate(invalid="ignore"):
@@ -342,24 +372,29 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return messages
 
 
-def _draw_column(weights: np.ndarray, row: np.ndarray,
+def _draw_column(weights: np.ndarray, row: np.ndarray, reach: np.ndarray,
                  uniforms: np.ndarray) -> np.ndarray:
     """One categorical draw per step from ``weights[:, t] * row``.
 
-    ``weights`` is state-major, shape (L, m). Draw t is
-    ``searchsorted(cum, u_t * cum[-1], side="right")`` capped at L - 1 with
-    ``cum = cumsum(weights[:, t] * row)``: the number of the first L - 1
-    cumulative weights at most u_t times the total, as they never
-    decrease. The cumulative sums run as L - 1 row adds, in the order
-    ``np.cumsum`` adds. A step whose total is not positive and finite
-    draws -1.
+    ``weights`` is state-major, shape (L, m), and ``reach`` is
+    ``flatnonzero(row)``, the reachable states: the draw runs over those
+    rows only. Draw t is ``reach[searchsorted(cum, u_t * cum[-1],
+    side="right")]`` capped at the last reachable state, with ``cum =
+    cumsum(weights[reach, t] * row[reach])``: the number of the first
+    len(reach) - 1 cumulative weights at most u_t times the total, as they
+    never decrease. The cumulative sums run as row adds, in the order
+    ``np.cumsum`` adds. A state outside ``reach`` adds an exact zero to the
+    sums over all L states, so a draw picks the state theirs would, unless
+    ``u_t * total`` rounds up to the total (see ``sample_states``). A step
+    whose total is not positive and finite draws -1.
     """
-    last = len(row) - 1
-    cum = weights * row[:, None]
+    last = len(reach) - 1
+    cum = weights[reach]
+    cum *= row[reach][:, None]
     for k in range(last):
         np.add(cum[k], cum[k + 1], out=cum[k + 1])
     total = cum[last]
-    picks = (cum[:last] <= uniforms * total).sum(axis=0)
+    picks = reach[(cum[:last] <= uniforms * total).sum(axis=0)]
     picks[~((total > 0) & (total < np.inf))] = -1
     return picks
 
@@ -411,28 +446,47 @@ def _sample_tables(counts: np.ndarray, model: SwitchingArModel,
     return tables
 
 
-def _sample_emission(X: np.ndarray, y: np.ndarray, prior: ArPrior, order: int,
-                     rng: np.random.Generator) -> ArState:
-    """Draw (A, mu, sigma^2) from the conjugate posterior given assigned data.
+def _sample_emissions(X: np.ndarray, y: np.ndarray, bounds: np.ndarray,
+                      prior: ArPrior, rng: np.random.Generator) -> list[ArState]:
+    """Draw every state's (A, mu, sigma^2) from its conjugate posterior.
 
-    With no data this is a draw from the prior.
+    ``X, y`` hold the steps grouped by state: state k's are rows
+    ``bounds[k]:bounds[k + 1]``. A state with no data draws from the prior.
+    Each occupied state forms its own ``X.T @ X``, ``X.T @ y`` and
+    ``y @ y``; one stacked ``inv`` and ``cholesky`` then cover them all.
+    The generator is called state by state: a gamma, then
+    ``standard_normal(d)``.
     """
-    d = order + 1
-    if len(y) == 0:
-        variance = 1.0 / rng.gamma(prior.shape, 1.0 / prior.scale)
-        w = np.sqrt(variance * prior.coef_scale ** 2) * rng.standard_normal(d)
-    else:
-        vn_inv = np.eye(d) / prior.coef_scale ** 2 + X.T @ X
-        vn = np.linalg.inv(vn_inv)
-        wn = vn @ (X.T @ y)
-        an = prior.shape + 0.5 * len(y)
-        bn = prior.scale + 0.5 * float(y @ y - wn @ vn_inv @ wn)
-        bn = max(bn, 1e-12)
-        variance = 1.0 / rng.gamma(an, 1.0 / bn)
-        chol = np.linalg.cholesky(vn)
-        w = wn + np.sqrt(variance) * (chol @ rng.standard_normal(d))
-    return ArState(coefficients=w[:order], mean=float(w[order]),
-                   variance=float(variance))
+    L, d = len(bounds) - 1, X.shape[1]
+    sizes = np.diff(bounds)
+    occupied = np.flatnonzero(sizes)
+    precision = np.empty((len(occupied), d, d))
+    xty = np.empty((len(occupied), d, 1))
+    yy = np.empty(len(occupied))
+    for i, k in enumerate(occupied):
+        Xk, yk = X[bounds[k]:bounds[k + 1]], y[bounds[k]:bounds[k + 1]]
+        precision[i] = Xk.T @ Xk
+        xty[i, :, 0] = Xk.T @ yk
+        yy[i] = yk @ yk
+    precision += np.eye(d) / prior.coef_scale ** 2
+    cov = np.linalg.inv(precision)
+    mean = cov @ xty                                          # (K, d, 1)
+    quad = (mean.transpose(0, 2, 1) @ precision @ mean)[:, 0, 0]
+    shape = np.full(L, prior.shape)
+    scale = np.full(L, prior.scale)
+    shape[occupied] += 0.5 * sizes[occupied]
+    scale[occupied] = np.maximum(prior.scale + 0.5 * (yy - quad), 1e-12)
+    gammas = np.empty(L)
+    normals = np.empty((L, d))
+    for k in range(L):
+        gammas[k] = rng.gamma(shape[k], 1.0 / scale[k])
+        rng.standard_normal(d, out=normals[k])
+    variance = 1.0 / gammas
+    w = np.sqrt(variance * prior.coef_scale ** 2)[:, None] * normals
+    w[occupied] = mean[:, :, 0] + np.sqrt(variance[occupied])[:, None] * (
+        np.linalg.cholesky(cov) @ normals[occupied, :, None])[:, :, 0]
+    return [ArState(coefficients=w[k, :-1], mean=float(w[k, -1]),
+                    variance=float(variance[k])) for k in range(L)]
 
 
 def gibbs_sweep(model: SwitchingArModel, X: np.ndarray, y: np.ndarray,
@@ -460,8 +514,7 @@ def gibbs_sweep(model: SwitchingArModel, X: np.ndarray, y: np.ndarray,
     # by_state[bounds[k]:bounds[k + 1]] are the steps in state k, in order
     by_state = np.argsort(z, kind="stable")
     bounds = np.searchsorted(z[by_state], np.arange(L + 1))
-    states = [_sample_emission(X[steps], y[steps], model.prior, model.order, rng)
-              for steps in np.split(by_state, bounds[1:-1])]
+    states = _sample_emissions(X[by_state], y[by_state], bounds, model.prior, rng)
 
     updated = replace(model, states=states, transitions=transitions, beta=beta)
     return updated, z

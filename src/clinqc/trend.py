@@ -19,6 +19,10 @@ solver stops on the primal-dual gap, so the trend it returns comes with a
 certificate of how far its objective is from the optimum. Its settings
 are arguments of ``l1_trend_filter``. scipy is imported on first use.
 
+The trend does not depend on the BLAS thread count: the solver's long dot
+products are summed by numpy (``_dot``), not by BLAS, so walking and
+balance artifacts are the same bytes at any thread count.
+
 Memory is one column's working set. ``l1_trend_filter`` allocates its
 Newton-step vectors once per call and updates them in place, with the
 same floating-point operations in the same order as the written
@@ -34,6 +38,12 @@ import numpy as np
 
 from .errors import ClinQcError, NoConvergenceWarning, ValidationError
 from .series import as_float_array
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` summed by numpy in one thread: a BLAS ``ddot`` splits a
+    long sum across its threads, so its rounding follows the thread count."""
+    return np.einsum("i,i->", a, b)
 
 
 def _second_difference(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -234,17 +244,17 @@ def l1_trend_filter(values: np.ndarray, lam: float | None = None, *,
         dmu2 *= dy
         dmu2 -= mu2
         step = min(1.0, _max_step(s1, s2, dy, (mu1, dmu1), (mu2, dmu2), scratch=tmp))
-        tau = (s1 @ mu1 + s2 @ mu2) / (2 * m)  # mean of s * mu
+        tau = (_dot(s1, mu1) + _dot(s2, mu2)) / (2 * m)  # mean of s * mu
         # tau_aff: the mean of s * mu after the predictor's step,
         # ((s1 - step dy) @ (mu1 + step dmu1) + (s2 + step dy) @ (mu2 + step dmu2)) / 2m
         step_dy = np.multiply(step, dy, out=tmp)
         moved_s, moved_mu = g[:m], resid[:m]
         np.subtract(s1, step_dy, out=moved_s)
         np.add(mu1, np.multiply(step, dmu1, out=moved_mu), out=moved_mu)
-        tau_aff = moved_s @ moved_mu
+        tau_aff = _dot(moved_s, moved_mu)
         np.add(s2, step_dy, out=moved_s)
         np.add(mu2, np.multiply(step, dmu2, out=moved_mu), out=moved_mu)
-        tau_aff = (tau_aff + moved_s @ moved_mu) / (2 * m)
+        tau_aff = (tau_aff + _dot(moved_s, moved_mu)) / (2 * m)
         target = (tau_aff / tau) ** 3 * tau
         # corrector: centre on the target and cancel the predictor's
         # second-order term in s * mu, with e1 = (target + dy * dmu1) / s1

@@ -318,6 +318,26 @@ class TestReproducibility:
         assert ((tmp_path / "b" / "feature.csv").read_bytes()
                 == (tmp_path / "c" / "feature.csv").read_bytes())
 
+    def test_walking_feature_same_at_any_blas_thread_count(self, tmp_path):
+        # 200 s at 120 Hz resamples to 24,000 samples: OpenBLAS splits a
+        # dot product that long across its threads, so a trend filter that
+        # summed through BLAS would round differently at 1 and 2 threads
+        run(["synth", "--scenario", "gravity-drift", "--duration", "200",
+             "--rate", "120", "--out", tmp_path])
+        src = str(Path(clinqc.__file__).parents[1])
+        features = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-c",
+                            "import sys; from clinqc.cli import main; sys.exit(main(sys.argv[1:]))",
+                            "preprocess", str(tmp_path / "raw.csv"), "--kind", "walking",
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            features.append((out / "feature.csv").read_bytes())
+        assert features[0] == features[1]
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", ["preprocess directory", "classify directory",
@@ -620,6 +640,25 @@ class TestExitCodes:
         step = rows[1800, 0] - rows[1799, 0]
         assert (f"{feature}, line 1802: a {step:g}-s time step before this row"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train-nb", "evaluate"])
+    @pytest.mark.parametrize("times, line, step", [("0 1 2 60", 5, "58"),
+                                                   ("0 1 0.5 3", 4, "-0.5")],
+                             ids=["hole", "step back"])
+    def test_labels_off_their_time_grid_exit_2(self, tmp_path, capsys, command,
+                                               times, line, step):
+        # labels are matched to counts by row, so a label table that lost or
+        # reordered rows is rejected like a feature, at its file line
+        counts = tmp_path / "counts.csv"
+        counts.write_text("3,0\n0,3\n2,1\n1,2\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("t,u\n" + "".join(f"{t},{1 + i % 2}\n"
+                                            for i, t in enumerate(times.split())))
+        args = ["--folds", "2"] if command == "evaluate" else []
+        assert run([command, counts, labels, *args, "--out", tmp_path / "out"]) == 2
+        assert (f"{labels}, line {line}: a {step}-s time step before this row; "
+                f"the grid steps 1 s" in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):

@@ -300,8 +300,10 @@ class TestConjugateEmissionUpdate:
         prior = swar.ArPrior(coef_scale=1.0, shape=2.0, scale=1.0)
         vn_inv = np.eye(2) + X.T @ X
         wn = np.linalg.solve(vn_inv, X.T @ y)
+        one_state = np.array([0, len(y)])
         draws = np.array([
-            swar._sample_emission(X, y, prior, 1, np.random.default_rng(s)).coefficients[0]
+            swar._sample_emissions(X, y, one_state, prior,
+                                   np.random.default_rng(s))[0].coefficients[0]
             for s in range(400)])
         # Monte-Carlo error on the posterior mean of the lag-1 coefficient
         assert abs(draws.mean() - wn[0]) < 5 * draws.std() / np.sqrt(len(draws)) + 1e-3
@@ -440,9 +442,18 @@ def reference_sample_emission(X, y, prior, order, rng):
         variance = 1.0 / rng.gamma(prior.shape, 1.0 / prior.scale)
         w = rng.multivariate_normal(np.zeros(d),
                                     variance * prior.coef_scale ** 2 * np.eye(d))
-        return swar.ArState(coefficients=w[:order], mean=float(w[order]),
-                            variance=float(variance))
-    return swar._sample_emission(X, y, prior, order, rng)
+    else:
+        vn_inv = np.eye(d) / prior.coef_scale ** 2 + X.T @ X
+        vn = np.linalg.inv(vn_inv)
+        wn = vn @ (X.T @ y)
+        an = prior.shape + 0.5 * len(y)
+        bn = prior.scale + 0.5 * float(y @ y - wn @ vn_inv @ wn)
+        bn = max(bn, 1e-12)
+        variance = 1.0 / rng.gamma(an, 1.0 / bn)
+        chol = np.linalg.cholesky(vn)
+        w = wn + np.sqrt(variance) * (chol @ rng.standard_normal(d))
+    return swar.ArState(coefficients=w[:order], mean=float(w[order]),
+                        variance=float(variance))
 
 
 def reference_gibbs_sweep(model, X, y, loglik, rng):
@@ -478,12 +489,13 @@ def random_model(L, kappa, seed, closed=()):
 
 def sample_states_cases():
     """(n, L, kappa, closed, start_closed) for ``test_sample_states``: every
-    state open, with ids n-L-kappa; then sets of closed states, which take
-    the short path through the backward filter, with beta on the last
-    closed state when start_closed."""
+    state open, with ids n-L-kappa (n = 1025 fills the forward table's
+    first block of 1024 steps and n = 1026 starts a second); then sets of
+    closed states, which take the short path through the backward filter,
+    with beta on the last closed state when start_closed."""
     cases = [pytest.param(n, L, kappa, (), False, id=f"{n}-{L}-{kappa}")
              for kappa in [0.0, 20.0] for L in [2, 20]
-             for n in [1, 2, 511, 512, 513, 1025]]
+             for n in [1, 2, 511, 512, 513, 1025, 1026, 2050]]
     closed_sets = {"L2-one": (2, [1]), "L20-some": (20, [0, 3, 4, 11, 19]),
                    "L20-all-but-one": (20, list(range(1, 20))),
                    "L20-all": (20, list(range(20)))}
@@ -508,6 +520,25 @@ class TestReferenceEquality:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if start_closed:
             assert z[0] == closed[-1]
+
+    @pytest.mark.parametrize("L", [2, 20])
+    @pytest.mark.parametrize("n", [511, 512, 513, 1025, 1026, 2050])
+    def test_sample_states_reachable_rows(self, n, L):
+        # rows with exact zeros and subnormals between positive entries: the
+        # draws run over each row's nonzero entries only, and the start
+        # draws from a beta with zeros of its own
+        pi = hard_transitions(L, seed=n)
+        model = swar.SwitchingArModel(states=[ar1_state(0.0) for _ in range(L)],
+                                      transitions=pi, beta=pi[-1])
+        assert (pi == 0).any() and ((pi > 0) & (pi < 1e-307)).any()
+        loglik = np.random.default_rng(n).normal(scale=5.0, size=(L, n))
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        z = swar.sample_states(model, loglik, rng)
+        assert np.array_equal(z, reference_sample_states(model, loglik, ref_rng))
+        assert z.dtype == np.dtype(int)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # every step moves along a nonzero transition
+        assert (pi[z[:-1], z[1:]] > 0).all() and model.beta[z[0]] > 0
 
     def test_sample_states_peak(self, traced_peak):
         # live (L, T) float64 arrays at the peak: the likelihoods (later the
@@ -574,11 +605,33 @@ class TestReferenceEquality:
         X, y = np.empty((0, order + 1)), np.empty(0)
         for seed in range(20):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            state = swar._sample_emission(X, y, prior, order, rng)
+            state = swar._sample_emissions(X, y, np.array([0, 0]), prior, rng)[0]
             ref = reference_sample_emission(X, y, prior, order, ref_rng)
             assert np.array_equal(state.coefficients, ref.coefficients)
             assert (state.mean, state.variance) == (ref.mean, ref.variance)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    def test_sample_emissions(self, order):
+        # one batched call draws what per-state calls draw, in the same
+        # generator order: states 1 and 4 hold no data, state 3 one step
+        values = two_state_path(400, seed=order)[0]
+        X, y = swar._design(values, order)
+        z = np.random.default_rng(order).choice([0, 2, 5], size=len(y))
+        z[17] = 3
+        prior = swar.ArPrior(coef_scale=1.5, shape=2.0, scale=0.4)
+        by_state = np.argsort(z, kind="stable")
+        bounds = np.searchsorted(z[by_state], np.arange(7))
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        states = swar._sample_emissions(X[by_state], y[by_state], bounds, prior, rng)
+        refs = [reference_sample_emission(X[z == k], y[z == k], prior, order, ref_rng)
+                for k in range(6)]
+        assert len(states) == 6
+        for state, ref in zip(states, refs):
+            assert state.coefficients.shape == (order,)
+            assert np.array_equal(state.coefficients, ref.coefficients)
+            assert (state.mean, state.variance) == (ref.mean, ref.variance)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("kappa", [0.0, 20.0])
     def test_whole_fit(self, monkeypatch, kappa):

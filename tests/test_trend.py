@@ -32,6 +32,10 @@ def reference_l1_trend_filter(x, lam, tolerance=1e-6, max_iterations=100):
         out[2:] += w
         return out
 
+    def dot(a, b):
+        # summed in one thread, whatever the BLAS thread count
+        return np.einsum("i,i->", a, b)
+
     def max_step(*pairs):
         worst = min(float(np.min(dv / v)) for v, dv in pairs)
         return -1.0 / worst if worst < 0 else np.inf
@@ -76,9 +80,9 @@ def reference_l1_trend_filter(x, lam, tolerance=1e-6, max_iterations=100):
         dmu1 = w1 * dy - mu1
         dmu2 = -w2 * dy - mu2
         step = min(1.0, max_step((s1, -dy), (s2, dy), (mu1, dmu1), (mu2, dmu2)))
-        tau = (s1 @ mu1 + s2 @ mu2) / (2 * len(y))
-        tau_aff = ((s1 - step * dy) @ (mu1 + step * dmu1)
-                   + (s2 + step * dy) @ (mu2 + step * dmu2)) / (2 * len(y))
+        tau = (dot(s1, mu1) + dot(s2, mu2)) / (2 * len(y))
+        tau_aff = (dot(s1 - step * dy, mu1 + step * dmu1)
+                   + dot(s2 + step * dy, mu2 + step * dmu2)) / (2 * len(y))
         target = (tau_aff / tau) ** 3 * tau
         e1 = (target + dy * dmu1) / s1
         e2 = (target - dy * dmu2) / s2
