@@ -17,13 +17,15 @@ the draws equal the sequential recursion's unless a rounding difference at
 the 1e-16 level moves a uniform across a cumulative weight. A state is
 closed when no other state moves into it: the Dirichlet draws of states
 that hold no data underflow to exact zeros, so most of the L states are
-closed once the chain settles. A closed state's column of a block transfer
-matrix is a known unit vector times a running product, so the filter
-builds only the open states' columns. Emission likelihoods, the forward
-table's weights and its cumulative sums are state-major, (L, n), so the
-sums over the L states are contiguous row adds. The states reachable from
-state j are those it moves into, ``flatnonzero(pi[j])``; the forward draws
-from j sum over those only, since every other state adds an exact zero.
+closed once the chain settles. The open states then form a chain of their
+own, so the filter runs on them only; a closed state can hold the chain
+only from t = 0, for as long as it stays there, and its start weight comes
+in closed form from the open states' forward weights. Emission
+likelihoods, the forward table's weights and its cumulative sums are
+state-major, (L, n), so the sums over the states are contiguous row adds.
+The states reachable from state j are those it moves into,
+``flatnonzero(pi[j])``; the forward draws from j sum over those only,
+since every other state adds an exact zero.
 The per-state stages run batched where that keeps every bit: the
 log-likelihoods' Gaussian terms over all L rows at once, and the emission
 draws' inverses and Cholesky factors as one stacked call each.
@@ -213,35 +215,55 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     it. The chain starts from the global weights ``beta``. Per-time
     likelihoods are max-shifted before exponentiation and the backward
     messages are renormalized every step; ``_backward_messages`` computes
-    them in three passes over blocks of about sqrt(n) steps. The forward
-    pass looks each draw up in a table: per block of steps and previous
-    state j, one vectorized pass draws the next state of every step in the
-    block, the first time the chain is in j within that block. It draws
-    over the states reachable from j only, ``flatnonzero(pi[j])``, found
-    once per state per call. Draws equal those of the sequential recursion
-    ``m_t = pi @ (lik_{t+1} * m_{t+1}) / total`` unless a rounding
-    difference at the 1e-16 level moves a uniform across a cumulative
-    weight, or ``u * total`` rounds up to the total: then the recursion
-    picks state L - 1, which may have zero weight, and this picks the last
-    reachable state.
+    them in three passes over blocks of about sqrt(n) steps.
+
+    A state c is closed when no other state moves into it, so the open
+    states S form a chain of their own: their messages are those of the
+    filter on ``lik[S]`` and ``pi[S, S]``, and after t = 0 the chain is in
+    S unless it starts in c and stays there. The filter and the forward
+    weights ``lik * m`` run on S only; ``_start_weights`` gives each closed
+    state its start weight in closed form. When the draw at t = 0 picks a
+    closed state, the filter runs again on S and that state.
+
+    The forward pass looks each draw up in a table: per block of steps and
+    previous state j, one vectorized pass draws the next state of every
+    step in the block, the first time the chain is in j within that block.
+    It draws over the states reachable from j only, ``flatnonzero(pi[j])``,
+    found once per state per call. Draws equal those of the sequential
+    recursion ``m_t = pi @ (lik_{t+1} * m_{t+1}) / total`` unless a
+    rounding difference at the 1e-16 level moves a uniform across a
+    cumulative weight, or ``u * total`` rounds up to the total: then the
+    recursion picks state L - 1, which may have zero weight, and this picks
+    the last reachable state.
     """
     n = loglik.shape[1]
     shift = loglik.max(axis=0)
     if not np.all(np.isfinite(shift)):
         raise ClinQcError("emission likelihoods are not finite")
-    lik = np.subtract(loglik, shift, order="C")
-    np.exp(lik, out=lik)
     pi = model.transitions
-    weights = np.multiply(lik, _backward_messages(lik, pi).T, out=lik)
+    entered = pi != 0
+    np.fill_diagonal(entered, False)
+    is_open = entered.any(axis=0)
+    keep = np.flatnonzero(is_open)
+    weights = _forward_weights(loglik, shift, pi, keep)
+    start = _start_weights(loglik, shift, pi, keep, weights)
     uniforms = rng.random(n)
-    state = int(_draw_column(weights[:, :1], model.beta, model.beta.nonzero()[0],
+    state = int(_draw_column(start[:, None], model.beta, model.beta.nonzero()[0],
                              uniforms[:1])[0])
     if state < 0:
         raise ClinQcError("all state probabilities underflowed")
+    if not is_open[state]:
+        del weights                           # before the filter runs again
+        is_open[state] = True
+        keep = np.flatnonzero(is_open)
+        weights = _forward_weights(loglik, shift, pi, keep)
+    # from here on states are positions in keep
+    pi = pi[np.ix_(keep, keep)]
+    state = int(np.searchsorted(keep, state))
     path = [state]
     reachable = [row.nonzero()[0] for row in pi]
-    for start in range(1, n, _BLOCK):
-        block = slice(start, min(start + _BLOCK, n))
+    for begin in range(1, n, _BLOCK):
+        block = slice(begin, min(begin + _BLOCK, n))
         block_weights, block_uniforms = weights[:, block], uniforms[block]
         table = [None] * len(pi)
         for i in range(len(block_uniforms)):
@@ -254,7 +276,81 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
             if state < 0:
                 raise ClinQcError("all state probabilities underflowed")
             path.append(state)
-    return np.array(path, dtype=int)
+    return keep[path]
+
+
+def _forward_weights(loglik: np.ndarray, shift: np.ndarray, pi: np.ndarray,
+                     keep: np.ndarray) -> np.ndarray:
+    """The forward weights ``lik * m`` of the states ``keep``, shape
+    (len(keep), n), with ``lik = exp(loglik - shift)``. No state in
+    ``keep`` may move to a state outside it."""
+    lik = loglik[keep]
+    lik -= shift
+    np.exp(lik, out=lik)
+    if len(keep):
+        lik *= _backward_messages(lik, pi[np.ix_(keep, keep)]).T
+    return lik
+
+
+def _start_weights(loglik: np.ndarray, shift: np.ndarray, pi: np.ndarray,
+                   keep: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``lik_0 * m_0`` of all L states, up to a common factor, from the
+    forward weights ``w`` of the open states ``keep`` and the closed
+    states' log-likelihoods; the largest is at most 1.
+
+    A closed state c is followed only by itself and the open states S.
+    On the scale on which the open states' ``m_0`` sums to 1, with
+    ``s_v = colsum(pi[S, S]) @ w[:, v + 1]`` the total of message v before
+    its normalization, ``rho_v = pi[c, S] @ w[:, v + 1] / s_v`` and
+    ``ell_c = loglik[c] - shift``:
+
+        m_0[c] = sum_{u < n-1} exp(B_u) rho_u + exp(B_{n-1}),
+        B_u = sum_{v < u} (log pi_cc + ell_c(v + 1) - log s_v),
+
+    term u for the paths that stay in c to step u and enter S at u + 1,
+    the last for those that stay to the end. The terms are summed from
+    their logs, so neither a long stay nor a tiny ``s_v`` overflows.
+    ``pi`` enters as ``pi * 2**64``, as in ``_backward_messages``.
+    """
+    L, n = len(pi), loglik.shape[1]
+    start = np.empty(L)
+    start[keep] = weights[:, 0]
+    is_closed = np.ones(L, dtype=bool)
+    is_closed[keep] = False
+    closed = np.flatnonzero(is_closed)
+    if not len(closed):
+        return start
+    pi = np.ldexp(pi, 64)
+    # terms[:, u] is the log of term u; the stay to the end has rho = 1
+    terms = np.zeros((len(closed), n))
+    inflow = terms[:, :-1]
+    with np.errstate(divide="ignore"):
+        np.matmul(pi[closed][:, keep], weights[:, 1:], out=inflow)
+        np.log(inflow, out=inflow)
+        log_total = np.log(pi[keep][:, keep].sum(axis=0) @ weights[:, 1:]
+                           if len(keep) else 1.0)
+        inflow -= log_total
+        stay = loglik[closed, 1:]
+        stay -= log_total + shift[1:]
+        stay += np.log(np.diagonal(pi)[closed])[:, None]
+        np.cumsum(stay, axis=1, out=stay)
+        terms[:, 1:] += stay
+        top = terms.max(axis=1)
+        dead = top == -np.inf                 # no path: m_0[c] = 0
+        top[dead] = 0.0
+        terms -= top[:, None]
+        # a term below exp(-700) of the largest adds nothing; exp would
+        # take a slow path on it
+        np.maximum(terms, -700.0, out=terms)
+        np.exp(terms, out=terms)
+        log_start = np.log(terms.sum(axis=1))
+    log_start += top
+    log_start += loglik[closed, 0] - shift[0]
+    log_start[dead] = -np.inf
+    scale = max(log_start.max(), 0.0)
+    start[keep] *= math.exp(-scale)
+    start[closed] = np.exp(log_start - scale)
+    return start
 
 
 def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -269,23 +365,17 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
     1. For every block but the first, at once, the transfer matrix P (the
        product of the block's ``pi @ diag(lik)`` factors, which maps the
        message at the block's end to the one at its start) is built from
-       the identity in B steps. Only the columns of open states are built.
-       A state j is closed when no other state moves into it (``pi[i, j]
-       == 0`` for every i != j): its column of every factor is
-       ``pi[j, j] * lik[j] * e_j``, so its column of P stays e_j and its
-       log-scale is the running sum of ``log(pi[j, j] * lik[j])``, -inf
-       once that product underflows to 0. The E open columns of all the
-       blocks' P sit side by side in one ``(L, (blocks - 1) * E)`` array,
-       so each step is one contiguous ``(L, L) @ (L, (blocks - 1) * E)``
-       product. Every column is renormalized by its total at every step
-       and the logs of the totals are summed; a column whose total is 0
-       stays zero with log-scale -inf (a dead state, not an error).
+       the identity in B steps. The L columns of all the blocks' P sit
+       side by side in one ``(L, (blocks - 1) * L)`` array, so each step
+       is one contiguous ``(L, L) @ (L, (blocks - 1) * L)`` product. Every
+       column is renormalized by its total at every step and the logs of
+       the totals are summed; a column whose total is 0 stays zero with
+       log-scale -inf (a dead state, not an error).
     2. From the last block back, the message at each block's start is the
        sum of its P columns weighted by ``exp(log m + logscale - max)``,
-       with m the message at the block's end. Every block's L x L matrix
-       (its open columns beside the closed states' e_j) and log-scales are
-       stacked once, after pass 1's work is freed, so each block is a few
-       in-place steps and one matrix-vector product.
+       with m the message at the block's end. Every block's P is stacked
+       contiguously once, after pass 1's product is freed, so each block
+       is a few in-place steps and one matrix-vector product.
     3. Every block at once fills its messages by the sequential recursion,
        starting from the message at its end.
 
@@ -306,43 +396,27 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
     # block b >= 1 runs from message first + (b-1)*width to first + b*width
     pi = np.ldexp(pi, 64)
     ones = np.ones(L)
-    entered = pi != 0
-    np.fill_diagonal(entered, False)
-    is_open = entered.any(axis=0)
-    closed = ~is_open
 
     with np.errstate(divide="ignore"):        # log(0) = -inf marks a dead column
-        # pass 1: columns[:, e, b - 1] is open column e of block b's P
-        columns = np.repeat(np.eye(L)[:, is_open, None], blocks - 1, axis=2)
+        # pass 1: columns[:, j, b - 1] is column j of block b's P
+        columns = np.repeat(np.eye(L)[:, :, None], blocks - 1, axis=2)
         flat = columns.reshape(L, -1)
         product = np.empty_like(flat)
         total = np.empty(flat.shape[1])
-        open_scale = np.zeros(flat.shape[1])
-        # closed_steps[c, t] = log(pi_cc * lik[c, t]) for each closed state c
-        closed_steps = lik[closed]
-        closed_steps *= np.diagonal(pi)[closed][:, None]
-        np.log(closed_steps, out=closed_steps)
-        closed_scale = np.zeros((len(closed_steps), blocks - 1))
+        logscale = np.zeros(flat.shape[1])
         for k in range(width):
             # step k of every block b, counted from its end: t = first + b*width - k
             step = slice(first + width - k, steps - k + 1, width)
             np.multiply(columns, lik[:, None, step], out=columns)
             np.matmul(pi, flat, out=product)
             np.matmul(ones, product, out=total)
-            open_scale += np.log(total)
+            logscale += np.log(total)
             total[total == 0] = 1.0           # a dead column stays zero
             np.divide(product, total, out=flat)
-            closed_scale += closed_steps[:, step]
-        del product, closed_steps             # pass 1's work, before the stack
-        # transfer[b - 1] is block b's P and logscale[b - 1] its log-scales:
-        # the open columns beside the closed states' e_j
-        transfer = np.zeros((blocks - 1, L, L))
-        transfer[:, :, is_open] = columns.transpose(2, 0, 1)
-        shut = np.flatnonzero(closed)
-        transfer[:, shut, shut] = 1.0
-        logscale = np.empty((blocks - 1, L))
-        logscale[:, is_open] = open_scale.reshape(columns.shape[1:]).T
-        logscale[:, closed] = closed_scale.T
+        del product
+        # transfer[b - 1] is block b's P and logscale[b - 1] its log-scales
+        transfer = np.ascontiguousarray(columns.transpose(2, 0, 1))
+        logscale = logscale.reshape(L, -1).T
         del columns, flat
         # pass 2: the message at each block's start, from the last block back
         weight = np.empty(L)

@@ -325,8 +325,9 @@ def reference_messages(pi, lik):
 
 
 def all_column_messages(lik, pi):
-    """The blocked filter with every column of every block's transfer matrix
-    built in pass 1, closed states included; ``lik`` is time-major (n, L)."""
+    """The blocked filter over all L states, on time-major ``lik`` (n, L):
+    the reference for the filter with closed states among its states, and,
+    through ``m_0``, for the closed states' start weights."""
     n, L = lik.shape
     messages = np.empty((n, L))
     messages[n - 1] = 1.0
@@ -491,8 +492,9 @@ def sample_states_cases():
     """(n, L, kappa, closed, start_closed) for ``test_sample_states``: every
     state open, with ids n-L-kappa (n = 1025 fills the forward table's
     first block of 1024 steps and n = 1026 starts a second); then sets of
-    closed states, which take the short path through the backward filter,
-    with beta on the last closed state when start_closed."""
+    closed states, which the backward filter leaves out and which get their
+    start weights in closed form, with beta on the last closed state when
+    start_closed, so the filter runs again on the open states and it."""
     cases = [pytest.param(n, L, kappa, (), False, id=f"{n}-{L}-{kappa}")
              for kappa in [0.0, 20.0] for L in [2, 20]
              for n in [1, 2, 511, 512, 513, 1025, 1026, 2050]]
@@ -540,20 +542,46 @@ class TestReferenceEquality:
         # every step moves along a nonzero transition
         assert (pi[z[:-1], z[1:]] > 0).all() and model.beta[z[0]] > 0
 
+    def test_start_in_closed_state_past_first_block(self):
+        # state 19 is closed and stays with probability 1 - 1e-9, and its
+        # likelihood leads the others' by 2 to 12 for the first 1100 steps:
+        # the chain starts there and leaves it only in the second block of
+        # the forward table, so the filter runs again on it
+        L, n, c = 20, 2050, 19
+        model = random_model(L, 0.0, seed=7, closed=[0, 3, 4, 11, c])
+        pi = model.transitions
+        pi[c] *= 1e-9 / (1.0 - pi[c, c])
+        pi[c, c] = 1.0 - 1e-9
+        model = replace(model, transitions=pi)
+        rng = np.random.default_rng(5)
+        loglik = rng.normal(scale=5.0, size=(L, n))
+        loglik[c, :1100] = loglik[:c, :1100].max(axis=0) + rng.uniform(2.0, 12.0, 1100)
+        loglik[c, 1100:] -= 50.0
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        z = swar.sample_states(model, loglik, rng)
+        assert np.array_equal(z, reference_sample_states(model, loglik, ref_rng))
+        assert z.dtype == np.dtype(int)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (z[:1025] == c).all() and (z[1100:] != c).all()
+
     def test_sample_states_peak(self, traced_peak):
-        # live (L, T) float64 arrays at the peak: the likelihoods (later the
-        # weights, in place), the backward messages, and pass 1's work,
-        # which is the closed states' step logs beside the open columns and
-        # their product, at most about one more array; the uniforms, the
-        # path and the forward table take under half of one
+        # live (L, T) float64 arrays at the peak: the open states'
+        # likelihoods (later their forward weights, in place), their
+        # backward messages and pass 1's work, its columns and their
+        # product, at most about one more array; then the closed states'
+        # terms and their cumulative sums, two arrays at most; the
+        # uniforms, the path and the forward table take under half of one.
+        # One closed state, and one open state, were the worst sets seen;
+        # with beta on a closed state the filter runs twice
         L, T = 20, 1800
         loglik = np.random.default_rng(0).normal(scale=5.0, size=(L, T))
         array = 8 * L * T
-        for closed in [(), list(range(10)), list(range(20))]:
+        for closed in [(), [7], list(range(10)), list(range(19)), list(range(20))]:
             model = random_model(L, 20.0, seed=1, closed=closed)
-            _, peak = traced_peak(swar.sample_states, model, loglik,
-                                  np.random.default_rng(0))
-            assert peak <= 3.5 * array, (closed, peak / array)
+            for beta in [model.beta] + [np.eye(L)[c] for c in closed[-1:]]:
+                _, peak = traced_peak(swar.sample_states, replace(model, beta=beta),
+                                      loglik, np.random.default_rng(0))
+                assert peak <= 3.5 * array, (closed, beta.argmax(), peak / array)
 
     def test_sample_states_ties(self):
         # u * total landing exactly on a cumulative weight picks the next
@@ -670,6 +698,36 @@ def hard_transitions(L, seed):
     return pi
 
 
+CLOSED_CASES = ["none-closed", "some-closed", "all-closed", "closed-never-stays",
+                "closed-underflows"]
+
+
+def closed_case(n, L, case):
+    """Time-major likelihoods (n, L), each row's largest 1, and transitions
+    with the closed states ``case`` names, each staying with probability
+    0.8, 0 or 1e-300."""
+    rng = np.random.default_rng(n + L)
+    lik = np.exp(rng.normal(scale=5.0, size=(n, L)))
+    lik /= lik.max(axis=1, keepdims=True)
+    pi = rng.dirichlet(np.ones(L), size=L)
+    closed = {"none-closed": [], "some-closed": [1] if L == 2 else [0, 3, 4, 19],
+              "all-closed": list(range(L))}.get(case, [L - 1])
+    stay = {"closed-never-stays": 0.0, "closed-underflows": 1e-300}.get(case, 0.8)
+    if case == "all-closed":
+        pi = np.eye(L)
+    elif closed:
+        pi[:, closed] = 0.0
+        pi /= pi.sum(axis=1, keepdims=True)
+        pi[closed] *= 1.0 - stay
+        pi[closed, closed] = stay
+    if case == "closed-underflows":
+        # the closed state's factor underflows to 0 at steps a few apart
+        # within their blocks (n = 50: blocks of 7 steps; n = 1801: of 43)
+        assert np.ldexp(stay, 64) * 1e-60 == 0.0
+        lik[n // 2:: 97, L - 1] = 1e-60
+    return lik, pi
+
+
 class TestBackwardMessages:
     # n = 41**2 + 1 makes 41 full blocks of 41 steps; n = 41**2 makes the first one short
     @pytest.mark.parametrize("L", [2, 20])
@@ -689,33 +747,57 @@ class TestBackwardMessages:
         assert messages.shape == ref.shape
         assert np.all(np.abs(messages - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
 
-    @pytest.mark.parametrize("case", ["none-closed", "some-closed", "all-closed",
-                                      "closed-never-stays", "closed-underflows"])
+    @pytest.mark.parametrize("case", CLOSED_CASES)
     @pytest.mark.parametrize("L", [2, 20])
     @pytest.mark.parametrize("n", [2, 50, 1801])
     def test_closed_states_match_all_columns(self, n, L, case):
-        rng = np.random.default_rng(n + L)
-        lik = np.exp(rng.normal(scale=5.0, size=(n, L)))
-        lik /= lik.max(axis=1, keepdims=True)
-        pi = rng.dirichlet(np.ones(L), size=L)
-        closed = {"none-closed": [], "some-closed": [1] if L == 2 else [0, 3, 4, 19],
-                  "all-closed": list(range(L))}.get(case, [L - 1])
-        stay = {"closed-never-stays": 0.0, "closed-underflows": 1e-300}.get(case, 0.8)
-        if case == "all-closed":
-            pi = np.eye(L)
-        elif closed:
-            pi[:, closed] = 0.0
-            pi /= pi.sum(axis=1, keepdims=True)
-            pi[closed] *= 1.0 - stay
-            pi[closed, closed] = stay
-        if case == "closed-underflows":
-            # the closed state's factor underflows to 0 at steps a few apart
-            # within their blocks (n = 50: blocks of 7 steps; n = 1801: of 43)
-            assert np.ldexp(stay, 64) * 1e-60 == 0.0
-            lik[n // 2:: 97, L - 1] = 1e-60
+        lik, pi = closed_case(n, L, case)
         messages = swar._backward_messages(lik.T.copy(), pi)
         ref = all_column_messages(lik, pi)
         assert np.all(np.abs(messages - ref) <= 1e-15 * ref.max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("case", CLOSED_CASES + ["hard-transitions"])
+    @pytest.mark.parametrize("L", [2, 20])
+    @pytest.mark.parametrize("n", [1, 2, 50, 1801])
+    def test_closed_start_weights(self, n, L, case):
+        # lik_0 * m_0 of every state, the closed ones in closed form from
+        # the open states' forward weights, against the filter over all L
+        # states; "all-closed" leaves no open state, a pure product
+        if case == "hard-transitions":
+            lik, pi = closed_case(n, L, "none-closed")
+            pi = hard_transitions(L, seed=n)
+        else:
+            lik, pi = closed_case(n, L, case)
+        loglik = np.log(lik.T)
+        shift = loglik.max(axis=0)
+        entered = pi != 0
+        np.fill_diagonal(entered, False)
+        keep = np.flatnonzero(entered.any(axis=0))
+        weights = swar._forward_weights(loglik, shift, pi, keep)
+        start = swar._start_weights(loglik, shift, pi, keep, weights)
+        ref = lik[0] * all_column_messages(lik, pi)[0]
+        assert start.max() <= 1.0
+        assert np.all(np.abs(start / start.max() - ref / ref.max()) <= 1e-12)
+
+    def test_closed_state_without_a_path(self):
+        # state 3 is closed, never stays and moves only into state 0, which
+        # is impossible at t = 1: its start weight is exactly 0, so a start
+        # from beta on it raises as the sequential recursion does
+        pi = np.full((4, 4), 1.0 / 3)
+        pi[:, 3] = 0.0
+        pi[3] = [1.0, 0.0, 0.0, 0.0]
+        loglik = np.random.default_rng(4).normal(size=(4, 50))
+        loglik[0, 1] = -np.inf
+        shift = loglik.max(axis=0)
+        keep = np.arange(3)
+        weights = swar._forward_weights(loglik, shift, pi, keep)
+        start = swar._start_weights(loglik, shift, pi, keep, weights)
+        assert start[3] == 0.0 and (start[:3] > 0).all()
+        model = swar.SwitchingArModel(states=[ar1_state(0.0) for _ in range(4)],
+                                      transitions=pi, beta=[0.0, 0.0, 0.0, 1.0])
+        for sample in [swar.sample_states, reference_sample_states]:
+            with pytest.raises(ClinQcError, match="all state probabilities"):
+                sample(model, loglik, np.random.default_rng(0))
 
     @pytest.mark.parametrize("row", [3, 14, 15, 49],
                              ids=["first-block", "anchor-lik", "anchor-message",
