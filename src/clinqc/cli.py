@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -59,10 +58,7 @@ def _load_config(args) -> PipelineConfig:
     fields = PipelineConfig.__dataclass_fields__
     values = {}
     if getattr(args, "config", None):
-        try:
-            values = json.loads(Path(args.config).read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"{args.config}: not valid JSON: {exc}") from exc
+        values = serialize.read_json(args.config)
         if not isinstance(values, dict):
             raise ValidationError(f"{args.config}: expected a JSON object")
         unknown = sorted(set(values) - set(fields))
@@ -224,10 +220,9 @@ def _cmd_evaluate(args, config: PipelineConfig) -> int:
                                            train, predict, seed=config.seed)
     else:
         report = metrics.kfold_cv(counts, labels, config.folds, train, predict)
-    doc = {**_meta(config), "metrics": report,
-           "config": asdict(config), "baseline": args.baseline}
     out = _out_dir(args) / (args.name or "report.json")
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    serialize.write_json(out, {**_meta(config), "metrics": report,
+                               "config": asdict(config), "baseline": args.baseline})
     print(f"wrote {out}")
     return 0
 

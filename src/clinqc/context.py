@@ -71,7 +71,7 @@ def nb_train(counts: np.ndarray, labels: np.ndarray,
 
     pi_{k,c} = (smoothing + class counts for k) / (K * smoothing + class
     total); priors are the empirical class frequencies. ``smoothing`` must
-    be finite and positive.
+    be finite and positive, and small enough that each denominator is finite.
     """
     if not (np.isfinite(smoothing) and smoothing > 0):
         raise ValidationError(f"smoothing must be finite and positive, got {smoothing!r}")
@@ -79,14 +79,14 @@ def nb_train(counts: np.ndarray, labels: np.ndarray,
     u = np.asarray(labels)
     if counts.ndim != 2 or u.shape != counts.shape[:1]:
         raise ValidationError("counts must be (T, K) matching labels")
-    present = set(np.unique(u))
-    if present != {ADHERENCE, VIOLATION}:
+    if set(np.unique(u)) != {ADHERENCE, VIOLATION}:
         raise ValidationError("training needs both classes present")
-    K = counts.shape[1]
-    probs = np.empty((2, K))
-    for row, cls in enumerate(CLASSES):
-        class_counts = counts[u == cls].sum(axis=0)
-        probs[row] = (smoothing + class_counts) / (K * smoothing + class_counts.sum())
+    class_counts = np.array([counts[u == cls].sum(axis=0) for cls in CLASSES])
+    totals = counts.shape[1] * smoothing + class_counts.sum(axis=1, keepdims=True)
+    if not np.isfinite(totals).all():
+        raise ValidationError(f"smoothing {smoothing!r} overflows with these counts: "
+                              "K * smoothing + a class's count total is not finite")
+    probs = (smoothing + class_counts) / totals
     priors = np.array([(u == c).mean() for c in CLASSES])
     seen = counts.sum(axis=0) > 0
     return NaiveBayesModel(attribute_probs=probs, priors=priors, seen=seen,

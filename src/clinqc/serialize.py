@@ -269,13 +269,22 @@ def write_decomposition_csv(path: Path, times: np.ndarray, trend: np.ndarray,
     write_table(path, "t,gx,gy,gz,dx,dy,dz", rows, meta)
 
 
-# -- model artifacts ----------------------------------------------------------
+# -- JSON documents and model artifacts ---------------------------------------
 
-def _to_json(value):
-    """Arrays as nested lists; boolean masks as 0/1."""
-    if isinstance(value, np.ndarray):
-        return (value.astype(int) if value.dtype == bool else value).tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` as JSON, indented by 2 with sorted keys; numpy arrays
+    as nested lists, boolean masks as 0/1."""
+    text = json.dumps(doc, indent=2, sort_keys=True,
+                      default=lambda a: (a.astype(int) if a.dtype == bool else a).tolist())
+    Path(path).write_text(text + "\n")
+
+
+def read_json(path: Path):
+    """The JSON document at ``path``; ``ValidationError`` if it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def save_model(path: Path, model, config: dict | None = None) -> None:
@@ -286,7 +295,7 @@ def save_model(path: Path, model, config: dict | None = None) -> None:
     if kind is None:
         raise ValidationError(f"cannot serialize model of type {type(model)!r}")
     config = config or {}
-    doc = {
+    write_json(path, {
         "format": "clinqc-model",
         "version": ARTIFACT_VERSION,
         "kind": kind,
@@ -294,17 +303,12 @@ def save_model(path: Path, model, config: dict | None = None) -> None:
         "config": config,
         "config_hash": config_hash(config),
         "payload": dataclasses.asdict(model),
-    }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True, default=_to_json) + "\n")
+    })
 
 
 def load_model(path: Path):
     """Rebuild the model saved at ``path``; ``ValidationError`` if malformed."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "clinqc-model":
         raise ValidationError(f"{path}: not a model artifact")
     if doc.get("version") != ARTIFACT_VERSION:

@@ -283,8 +283,8 @@ def l1_trend_filter(values: np.ndarray, lam: float | None = None, *,
         mu1 += np.multiply(step, dmu1, out=dmu1)
         mu2 += np.multiply(step, dmu2, out=dmu2)
     if best_g is None:
-        raise ClinQcError("trend filter objective is not finite: the values are too "
-                          "large to square")
+        raise ClinQcError("trend filter objective is not finite: the values are too large "
+                          f"to square, or lambda * sum |D g| overflows at lambda = {lam:g}")
     if not converged:
         warnings.warn("trend filter hit the iteration cap; returning best iterate",
                       NoConvergenceWarning)

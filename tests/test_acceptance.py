@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from clinqc import context, gmm, metrics, preprocess, swar, synth, trend
+from clinqc import context, gmm, metrics, preprocess, serialize, swar, synth, trend
 from clinqc.cli import main as cli_main
 from clinqc.series import ADHERENCE, VIOLATION, ScalarSeries
 from clinqc.synth import RegimeInterval, SynthSpec
@@ -319,26 +319,46 @@ def test_criterion_9_metric_identities():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
+    def cli(*argv):
+        assert cli_main([str(a) for a in argv] + ["--seed", "3"]) == 0
+
     def run_pipeline(base):
         data = base / "data"
-        cli_main(["synth", "--scenario", "two-cluster", "--duration", "60",
-                  "--rate", "10", "--seed", "3", "--out", str(data)])
-        seg = base / "seg"
-        cli_main(["segment-gmm", str(data / "feature.csv"), "--kind", "voice",
-                  "--seed", "3", "--out", str(seg)])
+        cli("synth", "--scenario", "two-cluster", "--duration", "60", "--rate", "10",
+            "--out", data)
+        cli("segment-gmm", data / "feature.csv", "--kind", "voice", "--out", base / "seg")
         ar_data = base / "ar"
-        cli_main(["synth", "--scenario", "switching-ar", "--duration", "20",
-                  "--rate", "30", "--seed", "3", "--out", str(ar_data)])
+        cli("synth", "--scenario", "switching-ar", "--duration", "20", "--rate", "30",
+            "--out", ar_data)
+        cli("spectrum", ar_data / "feature.csv", "--out", ar_data)
         ar_seg = base / "arseg"
-        cli_main(["segment-ar", str(ar_data / "feature.csv"), "--order", "1",
-                  "--truncation", "5", "--sweeps", "15", "--burn-in", "5",
-                  "--kappa", "20", "--seed", "3", "--out", str(ar_seg)])
+        cli("segment-ar", ar_data / "feature.csv", "--order", "1", "--truncation", "5",
+            "--sweeps", "15", "--burn-in", "5", "--kappa", "20", "--out", ar_seg)
+        # the classifier's inputs come from this run: counts from its posteriors,
+        # labels from its truth, on which regime 1 is adherence
+        counts = base / "counts.csv"
+        serialize.write_table(counts, None, context.rescale_to_counts(
+            np.loadtxt(ar_seg / "posteriors.csv", delimiter=",")))
+        truth = serialize.read_scalar_csv(ar_data / "truth.csv")
+        labels = base / "labels.csv"
+        serialize.write_labels_csv(labels, truth.rate,
+                                   np.where(truth.values == 1, ADHERENCE, VIOLATION))
+        cli("train-nb", counts, labels, "--out", base / "nb")
+        cli("classify", base / "nb" / "nb.json", counts, "--out", base / "nb")
+        cli("evaluate", counts, labels, "--folds", "2", "--out", base / "eval")
+        cli("evaluate", counts, labels, "--folds", "2", "--baseline", "shuffled",
+            "--name", "control.json", "--out", base / "eval")
         raw = base / "raw"
-        cli_main(["synth", "--scenario", "gravity-drift", "--duration", "4",
-                  "--rate", "120", "--seed", "3", "--out", str(raw)])
-        feat = base / "feat"
-        cli_main(["preprocess", str(raw / "raw.csv"), "--kind", "walking",
-                  "--seed", "3", "--out", str(feat)])
+        cli("synth", "--scenario", "gravity-drift", "--duration", "4", "--rate", "120",
+            "--out", raw)
+        for kind in ("walking", "balance"):
+            cli("preprocess", raw / "raw.csv", "--kind", kind, "--out", base / kind)
+        # a 2-s 220 Hz tone, loud for its first second
+        t = np.arange(2 * 44_100) / 44_100
+        tone = np.where(t < 1, 0.3, 0.01) * np.sin(2 * np.pi * 220 * t)
+        np.savetxt(base / "audio.csv", np.column_stack([t, tone]), fmt="%.7f",
+                   delimiter=",", header="t,v", comments="")
+        cli("preprocess", base / "audio.csv", "--kind", "voice", "--out", base / "voice")
         return sorted(p for p in base.rglob("*") if p.is_file())
 
     files_a = run_pipeline(tmp_path / "a")

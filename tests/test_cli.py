@@ -22,6 +22,26 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def four_row_tables(tmp_path):
+    """A 4-row count table and its labels, adherence and violation in turn."""
+    counts, labels = tmp_path / "counts.csv", tmp_path / "labels.csv"
+    counts.write_text("3,0\n0,3\n2,1\n1,2\n")
+    labels.write_text("t,u\n0,1\n1,2\n2,1\n3,2\n")
+    return counts, labels
+
+
+def run_at_blas_threads(threads, args):
+    """Run the CLI in a new interpreter whose BLAS uses ``threads`` threads;
+    the count is read once, when numpy loads, so it needs a process of its own."""
+    src = str(Path(clinqc.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "OMP_NUM_THREADS": str(threads), "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from clinqc.cli import main; sys.exit(main(sys.argv[1:]))",
+                    *map(str, args)], env=env, check=True, capture_output=True)
+
+
 class TestSynthCommand:
     def test_switching_ar_outputs(self, tmp_path):
         assert run(["synth", "--scenario", "switching-ar", "--duration", "10",
@@ -214,6 +234,19 @@ class TestClassifierCommands:
         assert doc["baseline"] == "shuffled"
         assert doc["metrics"]["mean"]["ba"] < 0.8
 
+    def test_evaluate_mean_ba_undefined_on_a_fold_is_null(self, tmp_path):
+        # honest 2-fold BA is 1.0; shuffled, a fold predicts no violation, so
+        # its TN and the mean BA are undefined, written as JSON null
+        counts, labels = four_row_tables(tmp_path)
+        out = tmp_path / "eval"
+        assert run(["evaluate", counts, labels, "--folds", "2", "--out", out]) == 0
+        assert run(["evaluate", counts, labels, "--folds", "2", "--baseline", "shuffled",
+                    "--name", "control.json", "--out", out]) == 0
+        ba = [json.loads((out / name).read_text())["metrics"]["mean"]["ba"]
+              for name in ("report.json", "control.json")]
+        assert ba == [1.0, None]
+        assert '"ba": null' in (out / "control.json").read_text()
+
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_smoothing_exit_2(self, tmp_path, capsys, value):
         counts_path, labels_path = self.prepare(tmp_path)
@@ -221,6 +254,15 @@ class TestClassifierCommands:
                     "--out", tmp_path / "model"]) == 2
         assert "smoothing must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "model" / "nb.json").exists()
+
+    def test_smoothing_overflowing_its_denominator_exit_2(self, tmp_path, capsys):
+        # K * smoothing is inf, so the message names smoothing, not the rows
+        counts, labels = four_row_tables(tmp_path)
+        assert run(["train-nb", counts, labels, "--smoothing", "1e308",
+                    "--out", tmp_path / "model"]) == 2
+        assert ("error: smoothing 1e+308 overflows with these counts: K * smoothing + "
+                "a class's count total is not finite") in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
 
     def test_infinite_smoothing_in_config_exit_2(self, tmp_path, capsys):
         counts_path, labels_path = self.prepare(tmp_path)
@@ -324,19 +366,27 @@ class TestReproducibility:
         # summed through BLAS would round differently at 1 and 2 threads
         run(["synth", "--scenario", "gravity-drift", "--duration", "200",
              "--rate", "120", "--out", tmp_path])
-        src = str(Path(clinqc.__file__).parents[1])
         features = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "OMP_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for threads in (1, 2):
             out = tmp_path / f"threads{threads}"
-            subprocess.run([sys.executable, "-c",
-                            "import sys; from clinqc.cli import main; sys.exit(main(sys.argv[1:]))",
-                            "preprocess", str(tmp_path / "raw.csv"), "--kind", "walking",
-                            "--out", str(out)], env=env, check=True, capture_output=True)
+            run_at_blas_threads(threads, ["preprocess", tmp_path / "raw.csv",
+                                          "--kind", "walking", "--out", out])
             features.append((out / "feature.csv").read_bytes())
         assert features[0] == features[1]
+
+    def test_switching_ar_same_at_any_blas_thread_count(self, tmp_path):
+        # at kappa 20 the later sweeps have closed states, which the backward
+        # filter leaves out and which get their start weights in closed form
+        run(["synth", "--scenario", "switching-ar", "--out", tmp_path])
+        artifacts = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            run_at_blas_threads(threads, ["segment-ar", tmp_path / "feature.csv",
+                                          "--kappa", "20", "--sweeps", "12",
+                                          "--burn-in", "6", "--out", out])
+            artifacts.append([(out / name).read_bytes()
+                              for name in ("swar.json", "states.csv", "posteriors.csv")])
+        assert artifacts[0] == artifacts[1]
 
 
 class TestExitCodes:
@@ -569,6 +619,17 @@ class TestExitCodes:
                     "--lambda", value, "--out", tmp_path / "feat"]) == 2
         assert "lambda must be finite" in capsys.readouterr().err
 
+    def test_lambda_overflowing_the_objective_exit_3(self, tmp_path, capsys):
+        run(["synth", "--scenario", "gravity-drift", "--duration", "6",
+             "--rate", "120", "--out", tmp_path / "raw"])
+        capsys.readouterr()
+        assert run(["preprocess", tmp_path / "raw" / "raw.csv", "--kind", "walking",
+                    "--lambda", "1e308", "--out", tmp_path / "feat"]) == 3
+        assert ("runtime error: trend filter objective is not finite: the values are too "
+                "large to square, or lambda * sum |D g| overflows at lambda = 1e+308"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "feat").exists()
+
     @pytest.mark.parametrize("kind", ["balance", "voice"])
     def test_nan_lambda_checked_before_reading_exit_2(self, tmp_path, capsys, kind):
         # voice never filters a trend, and the file is never read
@@ -578,9 +639,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_non_finite_classify_rate_exit_2(self, tmp_path, capsys, value):
-        counts, labels = tmp_path / "counts.csv", tmp_path / "labels.csv"
-        np.savetxt(counts, [[3, 0], [0, 3], [2, 1], [1, 2]], delimiter=",", fmt="%d")
-        labels.write_text("t,u\n0,1\n1,2\n2,1\n3,2\n")
+        counts, labels = four_row_tables(tmp_path)
         assert run(["train-nb", counts, labels, "--out", tmp_path]) == 0
         capsys.readouterr()
         assert run(["classify", tmp_path / "nb.json", counts, "--rate", value,

@@ -42,6 +42,18 @@ class TestNbTrain:
         assert model.attribute_probs[1, 0] == pytest.approx(2 / 12)
         assert model.attribute_probs[1, 1] == pytest.approx(10 / 12)
 
+    def test_matches_the_formula_class_by_class(self):
+        # the stated formula, one class at a time, to the last bit
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 101, size=(300, 20)) * (rng.random((300, 20)) < 0.4)
+        u = labels(rng.integers(1, 3, size=300))
+        expected = []
+        for cls in (ADHERENCE, VIOLATION):
+            class_counts = counts[u == cls].sum(axis=0).astype(float)
+            expected.append((0.3 + class_counts) / (20 * 0.3 + class_counts.sum()))
+        model = context.nb_train(counts, u, smoothing=0.3)
+        assert np.array_equal(model.attribute_probs, expected)
+
     def test_single_attribute_degenerate(self):
         counts = np.array([[9.0], [1.0]])
         model = context.nb_train(counts, labels([ADHERENCE, VIOLATION]), smoothing=1.0)
@@ -52,6 +64,13 @@ class TestNbTrain:
         counts = np.array([[9.0], [1.0]])
         with pytest.raises(ValidationError, match="smoothing must be finite and positive"):
             context.nb_train(counts, labels([ADHERENCE, VIOLATION]), smoothing=smoothing)
+
+    def test_smoothing_too_large_for_its_denominator(self):
+        # 2 * 1e308 overflows, so every probability would be 0
+        counts = np.array([[3.0, 0.0], [0.0, 3.0]])
+        with pytest.raises(ValidationError, match=r"smoothing 1e\+308 overflows with these "
+                                                  r"counts: K \* smoothing \+ a class's"):
+            context.nb_train(counts, labels([ADHERENCE, VIOLATION]), smoothing=1e308)
 
     def test_rows_are_simplexes(self):
         rng = np.random.default_rng(0)

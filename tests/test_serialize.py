@@ -474,3 +474,21 @@ class TestModelArtifacts:
     def test_rejects_unknown_model_type(self, tmp_path):
         with pytest.raises(ValidationError):
             serialize.save_model(tmp_path / "x.json", object())
+
+
+class TestJsonDocuments:
+    def test_write_then_read(self, tmp_path):
+        path = tmp_path / "doc.json"
+        serialize.write_json(path, {"b": np.array([1.5, 2.0]),
+                                    "a": {"mask": np.array([True, False]), "n": None}})
+        plain = {"a": {"mask": [1, 0], "n": None}, "b": [1.5, 2.0]}
+        assert path.read_text() == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+        assert serialize.read_json(path) == plain
+
+    @pytest.mark.parametrize("data", [b'{"kind": "walking",', b'{"kind": "walk\xffing"}'],
+                             ids=["truncated", "not utf-8"])
+    def test_read_rejects_text_that_is_not_json(self, tmp_path, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not valid JSON: "):
+            serialize.read_json(path)

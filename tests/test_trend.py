@@ -260,6 +260,13 @@ class TestOverflow:
                 pytest.raises(ClinQcError, match="objective is not finite"):
             l1_trend_filter([0.0, 1e200, 0.0, -1e200, 0.0])
 
+    def test_lambda_too_large_is_named(self):
+        # the values square to ordinary numbers; lambda * sum |D g| overflows
+        x = np.sin(np.arange(50.0))
+        with pytest.raises(ClinQcError, match=r"objective is not finite: .*lambda \* sum "
+                                              r"\|D g\| overflows at lambda = 1e\+308"):
+            l1_trend_filter(x, 1e308)
+
 
 class TestRemoveGravity:
     def test_constant_input(self):
