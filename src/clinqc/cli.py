@@ -224,6 +224,13 @@ def _cmd_evaluate(args, config: PipelineConfig) -> int:
     serialize.write_json(out, {**_meta(config), "metrics": report,
                                "config": asdict(config), "baseline": args.baseline})
     print(f"wrote {out}")
+    undefined = [str(i) for i, fold in enumerate(report["folds"], start=1)
+                 if fold["tp"] is None or fold["tn"] is None]
+    if undefined:
+        null = [rate for rate, value in report["mean"].items() if value is None]
+        print(f"warning: folds {', '.join(undefined)} of {len(report['folds'])} predict "
+              f"one class only, so their TP or TN is undefined; the mean and std of "
+              f"{', '.join(null)} are null", file=sys.stderr)
     return 0
 
 

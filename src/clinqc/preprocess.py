@@ -126,8 +126,7 @@ def magnitude(samples: np.ndarray) -> np.ndarray:
 
 def log_magnitude(samples: np.ndarray) -> np.ndarray:
     """log10 of each row's norm, floored at 1e-6 to guard idle sensors."""
-    mag = np.linalg.norm(as_float_array(samples, "samples", 2), axis=1)
-    return np.log10(np.maximum(mag, 1e-6))
+    return np.log10(np.maximum(magnitude(samples), 1e-6))
 
 
 def windowed_energy(series: ScalarSeries, window: int) -> ScalarSeries:

@@ -23,9 +23,6 @@ only from t = 0, for as long as it stays there, and its start weight comes
 in closed form from the open states' forward weights. Emission
 likelihoods, the forward table's weights and its cumulative sums are
 state-major, (L, n), so the sums over the states are contiguous row adds.
-The states reachable from state j are those it moves into,
-``flatnonzero(pi[j])``; the forward draws from j sum over those only,
-since every other state adds an exact zero.
 The per-state stages run batched where that keeps every bit: the
 log-likelihoods' Gaussian terms over all L rows at once, and the emission
 draws' inverses and Cholesky factors as one stacked call each.
@@ -227,14 +224,13 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
 
     The forward pass looks each draw up in a table: per block of steps and
     previous state j, one vectorized pass draws the next state of every
-    step in the block, the first time the chain is in j within that block.
-    It draws over the states reachable from j only, ``flatnonzero(pi[j])``,
-    found once per state per call. Draws equal those of the sequential
+    step in the block, the first time the chain is in j within that block,
+    summing over every open state. Draws equal those of the sequential
     recursion ``m_t = pi @ (lik_{t+1} * m_{t+1}) / total`` unless a
     rounding difference at the 1e-16 level moves a uniform across a
-    cumulative weight, or ``u * total`` rounds up to the total: then the
-    recursion picks state L - 1, which may have zero weight, and this picks
-    the last reachable state.
+    cumulative weight, or a total below 2**-1021 lets ``u * total`` round
+    up to it: then the recursion picks state L - 1, and a draw after t = 0
+    here the last open state.
     """
     n = loglik.shape[1]
     shift = loglik.max(axis=0)
@@ -248,8 +244,7 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     weights = _forward_weights(loglik, shift, pi, keep)
     start = _start_weights(loglik, shift, pi, keep, weights)
     uniforms = rng.random(n)
-    state = int(_draw_column(start[:, None], model.beta, model.beta.nonzero()[0],
-                             uniforms[:1])[0])
+    state = int(_draw_column(start[:, None], model.beta, uniforms[:1])[0])
     if state < 0:
         raise ClinQcError("all state probabilities underflowed")
     if not is_open[state]:
@@ -261,7 +256,6 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     pi = pi[np.ix_(keep, keep)]
     state = int(np.searchsorted(keep, state))
     path = [state]
-    reachable = [row.nonzero()[0] for row in pi]
     for begin in range(1, n, _BLOCK):
         block = slice(begin, min(begin + _BLOCK, n))
         block_weights, block_uniforms = weights[:, block], uniforms[block]
@@ -270,7 +264,6 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
             column = table[state]
             if column is None:
                 column = table[state] = _draw_column(block_weights, pi[state],
-                                                     reachable[state],
                                                      block_uniforms).tolist()
             state = column[i]
             if state < 0:
@@ -446,29 +439,24 @@ def _backward_messages(lik: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return messages
 
 
-def _draw_column(weights: np.ndarray, row: np.ndarray, reach: np.ndarray,
+def _draw_column(weights: np.ndarray, row: np.ndarray,
                  uniforms: np.ndarray) -> np.ndarray:
     """One categorical draw per step from ``weights[:, t] * row``.
 
-    ``weights`` is state-major, shape (L, m), and ``reach`` is
-    ``flatnonzero(row)``, the reachable states: the draw runs over those
-    rows only. Draw t is ``reach[searchsorted(cum, u_t * cum[-1],
-    side="right")]`` capped at the last reachable state, with ``cum =
-    cumsum(weights[reach, t] * row[reach])``: the number of the first
-    len(reach) - 1 cumulative weights at most u_t times the total, as they
-    never decrease. The cumulative sums run as row adds, in the order
-    ``np.cumsum`` adds. A state outside ``reach`` adds an exact zero to the
-    sums over all L states, so a draw picks the state theirs would, unless
-    ``u_t * total`` rounds up to the total (see ``sample_states``). A step
-    whose total is not positive and finite draws -1.
+    ``weights`` is state-major, shape (L, m). Draw t is
+    ``searchsorted(cum, u_t * cum[-1], side="right")`` capped at L - 1,
+    with ``cum = cumsum(weights[:, t] * row)``: the number of the first
+    L - 1 cumulative weights at most u_t times the total, as they never
+    decrease. The cumulative sums run as row adds, in the order
+    ``np.cumsum`` adds. A step whose total is not positive and finite
+    draws -1.
     """
-    last = len(reach) - 1
-    cum = weights[reach]
-    cum *= row[reach][:, None]
+    last = len(row) - 1
+    cum = weights * row[:, None]
     for k in range(last):
         np.add(cum[k], cum[k + 1], out=cum[k + 1])
     total = cum[last]
-    picks = reach[(cum[:last] <= uniforms * total).sum(axis=0)]
+    picks = (cum[:last] <= uniforms * total).sum(axis=0)
     picks[~((total > 0) & (total < np.inf))] = -1
     return picks
 

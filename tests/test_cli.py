@@ -234,14 +234,19 @@ class TestClassifierCommands:
         assert doc["baseline"] == "shuffled"
         assert doc["metrics"]["mean"]["ba"] < 0.8
 
-    def test_evaluate_mean_ba_undefined_on_a_fold_is_null(self, tmp_path):
-        # honest 2-fold BA is 1.0; shuffled, a fold predicts no violation, so
-        # its TN and the mean BA are undefined, written as JSON null
+    def test_evaluate_mean_ba_undefined_on_a_fold_is_null(self, tmp_path, capsys):
+        # honest 2-fold BA is 1.0; shuffled, each fold predicts one class, so
+        # its TP or TN and the mean BA are undefined, written as JSON null,
+        # and stderr says so
         counts, labels = four_row_tables(tmp_path)
         out = tmp_path / "eval"
         assert run(["evaluate", counts, labels, "--folds", "2", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
         assert run(["evaluate", counts, labels, "--folds", "2", "--baseline", "shuffled",
                     "--name", "control.json", "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: folds 1, 2 of 2 predict one class only, so their TP or TN is "
+            "undefined; the mean and std of tp, tn, ba are null\n")
         ba = [json.loads((out / name).read_text())["metrics"]["mean"]["ba"]
               for name in ("report.json", "control.json")]
         assert ba == [1.0, None]

@@ -117,18 +117,38 @@ class TestCsvRoundTrips:
             serialize.read_scalar_csv(path)
 
 
-class TestStrictReader:
-    def test_corrupt_middle_row_rejected(self, tmp_path):
-        path = tmp_path / "acc.csv"
-        path.write_text("t,x,y,z\n0.0,1,2,3\n0.0x2,7,8,9\n0.02,4,5,6\n")
-        with pytest.raises(ValidationError, match="0.0x2"):
-            serialize.read_accelerometer_csv(path)
+# every CSV reader, the header of its table, and its row at time t holding
+# value v (1 or 2, so that it is also a label)
+READERS = {
+    "scalar": (serialize.read_scalar_csv, "t,v", "{t},{v}"),
+    "audio": (functools.partial(serialize.read_audio_csv, rate=44_100.0), "t,v", "{t},{v}"),
+    "labels": (serialize.read_labels_csv, "t,u", "{t},{v}"),
+    "counts": (serialize.read_counts_csv, "a,b", "{t},{v}"),
+    "accelerometer": (serialize.read_accelerometer_csv, "t,x,y,z", "{t},{v},{v},{v}"),
+}
 
-    def test_short_row_rejected(self, tmp_path):
-        path = tmp_path / "scalar.csv"
-        path.write_text("t,v\n0,1\n1\n2,3\n")
-        with pytest.raises(ValidationError):
-            serialize.read_scalar_csv(path)
+
+class TestStrictReader:
+    @pytest.mark.parametrize("name", READERS)
+    def test_corrupt_middle_row_rejected(self, tmp_path, name):
+        reader, header, row = READERS[name]
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{row.format(t=0, v=1)}\n{row.format(t='0.0x2', v=2)}\n"
+                        f"{row.format(t=0.02, v=1)}\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape("line 3: could not convert '0.0x2'")):
+            reader(path)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_short_row_rejected(self, tmp_path, name):
+        reader, header, row = READERS[name]
+        width = len(header.split(","))
+        short = row.format(t=1, v=2).rsplit(",", 1)[0]
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{row.format(t=0, v=1)}\n{short}\n{row.format(t=2, v=1)}\n")
+        with pytest.raises(ValidationError,
+                           match=f"line 3: expected {width} values, got {width - 1}"):
+            reader(path)
 
     @pytest.mark.parametrize("text, line", [
         ("# seed=0\nt,v\n0,1\n1,2\n2,3\n3,x\n", "line 6: could not convert 'x'"),
@@ -180,13 +200,21 @@ class TestStrictReader:
                            match=re.escape(f"line 1: could not convert {field!r}")):
             reader(path)
 
-    def test_comments_blank_lines_and_header(self, tmp_path):
-        path = tmp_path / "scalar.csv"
-        path.write_text("\n# config_hash=abc\n\n# seed=0\nt,v\n"
-                        "0,1\n# inline block comment\n0.5,2  # trailing\n\n1,3\n")
-        series = serialize.read_scalar_csv(path)
-        assert series.values.tolist() == [1.0, 2.0, 3.0]
-        assert series.rate == pytest.approx(2.0)
+    @pytest.mark.parametrize("name, returned, expected", [
+        ("scalar", lambda s: [s.rate, *s.values.tolist()], [2.0, 1.0, 2.0, 1.0]),
+        ("audio", lambda s: s.values.tolist(), [1.0, 2.0, 1.0]),
+        ("labels", lambda u: u.tolist(), [1, 2, 1]),
+        ("counts", lambda c: c.tolist(), [[0.0, 1.0], [0.5, 2.0], [1.0, 1.0]]),
+        ("accelerometer", lambda a: [*a.timestamps.tolist(), *a.samples[:, 0].tolist()],
+         [0.0, 0.5, 1.0, 1.0, 2.0, 1.0]),
+    ], ids=list(READERS))
+    def test_comments_blank_lines_and_header(self, tmp_path, name, returned, expected):
+        reader, header, row = READERS[name]
+        path = tmp_path / "table.csv"
+        path.write_text(f"\n# config_hash=abc\n\n# seed=0\n{header}\n{row.format(t=0, v=1)}\n"
+                        f"# inline block comment\n{row.format(t=0.5, v=2)}  # trailing\n\n"
+                        f"{row.format(t=1, v=1)}\n")
+        assert returned(reader(path)) == expected
 
     def test_only_one_header_line_skipped(self, tmp_path):
         path = tmp_path / "scalar.csv"
@@ -194,14 +222,16 @@ class TestStrictReader:
         with pytest.raises(ValidationError):
             serialize.read_scalar_csv(path)
 
-    @pytest.mark.parametrize("text", ["t,v\n", "# seed=0\nt,v\n", ""])
-    def test_table_without_rows_rejected_without_warning(self, tmp_path, text):
+    @pytest.mark.parametrize("text", ["{header}\n", "# seed=0\n{header}\n", ""])
+    @pytest.mark.parametrize("name", READERS)
+    def test_table_without_rows_rejected_without_warning(self, tmp_path, name, text):
+        reader, header, _ = READERS[name]
         path = tmp_path / "empty.csv"
-        path.write_text(text)
+        path.write_text(text.format(header=header))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="no data rows"):
-                serialize.read_scalar_csv(path)
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: no data rows")):
+                reader(path)
 
     def test_values_bit_identical_to_python_float(self, tmp_path):
         texts = ["1e-300", "-0", "0.1", "nan", "-1.5e308", "5e-324",
@@ -216,34 +246,6 @@ class TestStrictReader:
         audio = serialize.read_audio_csv(path, rate=8000.0).values
         assert audio.dtype == np.float64
         assert audio.tobytes() == np.array([float(v) for v in finite]).tobytes()
-
-    def test_audio_corrupt_time_field_rejected(self, tmp_path):
-        path = tmp_path / "audio.csv"
-        path.write_text("t,v\n0,1\n0.0x2,7\n0.02,4\n")
-        with pytest.raises(ValidationError, match="line 3: could not convert '0.0x2'"):
-            serialize.read_audio_csv(path, rate=44_100.0)
-
-    def test_audio_short_row_rejected(self, tmp_path):
-        path = tmp_path / "audio.csv"
-        path.write_text("t,v\n0,1\n1\n2,3\n")
-        with pytest.raises(ValidationError, match="line 3: expected 2 values, got 1"):
-            serialize.read_audio_csv(path, rate=44_100.0)
-
-    def test_audio_comments_blank_lines_and_header(self, tmp_path):
-        path = tmp_path / "audio.csv"
-        path.write_text("\n# config_hash=abc\n\n# seed=0\nt,v\n"
-                        "0,1\n# inline block comment\n0.5,2  # trailing\n\n1,3\n")
-        series = serialize.read_audio_csv(path, rate=44_100.0)
-        assert series.values.tolist() == [1.0, 2.0, 3.0]
-
-    @pytest.mark.parametrize("text", ["t,v\n", "# seed=0\nt,v\n", ""])
-    def test_audio_without_rows_rejected_without_warning(self, tmp_path, text):
-        path = tmp_path / "audio.csv"
-        path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="no data rows"):
-                serialize.read_audio_csv(path, rate=44_100.0)
 
     def test_audio_three_columns_rejected(self, tmp_path):
         path = tmp_path / "audio.csv"

@@ -526,9 +526,9 @@ class TestReferenceEquality:
     @pytest.mark.parametrize("L", [2, 20])
     @pytest.mark.parametrize("n", [511, 512, 513, 1025, 1026, 2050])
     def test_sample_states_reachable_rows(self, n, L):
-        # rows with exact zeros and subnormals between positive entries: the
-        # draws run over each row's nonzero entries only, and the start
-        # draws from a beta with zeros of its own
+        # rows with exact zeros and subnormals between positive entries: a
+        # zero entry adds an exact zero to the cumulative weights, and the
+        # start draws from a beta with zeros of its own
         pi = hard_transitions(L, seed=n)
         model = swar.SwitchingArModel(states=[ar1_state(0.0) for _ in range(L)],
                                       transitions=pi, beta=pi[-1])
@@ -563,6 +563,27 @@ class TestReferenceEquality:
         assert z.dtype == np.dtype(int)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert (z[:1025] == c).all() and (z[1100:] != c).all()
+
+    def test_sample_states_total_rounding_up(self):
+        # u * total rounds up to the total only when the total is subnormal:
+        # the recursion then picks state L - 1 (here closed, of zero weight),
+        # and so does the start draw; a later draw picks the last open state
+        class LastUniforms:
+            def random(self, n):
+                return np.full(n, 1.0 - 2.0 ** -53)
+
+        pi = np.array([[0.5, 0.5, 0.0]] * 3)
+        model = swar.SwitchingArModel(states=[ar1_state(0.0) for _ in range(3)],
+                                      transitions=pi, beta=[0.5, 0.5, 0.0])
+        loglik = np.zeros((3, 6))
+        loglik[:2] = -711.0                   # the open states' totals are subnormal
+        z = swar.sample_states(model, loglik, LastUniforms())
+        assert np.array_equal(z, reference_sample_states(model, loglik, LastUniforms()))
+        assert z.tolist() == [2] * 6
+        loglik[:2, 0] = 0.0                   # a normal total at t = 0 only
+        z = swar.sample_states(model, loglik, LastUniforms())
+        assert z.tolist() == [1] * 6
+        assert reference_sample_states(model, loglik, LastUniforms()).tolist() == [1] + [2] * 5
 
     def test_sample_states_peak(self, traced_peak):
         # live (L, T) float64 arrays at the peak: the open states'

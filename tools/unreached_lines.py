@@ -68,16 +68,18 @@ def main() -> int:
     package = Path(cli.__file__).parent
     if package != SRC / "clinqc":
         sys.exit(f"imported clinqc from {package}, not {SRC}")
+    from clinqc import context  # loaded by the traced import above
 
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
 
         def run(*argv) -> None:
             argv = [str(a) for a in argv]
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
                 code = tracer.runfunc(cli.main, argv)
             if code != 0:
-                sys.exit(f"clinqc {' '.join(argv)} exited with {code}")
+                sys.exit(f"clinqc {' '.join(argv)} exited with {code}: {err.getvalue()}")
 
         for scenario in ("switching-ar", "gravity-drift", "two-cluster"):
             run("synth", "--scenario", scenario, "--out", d / scenario)
@@ -104,8 +106,8 @@ def main() -> int:
 
         # counts and labels for the classifier, written outside the tracer
         posteriors = np.loadtxt(d / "ar" / "posteriors.csv", delimiter=",")
-        np.savetxt(d / "counts.csv", np.rint(100 * posteriors), fmt="%d",
-                   delimiter=",")
+        np.savetxt(d / "counts.csv", context.rescale_to_counts(posteriors),
+                   fmt="%d", delimiter=",")
         truth = np.loadtxt(d / "switching-ar" / "truth.csv", delimiter=",",
                            skiprows=3)
         np.savetxt(d / "labels.csv",
