@@ -300,13 +300,46 @@ class TestRemoveGravity:
         uniform = interpolate_uniform(raw, spec.rate)
         dynamic = remove_gravity(uniform)
         for axis in range(3):
-            axis_values = uniform[:, axis]
-            alone = l1_trend_filter(axis_values)
-            assert np.array_equal(dynamic[:, axis], axis_values - alone)
+            alone = remove_gravity(uniform[:, [axis]])
+            assert np.array_equal(dynamic[:, [axis]], alone)
 
     def test_too_short(self):
         with pytest.raises(ValidationError, match="trend filtering needs at least 3 samples"):
             remove_gravity(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n", [3, 11, 12, 13, 14, 15, 1001], ids=lambda n: f"n={n}")
+    @pytest.mark.parametrize("lam", [None, 0.0, 10.0])
+    def test_affine_input_removed_to_the_ends(self, n, lam):
+        # below 12 samples the trend is solved at full rate; from 12 on the
+        # 0-3 samples after the last whole block lie on the end segment
+        t = np.arange(float(n))
+        samples = np.column_stack([0.3 * t - 2.0, np.full(n, 9.81), 5.0 - 0.01 * t])
+        assert np.max(np.abs(remove_gravity(samples, lam))) < 1e-9
+
+    @pytest.mark.parametrize("lam", [0.0, 3.0, None])
+    def test_trend_is_the_block_solve_at_lambda_over_16(self, lam):
+        # the trend at sample units' lam is the lam / 16 solve on the means
+        # of blocks of 4, linear between the block centres 1.5, 5.5, ...
+        rng = np.random.default_rng(3)
+        x = np.cumsum(rng.normal(size=403))
+        means = (x[0:400:4] + x[1:400:4] + x[2:400:4] + x[3:400:4]) / 4
+        knots = l1_trend_filter(means, (default_lambda(x) if lam is None else lam) / 16)
+        inner = np.arange(2, 398)
+        expected = np.interp(inner, 4 * np.arange(100) + 1.5, knots)
+        dynamic = remove_gravity(x[:, None], lam)[:, 0]
+        assert np.array_equal(dynamic[inner], x[inner] - expected)
+
+    def test_knot_grid_close_to_full_rate(self, walking_raw):
+        # 71,999 samples: the knot-grid trend against the full-rate l1 trend
+        # of each axis, relative to that axis's full-rate dynamic RMS
+        uniform = interpolate_uniform(walking_raw, 120.0)
+        dynamic = remove_gravity(uniform)
+        rms = lambda v: np.sqrt(np.mean(v**2))
+        for axis in range(3):
+            column = uniform[:, axis]
+            full_rate = l1_trend_filter(column)
+            trend = column - dynamic[:, axis]
+            assert rms(trend - full_rate) <= 1e-3 * rms(column - full_rate)
 
 
 class TestReferenceEquality:
@@ -351,9 +384,10 @@ class TestWorkingSet:
         out, peak = traced_peak(l1_trend_filter, walking_axis)
         assert peak <= 22 * 8 * len(out)
 
-    def test_remove_gravity_peaks_at_most_25_per_sample(self, walking_raw, traced_peak):
-        # the output's 3 float64 a sample and one axis's solver
+    def test_remove_gravity_peaks_at_most_12_per_sample(self, walking_raw, traced_peak):
+        # the output's 3 float64 a sample, one axis's solver on a quarter of
+        # the samples, and that axis's interpolated trend
         uniform = interpolate_uniform(walking_raw, 120.0)
         remove_gravity(uniform[:100])
         out, peak = traced_peak(remove_gravity, uniform)
-        assert peak <= 25 * 8 * len(out)
+        assert peak <= 12 * 8 * len(out)
