@@ -228,9 +228,7 @@ def sample_states(model: SwitchingArModel, loglik: np.ndarray,
     summing over every open state. Draws equal those of the sequential
     recursion ``m_t = pi @ (lik_{t+1} * m_{t+1}) / total`` unless a
     rounding difference at the 1e-16 level moves a uniform across a
-    cumulative weight, or a total below 2**-1021 lets ``u * total`` round
-    up to it: then the recursion picks state L - 1, and a draw after t = 0
-    here the last open state.
+    cumulative weight.
     """
     n = loglik.shape[1]
     shift = loglik.max(axis=0)
@@ -443,20 +441,27 @@ def _draw_column(weights: np.ndarray, row: np.ndarray,
                  uniforms: np.ndarray) -> np.ndarray:
     """One categorical draw per step from ``weights[:, t] * row``.
 
-    ``weights`` is state-major, shape (L, m). Draw t is
-    ``searchsorted(cum, u_t * cum[-1], side="right")`` capped at L - 1,
-    with ``cum = cumsum(weights[:, t] * row)``: the number of the first
-    L - 1 cumulative weights at most u_t times the total, as they never
-    decrease. The cumulative sums run as row adds, in the order
-    ``np.cumsum`` adds. A step whose total is not positive and finite
-    draws -1.
+    ``weights`` is state-major, shape (L, m). With ``cum =
+    cumsum(weights[:, t] * row)`` and ``total = cum[-1]``, draw t is
+    ``min(searchsorted(cum, u_t * total, side="right"), searchsorted(cum,
+    total))``: the number of the first L - 1 cumulative weights at most
+    u_t times the total, as they never decrease, but at most the row where
+    ``cum`` reaches the total, the last of positive weight. The cap acts
+    only where ``u_t * total`` rounds up to the total, which happens only
+    at a subnormal total. The cumulative sums run as row adds, in the
+    order ``np.cumsum`` adds. A step whose total is not positive and
+    finite draws -1.
     """
     last = len(row) - 1
     cum = weights * row[:, None]
     for k in range(last):
         np.add(cum[k], cum[k + 1], out=cum[k + 1])
     total = cum[last]
-    picks = (cum[:last] <= uniforms * total).sum(axis=0)
+    scaled = uniforms * total
+    picks = (cum[:last] <= scaled).sum(axis=0)
+    up = scaled == total
+    if up.any():
+        picks[up] = (cum[:last, up] < total[up]).sum(axis=0)
     picks[~((total > 0) & (total < np.inf))] = -1
     return picks
 

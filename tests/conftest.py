@@ -1,4 +1,7 @@
 """Fixtures shared by the test modules."""
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,3 +61,10 @@ def _traced_peak(fn, *args):
 @pytest.fixture
 def traced_peak():
     return _traced_peak
+
+
+@pytest.fixture(scope="session")
+def every_subcommand():
+    """The globals of ``tools/every_subcommand.py``: every CLI subcommand, by
+    recipe group, and ``GROUPS``."""
+    return runpy.run_path(str(Path(__file__).parents[1] / "tools" / "every_subcommand.py"))

@@ -30,16 +30,21 @@ def four_row_tables(tmp_path):
     return counts, labels
 
 
+def run_in_new_interpreter(code, *args, **env):
+    """The stdout of ``python -c code args``, with this package on the path."""
+    src = str(Path(clinqc.__file__).parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
 def run_at_blas_threads(threads, args):
     """Run the CLI in a new interpreter whose BLAS uses ``threads`` threads;
     the count is read once, when numpy loads, so it needs a process of its own."""
-    src = str(Path(clinqc.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-           "OMP_NUM_THREADS": str(threads), "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c",
-                    "import sys; from clinqc.cli import main; sys.exit(main(sys.argv[1:]))",
-                    *map(str, args)], env=env, check=True, capture_output=True)
+    run_in_new_interpreter(
+        "import sys; from clinqc.cli import main; sys.exit(main(sys.argv[1:]))", *args,
+        OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
 
 
 class TestSynthCommand:
@@ -366,10 +371,11 @@ class TestReproducibility:
                 == (tmp_path / "c" / "feature.csv").read_bytes())
 
     def test_walking_feature_same_at_any_blas_thread_count(self, tmp_path):
-        # 200 s at 120 Hz resamples to 24,000 samples: OpenBLAS splits a
-        # dot product that long across its threads, so a trend filter that
-        # summed through BLAS would round differently at 1 and 2 threads
-        run(["synth", "--scenario", "gravity-drift", "--duration", "200",
+        # 600 s at 120 Hz resamples to 72,000 samples, so the trend filter
+        # solves on 18,000 knots. OpenBLAS splits a dot product that long
+        # across its threads; at 6,000 knots it rounds the same at 1 and 2
+        # threads, so a shorter input would not see a sum through BLAS
+        run(["synth", "--scenario", "gravity-drift", "--duration", "600",
              "--rate", "120", "--out", tmp_path])
         features = []
         for threads in (1, 2):
@@ -874,40 +880,38 @@ class TestExitCodes:
         assert "runtime error: backward message underflowed" in err
 
 
-def scipy_modules_after(code, *args):
-    """The scipy modules a fresh interpreter holds after running ``code``."""
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(clinqc.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          capture_output=True, text=True, check=True, env=env)
-    return done.stdout.strip().splitlines()[-1]
+def scipy_modules_after(every_subcommand, out, *groups):
+    """The scipy modules a fresh interpreter holds after it imports the CLI
+    and runs the recipe ``groups`` of ``tools/every_subcommand.py`` in ``out``."""
+    code = """
+import runpy, sys
+from pathlib import Path
+from clinqc import cli
+script = runpy.run_path(sys.argv[1])
+
+def run(argv):
+    assert cli.main(argv) == 0, argv
+
+for group in sys.argv[3:]:
+    script[group](Path(sys.argv[2]), run)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    stdout = run_in_new_interpreter(code, every_subcommand["__file__"], out, *groups)
+    return stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path, every_subcommand):
     # scipy is imported on first use, so commands that never resample,
     # filter or trend-filter do not pay for it at start-up
-    assert scipy_modules_after("import sys, clinqc.cli") == "[]"
+    assert scipy_modules_after(every_subcommand, tmp_path) == "[]"
 
 
-def test_walking_and_balance_pipelines_load_only_scipy_linalg(tmp_path):
+def test_walking_and_balance_pipelines_load_only_scipy_linalg(tmp_path, every_subcommand):
     # the spline, the trend filter and the Butterworth filter run on the
     # LAPACK and BLAS routines of scipy.linalg; scipy.signal, interpolate,
     # sparse and the rest stay unloaded
-    run(["synth", "--scenario", "gravity-drift", "--duration", "30",
-         "--rate", "120", "--out", tmp_path])
-    code = """
-import sys
-from clinqc import cli
-d = sys.argv[1]
-for kind in ("walking", "balance"):
-    for argv in (["preprocess", d + "/raw.csv", "--kind", kind, "--out", d + "/" + kind],
-                 ["segment-gmm", d + "/" + kind + "/feature.csv", "--kind", kind,
-                  "--out", d + "/" + kind]):
-        assert cli.main(argv) == 0, argv
-"""
-    loaded = ast.literal_eval(scipy_modules_after(code, tmp_path))
+    loaded = ast.literal_eval(scipy_modules_after(every_subcommand, tmp_path,
+                                                  "accelerometer"))
     internals = {"scipy", "scipy.__config__", "scipy._distributor_init",
                  "scipy._cyutility", "scipy.version"}
     assert "scipy.linalg" in loaded
@@ -917,38 +921,9 @@ for kind in ("walking", "balance"):
     assert (tmp_path / "balance" / "labels.csv").exists()
 
 
-def test_voice_and_field_pipelines_load_no_scipy(tmp_path):
+def test_voice_and_field_pipelines_load_no_scipy(tmp_path, every_subcommand):
     # a cold scipy import costs start-up time and tens of MB of peak memory,
     # so the voice and switching-AR paths keep to numpy
-    rate = 44_100
-    t = np.arange(3 * rate) / rate
-    audio = np.random.default_rng(0).normal(0.0, 0.01, size=len(t))
-    audio[rate:2 * rate] += np.sin(2 * np.pi * 220 * t[rate:2 * rate])
-    np.savetxt(tmp_path / "audio.csv", np.column_stack([t, audio]),
-               delimiter=",", header="t,v", comments="")
-    run(["synth", "--scenario", "switching-ar", "--duration", "20",
-         "--rate", "30", "--out", tmp_path])
-    truth = serialize._read_table(tmp_path / "truth.csv", 2)
-    labels = np.where(truth[:, 1] == 1, 2, 1)
-    np.savetxt(tmp_path / "labels.csv", np.column_stack([truth[:, 0], labels]),
-               delimiter=",", fmt=["%.6f", "%d"], header="t,u", comments="")
-    code = """
-import sys
-import numpy as np
-from clinqc import cli, context
-d = sys.argv[1]
-for argv in (["preprocess", d + "/audio.csv", "--kind", "voice", "--out", d + "/voice"],
-             ["segment-gmm", d + "/voice/feature.csv", "--kind", "voice",
-              "--out", d + "/voice"],
-             ["segment-ar", d + "/feature.csv", "--order", "1", "--truncation", "4",
-              "--sweeps", "4", "--burn-in", "2", "--out", d + "/ar"]):
-    assert cli.main(argv) == 0, argv
-posteriors = np.loadtxt(d + "/ar/posteriors.csv", delimiter=",")
-np.savetxt(d + "/counts.csv", context.rescale_to_counts(posteriors), fmt="%d",
-           delimiter=",")
-assert cli.main(["evaluate", d + "/counts.csv", d + "/labels.csv", "--folds", "2",
-                 "--out", d + "/eval"]) == 0
-"""
-    assert scipy_modules_after(code, tmp_path) == "[]"
+    assert scipy_modules_after(every_subcommand, tmp_path, "audio", "field") == "[]"
     assert (tmp_path / "voice" / "labels.csv").exists()
     assert (tmp_path / "eval" / "report.json").exists()

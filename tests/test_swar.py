@@ -376,16 +376,17 @@ def all_column_messages(lik, pi):
 
 
 def reference_sample_categorical(weights, u):
-    total = weights.sum()
+    cum = np.cumsum(weights)
+    total = cum[-1]
     if total <= 0 or not np.isfinite(total):
         raise ClinQcError("all state probabilities underflowed")
-    cum = np.cumsum(weights)
-    return int(np.searchsorted(cum, u * total, side="right").clip(0, len(weights) - 1))
+    return int(min(np.searchsorted(cum, u * total, side="right"),
+                   np.searchsorted(cum, total)))
 
 
 def reference_sample_states(model, loglik, rng):
     loglik = loglik.T                      # (n, L), from the (L, n) input
-    n, L = loglik.shape
+    n = len(loglik)
     shift = loglik.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(shift)):
         raise ClinQcError("emission likelihoods are not finite")
@@ -395,13 +396,9 @@ def reference_sample_states(model, loglik, rng):
     uniforms = rng.random(n)
     z = np.empty(n, dtype=int)
     z[0] = reference_sample_categorical(model.beta * lik[0] * messages[0], uniforms[0])
-    cum = np.cumsum(lik[:, None, :] * messages[:, None, :] * pi[None, :, :], axis=2)
     for t in range(1, n):
-        row = cum[t, z[t - 1]]
-        total = row[L - 1]
-        if total <= 0 or not np.isfinite(total):
-            raise ClinQcError("all state probabilities underflowed")
-        z[t] = min(np.searchsorted(row, uniforms[t] * total, side="right"), L - 1)
+        z[t] = reference_sample_categorical(lik[t] * messages[t] * pi[z[t - 1]],
+                                            uniforms[t])
     return z
 
 
@@ -566,8 +563,8 @@ class TestReferenceEquality:
 
     def test_sample_states_total_rounding_up(self):
         # u * total rounds up to the total only when the total is subnormal:
-        # the recursion then picks state L - 1 (here closed, of zero weight),
-        # and so does the start draw; a later draw picks the last open state
+        # every draw is then capped at the last state of positive weight,
+        # not state L - 1 (here closed, of zero weight)
         class LastUniforms:
             def random(self, n):
                 return np.full(n, 1.0 - 2.0 ** -53)
@@ -577,13 +574,11 @@ class TestReferenceEquality:
                                       transitions=pi, beta=[0.5, 0.5, 0.0])
         loglik = np.zeros((3, 6))
         loglik[:2] = -711.0                   # the open states' totals are subnormal
-        z = swar.sample_states(model, loglik, LastUniforms())
-        assert np.array_equal(z, reference_sample_states(model, loglik, LastUniforms()))
-        assert z.tolist() == [2] * 6
-        loglik[:2, 0] = 0.0                   # a normal total at t = 0 only
-        z = swar.sample_states(model, loglik, LastUniforms())
-        assert z.tolist() == [1] * 6
-        assert reference_sample_states(model, loglik, LastUniforms()).tolist() == [1] + [2] * 5
+        for _ in range(2):
+            z = swar.sample_states(model, loglik, LastUniforms())
+            assert np.array_equal(z, reference_sample_states(model, loglik, LastUniforms()))
+            assert z.tolist() == [1] * 6
+            loglik[:2, 0] = 0.0               # then a normal total at t = 0 only
 
     def test_sample_states_peak(self, traced_peak):
         # live (L, T) float64 arrays at the peak: the open states'

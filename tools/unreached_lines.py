@@ -1,11 +1,11 @@
 """Map the lines of ``src/clinqc`` that no CLI run reaches.
 
-Runs each subcommand in process under the stdlib ``trace`` module, on small
-synthetic inputs: synth for all three scenarios; preprocess for walking,
-balance and voice; segment-gmm for each kind, one of them through a config
-file; spectrum; a short segment-ar; train-nb; classify; and evaluate with
-both baselines. Then prints, per module, how many executable lines no run
-executed, followed by those lines. Exits 1 if any subcommand exits non-zero.
+Runs every recipe group of ``tools/every_subcommand.py`` (each subcommand
+on small synthetic inputs, in process), with each CLI call under the stdlib
+``trace`` module; the steps between calls, such as writing counts and
+labels, run untraced. Then prints, per module, how many executable lines no
+run executed, followed by those lines. Exits 1 if any subcommand exits
+non-zero.
 ``__init__.py``, which only imports, is not listed: ``trace`` decides what
 to ignore by bare module name, and numpy's ``__init__`` is ignored first.
 
@@ -23,7 +23,7 @@ import tempfile
 import trace
 from pathlib import Path
 
-import numpy as np
+import every_subcommand  # this script's directory is on sys.path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -68,58 +68,18 @@ def main() -> int:
     package = Path(cli.__file__).parent
     if package != SRC / "clinqc":
         sys.exit(f"imported clinqc from {package}, not {SRC}")
-    from clinqc import context  # loaded by the traced import above
+
+    def run(argv: list[str]) -> None:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = tracer.runfunc(cli.main, argv)
+        if code != 0:
+            sys.exit(f"clinqc {' '.join(argv)} exited with {code}: {err.getvalue()}")
 
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-
-        def run(*argv) -> None:
-            argv = [str(a) for a in argv]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
-                code = tracer.runfunc(cli.main, argv)
-            if code != 0:
-                sys.exit(f"clinqc {' '.join(argv)} exited with {code}: {err.getvalue()}")
-
-        for scenario in ("switching-ar", "gravity-drift", "two-cluster"):
-            run("synth", "--scenario", scenario, "--out", d / scenario)
-        t = np.arange(2 * 44_100) / 44_100
-        audio = np.where(t < 1, 0.3, 0.01) * np.sin(2 * np.pi * 220 * t)
-        np.savetxt(d / "audio.csv", np.column_stack([t, audio]), fmt="%.7f",
-                   delimiter=",", header="t,v", comments="")
-        run("preprocess", d / "gravity-drift" / "raw.csv", "--kind", "walking",
-            "--out", d / "walking")
-        run("preprocess", d / "gravity-drift" / "raw.csv", "--kind", "balance",
-            "--out", d / "balance")
-        run("preprocess", d / "audio.csv", "--kind", "voice", "--out", d / "voice")
-        run("segment-gmm", d / "walking" / "feature.csv", "--kind", "walking",
-            "--out", d / "walking")
-        (d / "balance.json").write_text('{"kind": "balance", "window_seconds": 2.0}')
-        run("segment-gmm", d / "balance" / "feature.csv", "--config",
-            d / "balance.json", "--out", d / "balance")
-        run("segment-gmm", d / "two-cluster" / "feature.csv", "--kind", "voice",
-            "--out", d / "two-cluster")
-        feature = d / "switching-ar" / "feature.csv"
-        run("spectrum", feature, "--out", d / "switching-ar")
-        run("segment-ar", feature, "--sweeps", "10", "--burn-in", "5",
-            "--kappa", "20", "--out", d / "ar")
-
-        # counts and labels for the classifier, written outside the tracer
-        posteriors = np.loadtxt(d / "ar" / "posteriors.csv", delimiter=",")
-        np.savetxt(d / "counts.csv", context.rescale_to_counts(posteriors),
-                   fmt="%d", delimiter=",")
-        truth = np.loadtxt(d / "switching-ar" / "truth.csv", delimiter=",",
-                           skiprows=3)
-        np.savetxt(d / "labels.csv",
-                   np.column_stack([truth[:, 0], np.where(truth[:, 1] == 1, 2, 1)]),
-                   fmt=["%.6f", "%d"], delimiter=",", header="t,u", comments="")
-        run("train-nb", d / "counts.csv", d / "labels.csv", "--out", d / "nb")
-        run("classify", d / "nb" / "nb.json", d / "counts.csv", "--out", d / "nb")
-        for baseline in ("none", "shuffled"):
-            run("evaluate", d / "counts.csv", d / "labels.csv", "--folds", "5",
-                "--baseline", baseline, "--name", f"{baseline}.json",
-                "--out", d / "nb")
-
+        for group in every_subcommand.GROUPS:
+            group(d, run)
         found = unreached(tracer.results(), package, d / "cover")
 
     print(f"{'module':<16}{'unreached':>10}{'executable':>12}")
